@@ -4,6 +4,18 @@ Sampling is counter-based: every particle draws from its own Philox stream
 keyed by ``(seed, domain, particle_index)``, so particle ``i`` of a cloud is
 the same no matter how many particles are requested and independent draws
 (target, source noise, projections, perturbations) never share a stream.
+
+``keyed_generator`` is the reference for one stream: a numpy
+``Generator(Philox(key))`` whose ``random()`` calls feed the Marsaglia polar
+transform.  Clouds do not build one generator per particle, though.  They
+run Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11) in numpy over all particle indices at once and reproduce
+``np.random.Philox`` bit for bit: the same key, counter 1 for the first
+4-word block, the same ``(x >> 11) * 2**-53`` uniforms, and the polar
+rejection run as masked rounds over the particles that still need normals.
+The logarithm of the accepted ``s`` is taken with ``math.log`` (the C
+library), not ``np.log``: numpy's SIMD logarithm can differ from it in the
+last bit, and then the particle would not match its stream.
 """
 
 from __future__ import annotations
@@ -46,9 +58,30 @@ _PROJ_DOMAIN = 3
 NOISE_DOMAIN = 4
 
 _INDEX_BITS = 48
+_DOMAIN_BITS = 64 - _INDEX_BITS
 _MASK64 = (1 << 64) - 1
 
 _W2_EXACT_CAP = 4096
+
+# Philox4x64-10 constants (Random123; identical in numpy's Philox)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_U11 = np.uint64(11)
+# Particles per pass of the vectorised draw; bounds its uint64 temporaries.
+_CHUNK = 4096
+
+
+def _check_stream(seed, domain):
+    """(seed, domain) as Python ints, or InvalidParamError if either would not
+    fit its key bits and so alias another stream."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= _MASK64:
+        raise InvalidParamError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not isinstance(domain, (int, np.integer)) or not 0 <= domain < (1 << _DOMAIN_BITS):
+        raise InvalidParamError(f"stream domain out of range: {domain!r}")
+    return int(seed), int(domain)
 
 
 def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -58,39 +91,94 @@ def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
     in the other, so distinct (seed, domain, index) triples give independent
     streams.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParamError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not 0 <= index < (1 << _INDEX_BITS):
-        raise InvalidParamError(f"stream index out of range: {index}")
-    key = np.array(
-        [int(seed) & _MASK64, ((domain << _INDEX_BITS) | index) & _MASK64],
-        dtype=np.uint64,
-    )
+    seed, domain = _check_stream(seed, domain)
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < (1 << _INDEX_BITS):
+        raise InvalidParamError(f"stream index out of range: {index!r}")
+    key = np.array([seed, (domain << _INDEX_BITS) | int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _polar_normals(gen: np.random.Generator, d: int) -> np.ndarray:
-    """d standard normals via the polar (Marsaglia) transform."""
-    out = np.empty(d)
-    i = 0
-    while i < d:
-        u = 2.0 * gen.random() - 1.0
-        v = 2.0 * gen.random() - 1.0
-        s = u * u + v * v
-        if s >= 1.0 or s == 0.0:
-            continue
-        f = math.sqrt(-2.0 * math.log(s) / s)
-        out[i] = u * f
-        i += 1
-        if i < d:
-            out[i] = v * f
-            i += 1
-    return out
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> _U32
+    x_lo, x_hi = x & _LO32, x >> _U32
+    t0 = m_lo * x_lo
+    t1 = m_hi * x_lo + (t0 >> _U32)
+    t2 = m_lo * x_hi + (t1 & _LO32)
+    return m_hi * x_hi + (t1 >> _U32) + (t2 >> _U32), m * x
 
 
-def _check_count(n: int) -> int:
+def _philox_block(key0: list, key1: np.ndarray, counter: int) -> np.ndarray:
+    """(m, 4) uniforms of block ``counter`` of m streams keyed (key0, key1[j]).
+
+    ``key0`` holds the first key word for each of the ten rounds; the second
+    word is bumped here.
+    """
+    c0 = np.full(key1.shape, counter, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0[r], lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=1)
+    return (words >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _philox_draw(seed: int, domain: int, n: int, d: int, lead: int):
+    """Leading uniforms (n, lead) and polar normals (n, d) of particles 0..n-1.
+
+    Row i equals ``lead`` calls of ``keyed_generator(seed, domain, i).random()``
+    followed by d Marsaglia polar normals from the same stream, bit for bit.
+    """
+    seed, domain = _check_stream(seed, domain)
+    if n > (1 << _INDEX_BITS):
+        raise InvalidParamError(f"stream index out of range: {n - 1}")
+    key0 = [np.uint64((seed + r * _PHILOX_W[0]) & _MASK64) for r in range(_PHILOX_ROUNDS)]
+    pairs = (d + 1) // 2
+    first_blocks = -(-(lead + 2 * pairs) // 4)
+    uniforms = np.empty((n, lead))
+    normals = np.empty((n, d))
+    for start in range(0, n, _CHUNK):
+        stop = min(n, start + _CHUNK)
+        key1 = np.arange(start, stop, dtype=np.uint64) | np.uint64(domain << _INDEX_BITS)
+        buf = np.concatenate(
+            [_philox_block(key0, key1, c) for c in range(1, first_blocks + 1)], axis=1)
+        uniforms[start:stop] = buf[:, :lead]
+        buf = buf[:, lead:]
+        counter = first_blocks
+        z = np.empty((stop - start, 2 * pairs))
+        # rows still drawing (chunk-relative), their accepted pairs and their
+        # unread uniforms; all of them read the same stream position
+        rows = np.arange(stop - start)
+        done = np.zeros(rows.size, dtype=np.intp)
+        while rows.size:
+            if buf.shape[1] < 2:
+                counter += 1
+                buf = np.concatenate((buf, _philox_block(key0, key1[rows], counter)),
+                                     axis=1)
+            u = 2.0 * buf[:, 0] - 1.0
+            v = 2.0 * buf[:, 1] - 1.0
+            buf = buf[:, 2:]
+            s = u * u + v * v
+            ok = (s < 1.0) & (s != 0.0)
+            s = s[ok]
+            # libm's log, as the scalar stream uses; np.log may differ in the last bit
+            log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
+            f = np.sqrt(-2.0 * log_s / s)
+            at, col = rows[ok], 2 * done[ok]
+            z[at, col] = u[ok] * f
+            z[at, col + 1] = v[ok] * f
+            done[ok] += 1
+            more = done < pairs
+            rows, done, buf = rows[more], done[more], buf[more]
+        normals[start:stop] = z[:, :d]
+    return uniforms, normals
+
+
+def _check_count(n: int, what: str = "sample count") -> int:
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParamError(f"sample count must be a positive integer, got {n!r}")
+        raise InvalidParamError(f"{what} must be a positive integer, got {n!r}")
     return int(n)
 
 
@@ -159,28 +247,23 @@ def sample_gaussian(
 ) -> ParticleCloud:
     """n draws from scale * N(0, I_dim), one Philox stream per particle."""
     n = _check_count(n)
-    if dim < 1:
-        raise InvalidParamError(f"dim must be positive, got {dim}")
-    pts = np.empty((n, dim))
-    for i in range(n):
-        gen = keyed_generator(seed, _SOURCE_DOMAIN, i)
-        pts[i] = scale * _polar_normals(gen, dim)
-    return ParticleCloud(points=pts, seed=seed, label=label)
+    dim = _check_count(dim, "dim")
+    _, z = _philox_draw(seed, _SOURCE_DOMAIN, n, dim, 0)
+    z *= scale
+    return ParticleCloud(points=z, seed=seed, label=label)
 
 
 def sample_target(target: Target, n: int, seed: int, label: str = "target") -> ParticleCloud:
     """n draws from the mixture; particle i selects its component from the
     first uniform of stream (seed, i), then draws its noise."""
     n = _check_count(n)
+    u, z = _philox_draw(seed, _TARGET_DOMAIN, n, target.dim, 1)
     cumw = np.cumsum(target.weights)
-    pts = np.empty((n, target.dim))
-    for i in range(n):
-        gen = keyed_generator(seed, _TARGET_DOMAIN, i)
-        comp = min(int(np.searchsorted(cumw, gen.random(), side="right")),
-                   target.n_components - 1)
-        z = _polar_normals(gen, target.dim)
-        pts[i] = target.means[comp] + target.sigma * z
-    return ParticleCloud(points=pts, seed=seed, label=label)
+    comp = np.minimum(np.searchsorted(cumw, u[:, 0], side="right"),
+                      target.n_components - 1)
+    z *= target.sigma
+    z += target.means[comp]
+    return ParticleCloud(points=z, seed=seed, label=label)
 
 
 def sample_interpolant(
@@ -251,11 +334,9 @@ def _w2_1d_sq(u: np.ndarray, v: np.ndarray) -> float:
 def _w2_sliced(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> float:
     if not isinstance(n_projections, (int, np.integer)) or n_projections < 1:
         raise InvalidParamError(f"n_projections must be >= 1, got {n_projections!r}")
-    dim = pa.shape[1]
+    _, dirs = _philox_draw(seed, _PROJ_DOMAIN, int(n_projections), pa.shape[1], 0)
     total = 0.0
-    for j in range(n_projections):
-        gen = keyed_generator(seed, _PROJ_DOMAIN, j)
-        u = _polar_normals(gen, dim)
+    for u in dirs:
         u /= max(float(np.linalg.norm(u)), 1e-300)
         total += _w2_1d_sq(np.sort(pa @ u), np.sort(pb @ u))
     return float(math.sqrt(total / n_projections))

@@ -3,7 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 library code: finite differences instead of closed-form derivatives,
 quadrature instead of log-sum-exp identities, brute force instead of the
-Hungarian method, and the affine Gaussian transport law instead of RK4.
+Hungarian method, the affine Gaussian transport law instead of RK4, and one
+numpy Philox generator per particle with a scalar polar loop instead of the
+vectorised Philox4x64-10 draw.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import math
 
 import numpy as np
 from scipy.integrate import trapezoid
+
+from gif_lab.metrics import keyed_generator
+
+# stream domains of the per-particle sampling contract
+TARGET_DOMAIN, SOURCE_DOMAIN, PROJ_DOMAIN = 1, 2, 3
 
 
 def central_diff(f, t: float, h: float = 1e-5) -> float:
@@ -116,3 +123,61 @@ def simpson(f, lo: float, hi: float, n_panels: int = 2048) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(w * ys))
+
+
+def polar_normals(gen, d: int) -> np.ndarray:
+    """d standard normals from gen.random() via the scalar Marsaglia polar loop."""
+    out = np.empty(d)
+    i = 0
+    while i < d:
+        u = 2.0 * gen.random() - 1.0
+        v = 2.0 * gen.random() - 1.0
+        s = u * u + v * v
+        if s >= 1.0 or s == 0.0:
+            continue
+        f = math.sqrt(-2.0 * math.log(s) / s)
+        out[i] = u * f
+        i += 1
+        if i < d:
+            out[i] = v * f
+            i += 1
+    return out
+
+
+def stream_draw(seed: int, domain: int, n: int, d: int, lead: int):
+    """Per particle i < n: ``lead`` uniforms, then d polar normals, of stream i."""
+    uniforms, normals = np.empty((n, lead)), np.empty((n, d))
+    for i in range(n):
+        gen = keyed_generator(seed, domain, i)
+        uniforms[i] = [gen.random() for _ in range(lead)]
+        normals[i] = polar_normals(gen, d)
+    return uniforms, normals
+
+
+def gaussian_cloud(dim: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """Points of ``sample_gaussian``, one generator per particle."""
+    return np.array([scale * polar_normals(keyed_generator(seed, SOURCE_DOMAIN, i), dim)
+                     for i in range(n)])
+
+
+def target_cloud(target, n: int, seed: int) -> np.ndarray:
+    """Points of ``sample_target``, one generator per particle."""
+    cumw = np.cumsum(target.weights)
+    pts = np.empty((n, target.dim))
+    for i in range(n):
+        gen = keyed_generator(seed, TARGET_DOMAIN, i)
+        comp = min(int(np.searchsorted(cumw, gen.random(), side="right")),
+                   target.n_components - 1)
+        pts[i] = target.means[comp] + target.sigma * polar_normals(gen, target.dim)
+    return pts
+
+
+def sliced_w2(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> float:
+    """Sliced W2 of equal-size clouds, one generator per projection."""
+    total = 0.0
+    for j in range(n_projections):
+        u = polar_normals(keyed_generator(seed, PROJ_DOMAIN, j), pa.shape[1])
+        u /= max(float(np.linalg.norm(u)), 1e-300)
+        gap = np.sort(pa @ u) - np.sort(pb @ u)
+        total += float(np.mean(gap * gap))
+    return math.sqrt(total / n_projections)

@@ -126,6 +126,14 @@ class TestSample:
                          "--out", "/dev/null/sub"])
         assert code == 2
 
+    def test_seed_beyond_64_bits_is_validation_error(self, gauss_cfg, capsys):
+        code = dispatch(["sample", "--config", gauss_cfg, "--n", "4",
+                         "--seed", str(2 ** 64), "--no-timestamp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err
+
 
 class TestFlow:
     def test_trajectory_csv(self, gauss_cfg, capsys):

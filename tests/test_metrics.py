@@ -16,8 +16,10 @@ from gif_lab.errors import (
     SizeMismatchError,
     TooLargeError,
 )
+from gif_lab import metrics
 from gif_lab.metrics import (
     ParticleCloud,
+    keyed_generator,
     linear_fit,
     sample_gaussian,
     sample_interpolant,
@@ -28,6 +30,7 @@ from gif_lab.metrics import (
 from gif_lab.schedules import LinearSchedule, ShiftedLinearSchedule
 from gif_lab.targets import gaussian_target, mixture_target
 
+import oracles
 from oracles import w2_bruteforce
 
 
@@ -68,6 +71,128 @@ class TestSamplingDeterminism:
             sample_target(gmm2, n=0, seed=1)
         with pytest.raises(InvalidParamError):
             sample_target(gmm2, n=8, seed=-3)
+
+    def test_seed_beyond_64_bits_rejected(self, gmm2):
+        # 2**64 used to wrap to seed 0 and return that seed's cloud
+        with pytest.raises(InvalidParamError):
+            sample_target(gmm2, n=4, seed=2 ** 64)
+        with pytest.raises(InvalidParamError):
+            sample_gaussian(2, n=4, seed=2 ** 64)
+        with pytest.raises(InvalidParamError):
+            w2(np.zeros((4, 2)), np.ones((4, 2)), method="sliced", seed=2 ** 64)
+        with pytest.raises(InvalidParamError):
+            keyed_generator(2 ** 64, 1, 0)
+        top = sample_target(gmm2, n=4, seed=2 ** 64 - 1)
+        assert not np.array_equal(top.points, sample_target(gmm2, n=4, seed=0).points)
+
+    def test_domain_beyond_16_bits_rejected(self):
+        # domain 1 << 16 used to alias domain 0 of the same seed
+        for domain in (1 << 16, -1):
+            with pytest.raises(InvalidParamError):
+                keyed_generator(0, domain, 0)
+        top = keyed_generator(0, np.int64((1 << 16) - 1), np.int64((1 << 48) - 1))
+        assert top.random() != keyed_generator(0, 0, (1 << 48) - 1).random()
+
+    @pytest.mark.parametrize("dim", [2.5, 0, -1, "2"])
+    def test_dim_must_be_positive_integer(self, dim):
+        with pytest.raises(InvalidParamError):
+            sample_gaussian(dim, n=4, seed=0)
+
+
+SEEDS = [0, 1, 12345, 2 ** 63 - 1, 2 ** 64 - 1]
+DOMAINS = [oracles.TARGET_DOMAIN, oracles.SOURCE_DOMAIN, oracles.PROJ_DOMAIN]
+DIMS = [1, 2, 3, 5]
+CHUNK = metrics._CHUNK
+
+
+def _mixture(k: int, d: int):
+    rng = np.random.default_rng(10 * k + d)
+    w = rng.random(k) + 0.1
+    return mixture_target(weights=w / w.sum(), means=rng.normal(scale=3.0, size=(k, d)),
+                          sigma=0.7)
+
+
+class TestDrawMatchesPerParticleOracle:
+    """The vectorised Philox4x64-10 draw against one numpy generator per particle,
+    compared bit for bit."""
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_small_clouds(self, seed, domain, d):
+        lead = 1 if domain == oracles.TARGET_DOMAIN else 0
+        u_ref, z_ref = oracles.stream_draw(seed, domain, 333, d, lead)
+        for n in (1, 4, 333):
+            u, z = metrics._philox_draw(seed, domain, n, d, lead)
+            assert np.array_equal(u, u_ref[:n])
+            assert np.array_equal(z, z_ref[:n])
+
+    @pytest.mark.parametrize("seed, domain, d", [
+        (seed, domain, DIMS[(i + j) % len(DIMS)])
+        for i, seed in enumerate(SEEDS) for j, domain in enumerate(DOMAINS)])
+    def test_chunk_boundaries(self, seed, domain, d):
+        lead = 1 if domain == oracles.TARGET_DOMAIN else 0
+        u_ref, z_ref = oracles.stream_draw(seed, domain, CHUNK + 1, d, lead)
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1):
+            u, z = metrics._philox_draw(seed, domain, n, d, lead)
+            assert np.array_equal(u, u_ref[:n])
+            assert np.array_equal(z, z_ref[:n])
+
+    @pytest.mark.parametrize("seed, domain, d, lead, index", [
+        (12345, oracles.TARGET_DOMAIN, 2, 1, 2370),
+        (12345, oracles.SOURCE_DOMAIN, 1, 0, 165),
+    ])
+    def test_long_rejection_run(self, seed, domain, d, lead, index):
+        class Counting:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, 0
+
+            def random(self):
+                self.calls += 1
+                return self.gen.random()
+
+        gen = Counting(keyed_generator(seed, domain, index))
+        expect_u = [gen.random() for _ in range(lead)]
+        expect_z = oracles.polar_normals(gen, d)
+        assert gen.calls > 8  # the particle needs more than two 4-word blocks
+        u, z = metrics._philox_draw(seed, domain, index + 1, d, lead)
+        assert np.array_equal(u[index], expect_u)
+        assert np.array_equal(z[index], expect_z)
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_target(self, seed, k, d):
+        target = _mixture(k, d)
+        ref = oracles.target_cloud(target, 333, seed)
+        for n in (1, 4, 333):
+            assert np.array_equal(sample_target(target, n, seed).points, ref[:n])
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_gaussian(self, seed, d):
+        ref = oracles.gaussian_cloud(d, 333, seed, scale=1.5)
+        for n in (1, 4, 333):
+            assert np.array_equal(sample_gaussian(d, n, seed, scale=1.5).points, ref[:n])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_public_clouds_across_chunks(self, seed):
+        target = _mixture(8, 2)
+        n = CHUNK + 1
+        assert np.array_equal(sample_target(target, n, seed).points,
+                              oracles.target_cloud(target, n, seed))
+        assert np.array_equal(sample_gaussian(3, n, seed).points,
+                              oracles.gaussian_cloud(3, n, seed))
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sliced_w2_projections(self, seed, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(50, d))
+        b = 1.3 * rng.normal(size=(50, d)) + 0.2
+        for n_proj in (1, 64):
+            assert (w2(a, b, method="sliced", n_projections=n_proj, seed=seed)
+                    == oracles.sliced_w2(a, b, n_proj, seed))
 
 
 class TestSamplingLaw:
