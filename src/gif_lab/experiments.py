@@ -19,7 +19,8 @@ import numpy as np
 
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from .errors import InvalidParamError, MissingFieldError, SizeMismatchError
-from .flow import FlowContext, _velocity_and_jacobian, integrate, velocity, velocity_jacobian
+from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate, velocity,
+                   velocity_jacobian)
 from .metrics import (
     NOISE_DOMAIN,
     _W2_EXACT_CAP,
@@ -466,21 +467,17 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
                                   max_violation=float(rows[:, 5].max())))
 
 
-def _aug_rate(ctx: FlowContext, t: float, xs: np.ndarray, js: np.ndarray):
-    if xs.shape[0] == 0:
-        return np.zeros_like(xs), np.zeros_like(js)
-    v, grad = _velocity_and_jacobian(ctx, t, xs)
-    return v, np.einsum("nij,njk->nik", grad, js)
-
-
 def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
                  steps: int) -> float:
     """Max-norm gap between the flow difference and its integral form.
 
     The integral over s of J_{s->1}(Y_s) (-delta) is evaluated by composite
-    Simpson quadrature with nodes on the step grid; the Jacobians for all
-    nodes advance together in one batched sweep, each block entering with
-    the identity at its own node time.
+    Simpson quadrature with nodes on the step grid.  One engine run on a
+    shared coefficient table carries the perturbed path Y (velocity plus
+    delta) together with one block per node: block j joins at node j with
+    the state Y there and the identity Jacobian, then follows the
+    unperturbed flow to the end.  The block rows are preallocated; between
+    two nodes only the blocks that have joined advance.
     """
     panels = max(4, steps // 8)
     spacing, rem = divmod(steps, 2 * panels)
@@ -489,40 +486,35 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             f"steps={steps} is not a multiple of the quadrature node spacing")
     t_end = ctx.t_max
     n, d = x0.shape
-
-    perturbed = lambda t, xb: velocity(ctx, t, xb) + delta
-    y_traj = integrate(ctx, x0, 0.0, t_end, steps, field=perturbed, record="all")
-    x_final = integrate(ctx, x0, 0.0, t_end, steps, record="final").final_state
-    lhs = x_final - y_traj.final_state
-
-    times = y_traj.times
-    node_steps = set(range(0, steps + 1, spacing))
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    xs = np.zeros((0, d))
-    js = np.zeros((0, d, d))
-    for i in range(steps):
-        if i in node_steps:
-            xs = np.concatenate([xs, y_traj.states[i]], axis=0)
-            js = np.concatenate([js, eye.copy()], axis=0)
-        t0, t1 = float(times[i]), float(times[i + 1])
-        h = t1 - t0
-        tm = t0 + 0.5 * h
-        k1x, k1j = _aug_rate(ctx, t0, xs, js)
-        k2x, k2j = _aug_rate(ctx, tm, xs + 0.5 * h * k1x, js + 0.5 * h * k1j)
-        k3x, k3j = _aug_rate(ctx, tm, xs + 0.5 * h * k2x, js + 0.5 * h * k2j)
-        k4x, k4j = _aug_rate(ctx, t1, xs + h * k3x, js + h * k3j)
-        xs = xs + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        js = js + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-
     n_nodes = 2 * panels + 1
-    all_j = np.concatenate([js, eye], axis=0).reshape(n_nodes, n, d, d)
-    integrand = all_j @ (-delta)
-    half = t_end / (n_nodes - 1)
+    x_final = integrate(ctx, x0, 0.0, t_end, steps, record="final").final_state
+
+    clock = _stage_times(0.0, t_end, steps)
+    tab, target = _table(ctx, clock), ctx.target
+
+    def rate(k, state):
+        v, dJ = _rates(target, tab, k, state)
+        v[:n] += delta
+        return v, dJ
+
+    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
+    xs = np.empty((n_nodes * n, d))
+    js = np.tile(np.eye(d), (n_nodes * n, 1, 1))
+    xs[:n] = x0
+    for j in range(n_nodes - 1):
+        m = (j + 2) * n
+        xs[m - n:m] = xs[:n]
+        xs[:m], js[:m] = _rk4(rate, (xs[:m], js[:m]), clock,
+                              range(j * spacing, (j + 1) * spacing))[-1]
+    lhs = x_final - xs[:n]
+
+    # the last node's Jacobian is the identity, so its integrand is -delta
+    integrand = (js[n:] @ -delta).reshape(n_nodes - 1, n * d)
     weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    weights *= half / 3.0
-    rhs = np.einsum("k,knd->nd", weights, integrand)
+    weights *= t_end / (n_nodes - 1) / 3.0
+    rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
 

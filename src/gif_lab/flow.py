@@ -1,18 +1,24 @@
-"""Transport velocity field and fixed-step RK4 integration of its ODE.
+"""Transport velocity field and the one fixed-step RK4 engine for its ODE.
 
-The velocity comes in two algebraically identical dressings.  At t = 0 it
-is assembled from the posterior mean (the denoiser), because the score
-dressing divides by b_0 which may vanish; at t > 0 it is assembled from
-the score, which covers the terminal time where a_1 = 0.  The Jacobian is
-assembled in a third dressing that never divides by a_t or b_t at all:
+With c^2 = a^2 + sigma^2 b^2, mu_bar the responsibility-weighted mean of
+the component means and spread(mu) their responsibility-weighted
+covariance, the velocity and its space Jacobian are one formula each:
 
-    grad v = (a da + sigma^2 b db)/c^2 * I
-           + (a^2 * b db - a da * b^2)/c^4 * spread(mu)
+    v      = alpha x + beta mu_bar
+    grad v = alpha I + (b beta / c^2) spread(mu)
 
-where spread(mu) is the responsibility-weighted covariance of the
-component means and c^2 = a^2 + sigma^2 b^2.  That form is finite and
-correct on the whole of [0, 1], which is what the augmented integrator
-and the envelope experiments rely on.
+    alpha  = (a da + sigma^2 b db) / c^2
+    beta   = (a^2 db - a da b) / c^2
+
+Schedules supply the products a da and b db directly, so the coefficients
+never divide by a_t or b_t and are finite on the whole of [0, 1]: at t = 0
+where b_0 may vanish, and at t = 1 where a_1 = 0 and Follmer's da diverges.
+
+An integrator call evaluates these coefficients once, vectorised over the
+2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table;
+reverse runs store them sign-flipped.  One RK4 loop, _rk4, then advances a
+tuple state: the particles, optionally with their flow-map Jacobian and
+log-density, and checks every component for finiteness after every step.
 
 States are batched: a point is (d,), a cloud is (n, d); all integrators
 advance whole clouds per step.  Reverse-time transport solves
@@ -21,7 +27,7 @@ dX*/dtau = -v(1 - tau, X*) on the integrator clock tau in [0, 1].
 
 from __future__ import annotations
 
-import csv
+import collections
 import dataclasses
 import math
 
@@ -33,7 +39,6 @@ from .errors import (
     NonFiniteError,
     NonFiniteStateError,
     OutOfRangeError,
-    SizeMismatchError,
 )
 from .schedules import Schedule
 from .targets import Target, _as_batch, _stats, posterior_moments
@@ -82,39 +87,52 @@ def _check_flow_time(ctx: FlowContext, t: float) -> float:
     return t
 
 
-def _velocity_core(ctx: FlowContext, t: float, xb: np.ndarray, mu_bar: np.ndarray,
-                   p, c2: float):
-    """Velocity at a batch given precomputed posterior mean over components."""
-    sigma = ctx.target.sigma
-    if t == 0.0:
-        ra = p.da / p.a
-        denoise = (p.a ** 2 / c2) * mu_bar + (sigma ** 2 * p.b / c2) * xb
-        return ra * xb + (p.db - ra * p.b) * denoise
-    rb = p.db / p.b
-    coeff = rb * p.a ** 2 - ctx.sched.da_a(t)
-    return rb * xb - coeff * (xb - p.b * mu_bar) / c2
+# Velocity coefficients at a grid of physical times, all 1d arrays; gamma =
+# b beta / c^2 multiplies the spread in grad v.  Reverse runs store alpha,
+# beta and gamma sign-flipped, so the table gives the integrator-clock rate.
+_Table = collections.namedtuple("_Table", "b c2 alpha beta gamma")
 
 
-def _jacobian_core(ctx: FlowContext, t: float, spread: np.ndarray, p, c2: float):
-    sched, sigma = ctx.sched, ctx.target.sigma
-    da_a = sched.da_a(t)
-    db_b = sched.db_b(t)
-    g1 = (da_a + sigma ** 2 * db_b) / c2
-    g2 = (p.a ** 2 * db_b - da_a * p.b ** 2) / c2 ** 2
-    eye = np.eye(ctx.target.dim)
-    return g1 * eye[None, :, :] + g2 * spread
+def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
+    """Coefficients at the physical times t, validated once for the grid."""
+    sched, s2 = ctx.sched, ctx.target.sigma ** 2
+    t = sched._check_time(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, db = sched._a(t), sched._b(t), sched._db(t)
+        a_da, b_db = sched._da_a(t), sched._db_b(t)
+    c2 = a * a + s2 * b * b
+    bad = ~(c2 > 0.0)
+    if bad.any():
+        raise DegenerateTimeError(
+            f"marginal covariance degenerates at t={float(t[bad][0])}")
+    alpha = sign * (a_da + s2 * b_db) / c2
+    beta = sign * (a * a * db - a_da * b) / c2
+    return _Table(b=b, c2=c2, alpha=alpha, beta=beta, gamma=beta * b / c2)
 
 
-def _velocity_batch(ctx: FlowContext, t: float, xb: np.ndarray):
-    p, c2, _, mu_bar, _ = _stats(ctx.target, ctx.sched, t, xb, False)
-    return _velocity_core(ctx, t, xb, mu_bar, p, c2)
+def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
+    """Rates of the state (x,), (x, J) or (x, J, logdens) at table entry k.
+
+    dJ = grad v . J and dl = -tr grad v, without forming grad v.
+    """
+    x, alpha = state[0], tab.alpha[k]
+    _, mu_bar, spread = _stats(target, tab.b[k], tab.c2[k], x, len(state) > 1)
+    v = alpha * x + tab.beta[k] * mu_bar
+    if len(state) == 1:
+        return (v,)
+    gamma = tab.gamma[k]
+    rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
+    if len(state) == 2:
+        return rates
+    trace = np.trace(spread, axis1=1, axis2=2)
+    return rates + (-(target.dim * alpha + gamma * trace),)
 
 
 def velocity(ctx: FlowContext, t: float, x):
     """Transport velocity v(t, x); accepts a point (d,) or a cloud (n, d)."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    out = _velocity_batch(ctx, t, xb)
+    (out,) = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb,))
     return out[0] if single else out
 
 
@@ -122,15 +140,9 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
     """Space Jacobian of the velocity, (d, d) per point, symmetric."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    p, c2, _, _, spread = _stats(ctx.target, ctx.sched, t, xb, True)
-    out = _jacobian_core(ctx, t, spread, p, c2)
+    eye = np.eye(ctx.target.dim)
+    _, out = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb, eye))
     return out[0] if single else out
-
-
-def _velocity_and_jacobian(ctx: FlowContext, t: float, xb: np.ndarray):
-    p, c2, _, mu_bar, spread = _stats(ctx.target, ctx.sched, t, xb, True)
-    return (_velocity_core(ctx, t, xb, mu_bar, p, c2),
-            _jacobian_core(ctx, t, spread, p, c2))
 
 
 def velocity_dt(ctx: FlowContext, t: float, x):
@@ -213,19 +225,18 @@ class Trajectory:
         if self.jac is not None:
             header += [f"jac_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
 
+        cols = [self.physical_times[:, None], self.states[:, particle]]
+        if self.logdens is not None:
+            cols.append(self.logdens[:, particle, None])
+        if self.jac is not None:
+            cols.append(self.jac[:, particle].reshape(len(self.times), d * d))
+        rows = np.hstack(cols).tolist()
+
         def emit(fh):
             if timestamp is not None:
                 fh.write(f"# generated: {timestamp}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for idx, t in enumerate(self.physical_times):
-                row = [repr(float(t))]
-                row += [repr(float(v)) for v in self.states[idx, particle]]
-                if self.logdens is not None:
-                    row.append(repr(float(self.logdens[idx, particle])))
-                if self.jac is not None:
-                    row += [repr(float(v)) for v in self.jac[idx, particle].ravel()]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\n")
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
         if hasattr(path_or_buf, "write"):
             emit(path_or_buf)
@@ -257,14 +268,71 @@ def _validate_span(ctx: FlowContext, t_from: float, t_to: float, steps: int,
     return t_from, t_to
 
 
-def _directed_field(ctx: FlowContext, direction: str, field):
+def _stage_times(t_from: float, t_to: float, steps: int) -> np.ndarray:
+    """The 2*steps+1 RK4 stage times of a span: step i runs from stage 2i via
+    its midpoint 2i+1 to 2i+2; the even stages are np.linspace's."""
+    times = np.linspace(t_from, t_to, steps + 1)
+    clock = np.empty(2 * steps + 1)
+    clock[0::2] = times
+    clock[1::2] = times[:-1] + 0.5 * (times[1:] - times[:-1])
+    return clock
+
+
+def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False) -> list:
+    """The one RK4 loop: advance a tuple of arrays over the given steps.
+
+    clock holds the stage times from _stage_times; rate(k, state) returns
+    the tuple of time derivatives at stage k.  steps is the range of step
+    indices to take.  Returns the states after every step with the
+    initial one first (keep_all), or just the initial and final states.
+    """
+    path = [state]
+    for i in steps:
+        k = 2 * i
+        h = clock[k + 2] - clock[k]
+        k1 = rate(k, state)
+        k2 = rate(k + 1, tuple(s + 0.5 * h * r for s, r in zip(state, k1)))
+        k3 = rate(k + 1, tuple(s + 0.5 * h * r for s, r in zip(state, k2)))
+        k4 = rate(k + 2, tuple(s + h * r for s, r in zip(state, k3)))
+        state = tuple(s + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                      for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4))
+        if not all(np.isfinite(s).all() for s in state):
+            raise NonFiniteStateError(
+                f"state became non-finite at step {i} "
+                f"(integrator time {float(clock[k + 2])!r})", step=i)
+        if keep_all:
+            path.append(state)
+    return path if keep_all else [path[0], state]
+
+
+def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,
+         direction: str, record: str, field=None, field_jac=None):
+    """Shared driver of integrate and integrate_augmented.
+
+    Rates come from the coefficient table, or from the user callables
+    field (and field_jac, for a state with a Jacobian) in physical time,
+    negated for reverse runs.  Returns the recorded times and the stacked
+    path of each state component.
+    """
+    clock = _stage_times(t_from, t_to, steps)
+    sign = -1.0 if direction == "reverse" else 1.0
+    t_phys = 1.0 - clock if direction == "reverse" else clock
     if field is None:
-        base = lambda t, xb: _velocity_batch(ctx, t, xb)
+        tab, target = _table(ctx, t_phys, sign), ctx.target
+        rate = lambda k, s: _rates(target, tab, k, s)
     else:
-        base = field
-    if direction == "forward":
-        return base
-    return lambda tau, xb: -np.asarray(base(1.0 - tau, xb), dtype=float)
+        def rate(k, s):
+            t, x = t_phys[k], s[0]
+            v = sign * np.asarray(field(t, x), dtype=float)
+            if len(s) == 1:
+                return (v,)
+            G = sign * np.asarray(field_jac(t, x), dtype=float)
+            rates = (v, G @ s[1])
+            return rates if len(s) == 2 else rates + (-np.trace(G, axis1=1, axis2=2),)
+    keep_all = record == "all"
+    path = _rk4(rate, state, clock, range(steps), keep_all)
+    times = clock[0::2] if keep_all else np.array([t_from, t_to])
+    return times, [np.stack(c) for c in zip(*path)]
 
 
 def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
@@ -276,29 +344,8 @@ def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
     """
     t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
-    f = _directed_field(ctx, direction, field)
-    times = np.linspace(t_from, t_to, steps + 1)
-    x = xb.copy()
-    keep_all = record == "all"
-    recorded = [x.copy()]
-    for i in range(steps):
-        t0, t1 = times[i], times[i + 1]
-        h = t1 - t0
-        tm = t0 + 0.5 * h
-        k1 = f(t0, x)
-        k2 = f(tm, x + 0.5 * h * k1)
-        k3 = f(tm, x + 0.5 * h * k2)
-        k4 = f(t1, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(f"state became non-finite at step {i}", step=i)
-        if keep_all:
-            recorded.append(x.copy())
-    if not keep_all:
-        recorded.append(x)
-        times = np.array([t_from, t_to])
-    return Trajectory(times=times, states=np.stack(recorded), direction=direction,
-                      single=single)
+    times, (states,) = _run(ctx, (xb,), t_from, t_to, steps, direction, record, field)
+    return Trajectory(times=times, states=states, direction=direction, single=single)
 
 
 def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
@@ -308,69 +355,26 @@ def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps:
     """RK4 on the state jointly with its flow-map Jacobian and log-density.
 
     The Jacobian solves dJ/dt = grad v . J from J = I; the log-density
-    solves dl/dt = -tr grad v from init_logdens (default 0).  Custom field
-    overrides must come in pairs (field, field_jac), both in physical time.
+    solves dl/dt = -tr grad v from init_logdens (default 0) and is carried
+    only when with_logdensity is set.  Custom field overrides must come in
+    pairs (field, field_jac), both in physical time.
     """
     t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
     if (field is None) != (field_jac is None):
         raise InvalidParamError("field and field_jac must be overridden together")
     xb, single = _as_batch(ctx.target, x0)
     n, d = xb.shape
-
-    if field is None:
-        pair = lambda t, xx: _velocity_and_jacobian(ctx, t, xx)
-    else:
-        pair = lambda t, xx: (np.asarray(field(t, xx), dtype=float),
-                              np.asarray(field_jac(t, xx), dtype=float))
-    if direction == "forward":
-        stage = pair
-    else:
-        def stage(tau, xx):
-            v, J = pair(1.0 - tau, xx)
-            return -v, -J
-
-    x = xb.copy()
-    J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     if init_logdens is None:
         ld = np.zeros(n)
     else:
         ld = np.broadcast_to(np.asarray(init_logdens, dtype=float), (n,)).astype(float)
         if not np.all(np.isfinite(ld)):
             raise NonFiniteError("init_logdens contains non-finite entries")
-
-    times = np.linspace(t_from, t_to, steps + 1)
-    keep_all = record == "all"
-    rec_x, rec_J, rec_ld = [x.copy()], [J.copy()], [ld.copy()]
-
-    def rates(tau, xx, JJ):
-        v, G = stage(tau, xx)
-        dJ = np.einsum("nij,njk->nik", G, JJ)
-        dld = -np.einsum("nii->n", G)
-        return v, dJ, dld
-
-    for i in range(steps):
-        t0, t1 = times[i], times[i + 1]
-        h = t1 - t0
-        tm = t0 + 0.5 * h
-        k1 = rates(t0, x, J)
-        k2 = rates(tm, x + 0.5 * h * k1[0], J + 0.5 * h * k1[1])
-        k3 = rates(tm, x + 0.5 * h * k2[0], J + 0.5 * h * k2[1])
-        k4 = rates(t1, x + h * k3[0], J + h * k3[1])
-        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        ld = ld + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(J))
-                and np.all(np.isfinite(ld))):
-            raise NonFiniteStateError(f"augmented state non-finite at step {i}", step=i)
-        if keep_all:
-            rec_x.append(x.copy())
-            rec_J.append(J.copy())
-            rec_ld.append(ld.copy())
-    if not keep_all:
-        rec_x.append(x)
-        rec_J.append(J)
-        rec_ld.append(ld)
-        times = np.array([t_from, t_to])
-    return Trajectory(times=times, states=np.stack(rec_x), direction=direction,
-                      single=single, jac=np.stack(rec_J),
-                      logdens=np.stack(rec_ld) if with_logdensity else None)
+    state = (xb, np.broadcast_to(np.eye(d), (n, d, d)))
+    if with_logdensity:
+        state += (ld,)
+    times, stacked = _run(ctx, state, t_from, t_to, steps, direction, record,
+                          field, field_jac)
+    return Trajectory(times=times, states=stacked[0], direction=direction,
+                      single=single, jac=stacked[1],
+                      logdens=stacked[2] if with_logdensity else None)

@@ -20,7 +20,6 @@ last bit, and then the particle would not match its stream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import IO, Union
@@ -70,7 +69,8 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
-# Particles per pass of the vectorised draw; bounds its uint64 temporaries.
+# Particles per pass of the vectorised draw and of the CSV writer; bounds
+# their uint64 temporaries and formatted text.
 _CHUNK = 4096
 
 
@@ -221,12 +221,13 @@ class ParticleCloud:
                 self._write_csv(fh, timestamp)
 
     def _write_csv(self, buf: IO[str], timestamp: Union[str, None]) -> None:
-        writer = csv.writer(buf, lineterminator="\n")
         if timestamp is not None:
             buf.write(f"# generated: {timestamp}\n")
-        writer.writerow([f"x{j + 1}" for j in range(self.dim)])
-        for row in self.points:
-            writer.writerow([repr(float(v)) for v in row])
+        buf.write(",".join(f"x{j + 1}" for j in range(self.dim)) + "\n")
+        # repr of a float is its shortest round-trip form
+        for lo in range(0, self.n, _CHUNK):
+            rows = self.points[lo:lo + _CHUNK].tolist()
+            buf.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
     @classmethod
     def read_csv(cls, path_or_buf, label: str = "") -> "ParticleCloud":

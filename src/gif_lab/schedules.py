@@ -203,9 +203,10 @@ class Schedule:
             bad.append(("db >= 0", float(grid[i])))
         for i in np.nonzero(~np.isfinite(da_a))[0]:
             bad.append(("a*da finite", float(grid[i])))
-        growth = np.diff(snr) > 0.0
-        # adjacent +inf values (only possible if a vanishes early) are flagged
-        growth |= np.isinf(snr[:-1]) & np.isinf(snr[1:]) & False
+        # adjacent +inf values (only possible if a vanishes early) have a
+        # NaN difference and are flagged
+        with np.errstate(invalid="ignore"):
+            growth = np.diff(snr) > 0.0
         for i in np.nonzero(~growth)[0]:
             bad.append(("snr strictly increasing", float(grid[i + 1])))
         return ValidationReport(family=self.family, grid_n=int(grid_n), violations=bad)

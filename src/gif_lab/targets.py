@@ -292,46 +292,46 @@ def _logsumexp_rows(lg: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(lg - m[:, None]).sum(axis=1))
 
 
-def _log_resp(target: Target, sched: Schedule, t: float, xb: np.ndarray):
+def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray):
     """Unnormalized log responsibilities (n, k) and their normalizer (n,)."""
-    p, c2 = _coeffs(target, sched, t)
-    diff = xb[:, None, :] - p.b * target.means[None, :, :]
+    diff = xb[:, None, :] - b * target.means[None, :, :]
     sq = (diff * diff).sum(axis=2)
     lg = target.log_weights[None, :] - sq / (2.0 * c2)
-    return lg, _logsumexp_rows(lg), p, c2
+    return lg, _logsumexp_rows(lg)
 
 
-def _stats(target: Target, sched: Schedule, t: float, xb: np.ndarray,
-           want_spread: bool):
-    """Shared hot path: (point, c^2, resp, mu_bar, spread or None).
+def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: bool):
+    """Shared hot path: (resp, mu_bar, spread or None) at schedule values b, c^2.
 
-    The one-component shortcut and the skippable spread matter: the RK4
-    integrators call this four times per step on small batches, where
-    fixed numpy overhead dominates.
+    Callers pass b_t and c_t^2 = a_t^2 + sigma^2 b_t^2 already checked, so
+    an integrator can read them from a table built once per call.  The
+    one-component shortcut and the skippable spread matter: RK4 calls this
+    four times per step on small batches, where fixed numpy overhead
+    dominates.
     """
     if target.n_components == 1:
-        p, c2 = _coeffs(target, sched, t)
         n = xb.shape[0]
         resp = np.ones((n, 1))
         mu_bar = np.broadcast_to(target.means[0], xb.shape).copy()
         spread = np.zeros((n, target.dim, target.dim)) if want_spread else None
-        return p, c2, resp, mu_bar, spread
-    lg, norm, p, c2 = _log_resp(target, sched, t, xb)
+        return resp, mu_bar, spread
+    lg, norm = _log_resp(target, b, c2, xb)
     resp = np.exp(lg - norm[:, None])
     mu_bar = resp @ target.means
     if not want_spread:
-        return p, c2, resp, mu_bar, None
+        return resp, mu_bar, None
     # centered form: each summand is PSD, so roundoff cannot push the
     # spread's eigenvalues materially below zero even for far-out means
     centered = target.means[None, :, :] - mu_bar[:, None, :]
     spread = (centered * resp[:, :, None]).transpose(0, 2, 1) @ centered
-    return p, c2, resp, mu_bar, spread
+    return resp, mu_bar, spread
 
 
 def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
-    lg, norm, p, c2 = _log_resp(target, sched, t, xb)
+    p, c2 = _coeffs(target, sched, t)
+    lg, norm = _log_resp(target, p.b, c2, xb)
     resp = np.exp(lg - norm[:, None])
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
@@ -346,7 +346,8 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
 def marginal_log_density(target: Target, sched: Schedule, t: float, x):
     """Log density of the transported marginal at time t."""
     xb, single = _as_batch(target, x)
-    _, norm, p, c2 = _log_resp(target, sched, t, xb)
+    p, c2 = _coeffs(target, sched, t)
+    _, norm = _log_resp(target, p.b, c2, xb)
     out = norm - 0.5 * target.dim * math.log(2.0 * math.pi * c2)
     return float(out[0]) if single else out
 
@@ -354,9 +355,8 @@ def marginal_log_density(target: Target, sched: Schedule, t: float, x):
 def denoiser(target: Target, sched: Schedule, t: float, x):
     """Posterior mean E[X1 | X_t = x]."""
     xb, single = _as_batch(target, x)
-    lg, norm, p, c2 = _log_resp(target, sched, t, xb)
-    resp = np.exp(lg - norm[:, None])
-    mu_bar = resp @ target.means
+    p, c2 = _coeffs(target, sched, t)
+    _, mu_bar, _ = _stats(target, p.b, c2, xb, False)
     out = (p.a ** 2 / c2) * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
     return out[0] if single else out
 
@@ -364,9 +364,8 @@ def denoiser(target: Target, sched: Schedule, t: float, x):
 def score(target: Target, sched: Schedule, t: float, x):
     """Gradient of the marginal log density, -(x - b_t mu_bar)/c_t^2."""
     xb, single = _as_batch(target, x)
-    lg, norm, p, c2 = _log_resp(target, sched, t, xb)
-    resp = np.exp(lg - norm[:, None])
-    mu_bar = resp @ target.means
+    p, c2 = _coeffs(target, sched, t)
+    _, mu_bar, _ = _stats(target, p.b, c2, xb, False)
     out = -(xb - p.b * mu_bar) / c2
     return out[0] if single else out
 
@@ -379,7 +378,8 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     matrix the velocity Jacobian needs.  Batch shapes (n,k), (n,d), (n,d,d).
     """
     xb, single = _as_batch(target, x)
-    _, _, resp, mu_bar, mu_spread = _stats(target, sched, t, xb, True)
+    p, c2 = _coeffs(target, sched, t)
+    resp, mu_bar, mu_spread = _stats(target, p.b, c2, xb, True)
     if single:
         return resp[0], mu_bar[0], mu_spread[0]
     return resp, mu_bar, mu_spread
@@ -388,7 +388,8 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
 def cond_cov(target: Target, sched: Schedule, t: float, x):
     """Posterior covariance Cov(X1 | X_t = x), a (d, d) matrix per point."""
     xb, single = _as_batch(target, x)
-    p, c2, _, _, spread = _stats(target, sched, t, xb, True)
+    p, c2 = _coeffs(target, sched, t)
+    _, _, spread = _stats(target, p.b, c2, xb, True)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     out = shrink ** 2 * spread + s2 * np.eye(target.dim)[None, :, :]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gif_lab.bounds import RegularityProfile
-from gif_lab.errors import InvalidParamError, MissingFieldError
+from gif_lab.errors import InvalidParamError, MissingFieldError, NonFiniteStateError
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -294,6 +294,24 @@ class TestAgCheck:
         assert res.rows.shape[0] == 3
         assert res.fit is not None
         assert res.fit.slope < -3.2
+
+    def test_blowup_reports_absolute_step_index(self):
+        # a huge delta overflows the perturbed path's posterior distances at
+        # the same physical time for every step count; the index counts
+        # steps from t = 0, not from the current quadrature node
+        target = mixture_target(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.5]],
+                                sigma=0.6)
+        where = []
+        for steps in (64, 128):
+            cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=3,
+                                   steps=steps, seed=1, delta=(3e154, 0.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteStateError) as err:
+                    run_ag_check(cfg)
+            assert f"step {err.value.step} " in str(err.value)
+            where.append(err.value.step / steps)
+        assert where[0] >= 8 / 64
+        assert abs(where[0] - where[1]) <= 2 / 64
 
     def test_requires_delta(self, small_gauss):
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),

@@ -18,6 +18,9 @@ from gif_lab.errors import (
 from gif_lab.flow import (
     FlowContext,
     Trajectory,
+    _rates,
+    _stage_times,
+    _table,
     integrate,
     integrate_augmented,
     velocity,
@@ -27,6 +30,7 @@ from gif_lab.flow import (
 from gif_lab.schedules import (
     FollmerSchedule,
     LinearSchedule,
+    ShiftedLinearSchedule,
     TrigSchedule,
     VESchedule,
     VPSchedule,
@@ -127,6 +131,65 @@ class TestVelocity:
         target = gaussian_target(mean=[0.0], var=1.0)
         with pytest.raises(InvalidParamError):
             FlowContext(sched=LinearSchedule(), target=target, early_stop=0.7)
+
+
+SIX_FAMILIES = [LinearSchedule(), ShiftedLinearSchedule(zeta=0.2), FollmerSchedule(),
+                TrigSchedule(), VESchedule(sigma_max=2.0), VPSchedule(alpha0=0.8, p=2.0)]
+
+
+def _gmm4():
+    means = [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]
+    return mixture_target(weights=[0.25] * 4, means=means, sigma=0.5)
+
+
+def _close(got, want, rel):
+    return float(np.max(np.abs(got - want))) <= rel * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestEngineTable:
+    """The integrators' per-stage coefficients against the public field."""
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
+                                        _gmm4()], ids=["gaussian", "gmm4"])
+    @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
+    def test_stage_rates_match_public_velocity(self, sched, target, direction):
+        ctx = FlowContext(sched=sched, target=target)
+        x = np.random.default_rng(4).normal(size=(6, 2)) * 2.0
+        clock = _stage_times(0.0, 1.0, 8)
+        sign = -1.0 if direction == "reverse" else 1.0
+        t_phys = 1.0 - clock if direction == "reverse" else clock
+        assert {0.0, 1.0} <= set(t_phys.tolist())
+        tab = _table(ctx, t_phys, sign)
+        eye = np.broadcast_to(np.eye(2), (6, 2, 2))
+        for k, t in enumerate(t_phys):
+            want_v = sign * velocity(ctx, t, x)
+            want_g = sign * velocity_jacobian(ctx, t, x)
+            v, dj, dl = _rates(target, tab, k, (x, eye, np.zeros(6)))
+            assert _close(_rates(target, tab, k, (x,))[0], want_v, 1e-12), t
+            assert _close(v, want_v, 1e-12), t
+            assert _close(dj, want_g, 1e-12), t
+            assert _close(dl, -np.trace(want_g, axis1=1, axis2=2), 1e-12), t
+
+    @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
+                                        _gmm4()], ids=["gaussian", "gmm4"])
+    @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
+    def test_one_formula_matches_score_and_denoiser_forms(self, sched, target):
+        # the two dressings the one formula replaced: the posterior-mean form
+        # divides by a_t (t < 1), the score form by b_t (b_t > 0)
+        ctx = FlowContext(sched=sched, target=target)
+        x = np.random.default_rng(5).normal(size=(6, 2)) * 2.0
+        for t in np.linspace(0.0, 1.0, 17):
+            p = sched.eval(t)
+            got = velocity(ctx, t, x)
+            if p.a > 0.0:
+                ra = p.da / p.a
+                alt = ra * x + (p.db - ra * p.b) * denoiser(target, sched, t, x)
+                assert _close(got, alt, 1e-12), (t, "denoiser")
+            if p.b > 0.0:
+                rb = p.db / p.b
+                alt = rb * x + (rb * p.a ** 2 - sched.da_a(t)) * score(target, sched, t, x)
+                assert _close(got, alt, 1e-12), (t, "score")
 
 
 class TestVelocityJacobian:
@@ -281,6 +344,17 @@ class TestIntegrateAugmented:
                                    direction="reverse")
         prod = back.final_jacobian @ fwd.final_jacobian
         assert prod == pytest.approx(np.eye(2), abs=1e-4)
+
+    def test_blowup_reports_step_index(self, gmm2_ctx):
+        eye = np.eye(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as err:
+                integrate_augmented(
+                    gmm2_ctx, np.array([1.0, 1.0]), 0.0, 1.0, steps=8,
+                    with_logdensity=True, field=lambda t, x: x * 1e200,
+                    field_jac=lambda t, x: np.broadcast_to(1e200 * eye, (len(x), 2, 2)))
+        assert err.value.step == 0
+        assert "step 0" in str(err.value)
 
 
 class TestTrajectoryCsv:

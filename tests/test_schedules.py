@@ -244,6 +244,30 @@ class _IncreasingA(Schedule):
         return np.zeros_like(np.asarray(t, dtype=float))
 
 
+class _EarlyZeroA(Schedule):
+    """Broken schedule: a_t = max(1 - 2t, 0) vanishes from t = 1/2 on."""
+
+    family = "early-zero"
+
+    def _a(self, t):
+        return np.maximum(1.0 - 2.0 * np.asarray(t, dtype=float), 0.0)
+
+    def _b(self, t):
+        return np.asarray(t, dtype=float) + 0.0
+
+    def _da(self, t):
+        return np.where(np.asarray(t, dtype=float) < 0.5, -2.0, 0.0)
+
+    def _db(self, t):
+        return np.ones_like(np.asarray(t, dtype=float))
+
+    def _d2a(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    def _d2b(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+
 class TestValidate:
     @pytest.mark.parametrize("sched", ALL_SCHEDULES, ids=IDS)
     def test_families_pass(self, sched):
@@ -260,6 +284,13 @@ class TestValidate:
         assert not report.ok
         conditions = {c for c, _ in report.violations}
         assert any("da" in c or "a(1)" in c for c in conditions)
+
+    def test_snr_plateau_at_infinity_flagged(self):
+        # the SNR is +inf wherever a_t = 0; adjacent infinities do not grow
+        report = _EarlyZeroA().validate(grid_n=64)
+        flat = [t for c, t in report.violations if c == "snr strictly increasing"]
+        grid = np.linspace(0.0, 1.0, 64)
+        assert flat == [float(t) for t in grid if 0.5 < t < 1.0]
 
     def test_grid_size_validated(self):
         with pytest.raises(InvalidParamError):
