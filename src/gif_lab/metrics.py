@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Union
+from typing import IO, NoReturn, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -72,6 +72,8 @@ _U11 = np.uint64(11)
 # Particles per pass of the vectorised draw and of the CSV writer; bounds
 # their uint64 temporaries and formatted text.
 _CHUNK = 4096
+# Text per chunk of the CSV reader.
+_READ_BYTES = 1 << 16
 
 
 def _check_stream(seed, domain):
@@ -231,16 +233,63 @@ class ParticleCloud:
 
     @classmethod
     def read_csv(cls, path_or_buf, label: str = "") -> "ParticleCloud":
+        """Read a cloud written by ``write_csv``.
+
+        Blank lines and lines starting with ``#`` are skipped and the first
+        remaining line is the header.  A row whose field count differs from
+        the first data row's raises ``SizeMismatchError``, a field that is
+        not a number ``InvalidParamError``; both name the line.
+        """
         if hasattr(path_or_buf, "read"):
-            lines = path_or_buf.read().splitlines()
-        else:
-            with open(path_or_buf) as fh:
-                lines = fh.read().splitlines()
+            return cls(points=_read_rows(path_or_buf), label=label)
+        with open(path_or_buf) as fh:
+            return cls(points=_read_rows(fh), label=label)
+
+
+def _read_rows(fh: IO[str]) -> np.ndarray:
+    """Data rows of a cloud CSV, parsed in chunks of about _READ_BYTES of
+    text straight into arrays."""
+    blocks, width, header, line_no = [], None, True, 0
+    while lines := fh.readlines(_READ_BYTES):
         rows = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-        if len(rows) < 2:
-            raise DegenerateInputError("cloud file has no data rows")
-        data = [[float(v) for v in ln.split(",")] for ln in rows[1:]]
-        return cls(points=np.array(data), label=label)
+        skip = header and bool(rows)
+        header = header and not skip
+        if len(rows) > skip:
+            try:
+                block = np.loadtxt(rows[skip:], delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                _raise_bad_row(lines, line_no, width, skip, exc)
+            if width is not None and block.shape[1] != width:
+                _raise_bad_row(lines, line_no, width, skip, None)
+            width = block.shape[1]
+            blocks.append(block)
+        line_no += len(lines)
+    if not blocks:
+        raise DegenerateInputError("cloud file has no data rows")
+    return np.concatenate(blocks)
+
+
+def _raise_bad_row(lines, line_no: int, width, skip: bool, exc) -> NoReturn:
+    """Raise for the first row of a rejected chunk that is not numeric or
+    not `width` fields wide, naming its line."""
+    for i, ln in enumerate(lines, line_no + 1):
+        if not ln.strip() or ln.startswith("#"):
+            continue
+        if skip:
+            skip = False
+            continue
+        fields = ln.rstrip("\r\n").split(",")
+        try:
+            [float(v) for v in fields]
+        except ValueError:
+            raise InvalidParamError(
+                f"cloud file line {i}: non-numeric field in {ln.strip()!r}") from None
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise SizeMismatchError(
+                f"cloud file line {i}: {len(fields)} fields, expected {width}")
+    raise InvalidParamError(f"cloud file lines {line_no + 1}-{line_no + len(lines)}: {exc}")
 
 
 def sample_gaussian(

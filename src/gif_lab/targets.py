@@ -7,7 +7,19 @@ noisy state stays inside the family: the posterior is again a mixture with
 responsibilities pi_j, shrunk component means m_j and a shared isotropic
 variance.  Everything downstream (velocity fields, Jacobians, envelopes)
 is assembled from these posterior statistics, so they are computed here
-once, in log space, and shared.
+once, by one kernel, and shared.
+
+The responsibilities are a softmax over components of
+
+    log w_j - |x - b mu_j|^2 / (2 c^2)
+        = -|x|^2 / (2 c^2) + (b / c^2) x . mu_j + log w_j - (b^2 / (2 c^2)) |mu_j|^2.
+
+The -|x|^2 / (2 c^2) term is the same for every component, so it cancels
+in the softmax: the logits are one (n, d) @ (d, k) GEMM plus a per-component
+constant, with the means measured from the mixture mean and their squared
+norms cached once per target.  Only the marginal log density needs the
+dropped term; it keeps the full-distance normaliser, because adding
+|x|^2 / (2 c^2) back would cancel badly far from the means.
 
 Operations accept a single point of shape (d,) or a batch (n, d) and
 return matching shapes.  Time arguments are scalars in [0, 1].
@@ -119,6 +131,17 @@ class Target:
             lw = np.log(self.weights)
         lw.setflags(write=False)
         return lw
+
+    @functools.cached_property
+    def _logit_terms(self):
+        """Centre m0 = sum_j w_j mu_j, centred means (mu_j - m0)^T as (d, k)
+        and their squared norms (k,), read by the posterior kernel."""
+        m0 = self.weights @ self.means
+        mc = self.means - m0
+        terms = (m0, np.ascontiguousarray(mc.T), np.sum(mc * mc, axis=1))
+        for arr in terms:
+            arr.setflags(write=False)
+        return terms
 
     @functools.cached_property
     def radius(self) -> float:
@@ -286,18 +309,36 @@ def _coeffs(target: Target, sched: Schedule, t: float):
     return p, c2
 
 
-def _logsumexp_rows(lg: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp; scipy's general version costs too much here."""
+def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over components of log w_j - |x - b mu_j|^2 / (2 c^2), (n,).
+
+    The full-distance normaliser of the marginal log density; the
+    posterior quantities use the GEMM logits of _resp instead.
+    """
+    diff = xb[:, None, :] - b * target.means[None, :, :]
+    lg = target.log_weights[None, :] - (diff * diff).sum(axis=2) / (2.0 * c2)
     m = lg.max(axis=1)
     return m + np.log(np.exp(lg - m[:, None]).sum(axis=1))
 
 
-def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray):
-    """Unnormalized log responsibilities (n, k) and their normalizer (n,)."""
-    diff = xb[:, None, :] - b * target.means[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    lg = target.log_weights[None, :] - sq / (2.0 * c2)
-    return lg, _logsumexp_rows(lg)
+def _resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
+    """Responsibilities (n, k) at schedule values b, c^2, from one GEMM.
+
+    With means measured from the target's centre m0 and x from b m0, the
+    logits (b / c^2) x . mu_j + log w_j - (b^2 / (2 c^2)) |mu_j|^2 differ
+    from the full-distance ones by -|x|^2 / (2 c^2), the same for every
+    component, so the softmax is unchanged.  Centring keeps the rounding
+    of the GEMM at the scale of the mixture's spread, not of its offset
+    from the origin.
+    """
+    m0, mc_t, mc_sq = target._logit_terms
+    s = b / c2
+    lg = (xb - b * m0) @ (s * mc_t)
+    lg += target.log_weights - (0.5 * s * b) * mc_sq
+    lg -= lg.max(axis=1, keepdims=True)
+    np.exp(lg, out=lg)
+    lg /= lg.sum(axis=1, keepdims=True)
+    return lg
 
 
 def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: bool):
@@ -305,9 +346,11 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: boo
 
     Callers pass b_t and c_t^2 = a_t^2 + sigma^2 b_t^2 already checked, so
     an integrator can read them from a table built once per call.  The
-    one-component shortcut and the skippable spread matter: RK4 calls this
-    four times per step on small batches, where fixed numpy overhead
-    dominates.
+    responsibilities come from _resp's GEMM logits, in which the
+    -|x|^2 / (2 c^2) term of the Gaussian log-densities drops out because
+    it is shared by all components.  The one-component shortcut and the
+    skippable spread matter: RK4 calls this four times per step on small
+    batches, where fixed numpy overhead dominates.
     """
     if target.n_components == 1:
         n = xb.shape[0]
@@ -315,8 +358,7 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: boo
         mu_bar = np.broadcast_to(target.means[0], xb.shape).copy()
         spread = np.zeros((n, target.dim, target.dim)) if want_spread else None
         return resp, mu_bar, spread
-    lg, norm = _log_resp(target, b, c2, xb)
-    resp = np.exp(lg - norm[:, None])
+    resp = _resp(target, b, c2, xb)
     mu_bar = resp @ target.means
     if not want_spread:
         return resp, mu_bar, None
@@ -331,8 +373,7 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    lg, norm = _log_resp(target, p.b, c2, xb)
-    resp = np.exp(lg - norm[:, None])
+    resp = _resp(target, p.b, c2, xb)
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
@@ -347,7 +388,7 @@ def marginal_log_density(target: Target, sched: Schedule, t: float, x):
     """Log density of the transported marginal at time t."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, norm = _log_resp(target, p.b, c2, xb)
+    norm = _log_resp(target, p.b, c2, xb)
     out = norm - 0.5 * target.dim * math.log(2.0 * math.pi * c2)
     return float(out[0]) if single else out
 

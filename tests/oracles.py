@@ -3,13 +3,15 @@
 Everything here is deliberately implemented by a different route than the
 library code: finite differences instead of closed-form derivatives,
 quadrature instead of log-sum-exp identities, brute force instead of the
-Hungarian method, the affine Gaussian transport law instead of RK4, and one
+Hungarian method, the affine Gaussian transport law instead of RK4, one
 numpy Philox generator per particle with a scalar polar loop instead of the
-vectorised Philox4x64-10 draw.
+vectorised Philox4x64-10 draw, and full-distance log-densities in 30-digit
+decimal arithmetic instead of the GEMM posterior kernel.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
@@ -98,6 +100,44 @@ def gaussian_flow_logdet(mean, var, sched, s: float, t: float, d: int) -> float:
     cs = math.sqrt(ps.a ** 2 + var * ps.b ** 2)
     ct = math.sqrt(pt.a ** 2 + var * pt.b ** 2)
     return d * math.log(ct / cs)
+
+
+def mixture_posterior_decimal(weights, means, sigma: float, a: float, b: float, xs,
+                              prec: int = 30):
+    """Posterior of a mixture at schedule values a, b, in decimal arithmetic.
+
+    Per point x, from the full distances |x - b mu_j|^2 and c^2 = a^2 +
+    sigma^2 b^2, returns the responsibilities (n, k), their mean of the
+    component means (n, d), the trace of their covariance of the component
+    means (n,) and the marginal log density (n,), all rounded to float once
+    at the end.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        dec = decimal.Decimal
+        b = dec(b)
+        c2 = dec(a) ** 2 + dec(sigma) ** 2 * b ** 2
+        log_norm_const = dec(len(means[0])) / 2 * (2 * dec(math.pi) * c2).ln()
+        mus = [[dec(v) for v in mu] for mu in means]
+        log_w = [dec(w).ln() if w > 0 else None for w in weights]
+        resp, mean, spread_tr, log_dens = [], [], [], []
+        for x in xs:
+            xd = [dec(v) for v in x]
+            lg = [None if lw is None else
+                  lw - sum((xi - b * mi) ** 2 for xi, mi in zip(xd, mu)) / (2 * c2)
+                  for lw, mu in zip(log_w, mus)]
+            top = max(v for v in lg if v is not None)
+            e = [dec(0) if v is None else (v - top).exp() for v in lg]
+            total = sum(e)
+            r = [v / total for v in e]
+            mu_bar = [sum(rj * mu[i] for rj, mu in zip(r, mus)) for i in range(len(xd))]
+            resp.append([float(v) for v in r])
+            mean.append([float(v) for v in mu_bar])
+            spread_tr.append(float(sum(
+                rj * sum((mi - ci) ** 2 for mi, ci in zip(mu, mu_bar))
+                for rj, mu in zip(r, mus))))
+            log_dens.append(float(top + total.ln() - log_norm_const))
+    return np.array(resp), np.array(mean), np.array(spread_tr), np.array(log_dens)
 
 
 def w2_bruteforce(xs: np.ndarray, ys: np.ndarray) -> float:

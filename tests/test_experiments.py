@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gif_lab.bounds import RegularityProfile
-from gif_lab.errors import InvalidParamError, MissingFieldError, NonFiniteStateError
+from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
+                            NonFiniteStateError)
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -296,15 +297,16 @@ class TestAgCheck:
         assert res.fit.slope < -3.2
 
     def test_blowup_reports_absolute_step_index(self):
-        # a huge delta overflows the perturbed path's posterior distances at
-        # the same physical time for every step count; the index counts
-        # steps from t = 0, not from the current quadrature node
-        target = mixture_target(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.5]],
+        # a huge delta drives the perturbed path far enough out that the
+        # posterior logits b x . mu / c^2 overflow, at the same physical time
+        # for every step count; the index counts steps from t = 0, not from
+        # the current quadrature node
+        target = mixture_target(weights=[0.5, 0.5], means=[[-50.0, 0.0], [50.0, 25.0]],
                                 sigma=0.6)
         where = []
         for steps in (64, 128):
             cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=3,
-                                   steps=steps, seed=1, delta=(3e154, 0.0))
+                                   steps=steps, seed=1, delta=(1e307, 0.0))
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NonFiniteStateError) as err:
                     run_ag_check(cfg)
@@ -312,6 +314,25 @@ class TestAgCheck:
             where.append(err.value.step / steps)
         assert where[0] >= 8 / 64
         assert abs(where[0] - where[1]) <= 2 / 64
+
+    def test_overflowing_residual_raises(self):
+        # the states stay finite, but the Simpson sum and the gap norm of a
+        # delta this large overflow; that must not come back as a residual
+        target = mixture_target(weights=(0.5, 0.5), means=((-1.0, 0.0), (1.0, 0.5)),
+                                sigma=0.6)
+        cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=4,
+                               steps=128, seed=901, delta=(1e305, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="steps=128"):
+                run_ag_check(cfg)
+
+    def test_relative_residual_of_large_delta(self, small_gauss):
+        # |delta|^2 overflows a double here; its norm must not
+        cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
+                               n=3, steps=64, seed=1, delta=(3e154, 4e154))
+        res = run_ag_check(cfg)
+        assert res.meta["delta_norm"] == pytest.approx(5e154, rel=1e-15)
+        assert res.rows[0, 2] == res.rows[0, 1] / res.meta["delta_norm"]
 
     def test_requires_delta(self, small_gauss):
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),

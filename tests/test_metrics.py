@@ -374,3 +374,44 @@ class TestParticleCloudCsv:
         assert buf.getvalue().startswith("# generated: ")
         back = ParticleCloud.read_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.points, cloud.points)
+
+    def test_round_trip_is_bit_exact_across_chunks(self, tmp_path):
+        # more text than one read chunk, with extreme and subnormal values
+        rng = np.random.default_rng(17)
+        pts = rng.normal(size=(6000, 3)) * 10.0 ** rng.integers(-300, 300, size=(6000, 1))
+        pts[0] = (5e-324, -0.0, 1.7976931348623157e308)
+        path = tmp_path / "cloud.csv"
+        ParticleCloud(pts).write_csv(path, timestamp="2026-02-02T10:00:00")
+        assert path.stat().st_size > 2 * metrics._READ_BYTES
+        back = ParticleCloud.read_csv(path)
+        assert back.points.tobytes() == pts.tobytes()
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "# a\n\nx1,x2\n1.5,2.0\n\n# b\n-3.0,4.25\n"
+        back = ParticleCloud.read_csv(io.StringIO(text))
+        assert np.array_equal(back.points, [[1.5, 2.0], [-3.0, 4.25]])
+
+    def test_ragged_row_names_line(self):
+        text = "x1,x2\n1.0,2.0\n3.0,4.0,5.0\n"
+        with pytest.raises(SizeMismatchError, match="line 3: 3 fields, expected 2"):
+            ParticleCloud.read_csv(io.StringIO(text))
+
+    def test_width_change_at_chunk_boundary_names_line(self):
+        # the first read chunk ends with the last 2-field row, so the
+        # 3-field rows form chunks of their own
+        n_rows = -(-(metrics._READ_BYTES - 10) // 8)
+        text = "# c\nx1,x2\n" + "1.0,2.0\n" * n_rows + "1.0,2.0,3.0\n" * 9000
+        with pytest.raises(SizeMismatchError,
+                           match=f"line {n_rows + 3}: 3 fields, expected 2"):
+            ParticleCloud.read_csv(io.StringIO(text))
+
+    def test_non_numeric_field_names_line(self):
+        text = "# generated: now\nx1,x2\n1.0,2.0\n3.0,abc\n"
+        with pytest.raises(InvalidParamError, match="line 4: non-numeric"):
+            ParticleCloud.read_csv(io.StringIO(text))
+        with pytest.raises(InvalidParamError, match="line 3"):
+            ParticleCloud.read_csv(io.StringIO("x1,x2\n1.0,2.0\n1.0,\n"))
+
+    def test_header_only_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            ParticleCloud.read_csv(io.StringIO("# c\nx1,x2\n\n"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gif_lab.experiments import paper_gmm8
 from gif_lab.errors import (
     InvalidParamError,
     NonFiniteError,
@@ -31,7 +32,7 @@ from gif_lab.targets import (
     score,
 )
 
-from oracles import grad_fd, jacobian_fd, mixture_logpdf_quad
+from oracles import grad_fd, jacobian_fd, mixture_logpdf_quad, mixture_posterior_decimal
 
 
 @pytest.fixture
@@ -354,3 +355,72 @@ class TestPosteriorStatsAndMoments:
         assert M2 == pytest.approx(float(m @ m) + 2 * s2)
         assert M2c == pytest.approx(s2 * np.eye(2), abs=1e-14)
         assert M3 == pytest.approx(m * (float(m @ m) + 4 * s2))
+
+
+def _kernel_cases():
+    """(name, target, query points): paper-gmm8 around the origin and shifted
+    far from it, a k = 1024 point cloud in 3d and a single Gaussian."""
+    rng = np.random.default_rng(606)
+    g8 = paper_gmm8()
+    ring = 50.0 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 24))
+    pts8 = np.concatenate([
+        12.0 * rng.normal(size=(120, 2)),                   # bulk
+        np.column_stack([ring.real, ring.imag]),            # far out, |x| = 50
+        g8.means + 0.01 * rng.normal(size=(8, 2)),          # on a mode
+        0.5 * (g8.means + np.roll(g8.means, 1, axis=0)),    # between two modes
+    ])
+    shift = np.array([300.0, -200.0])
+    cloud = 3.0 * rng.normal(size=(1024, 3))
+    pts_cloud = np.concatenate([3.0 * rng.normal(size=(4, 3)), cloud[:2] + 1e-3,
+                                0.5 * (cloud[2:4] + cloud[4:6])])
+    return [
+        ("paper-gmm8", g8, pts8),
+        ("paper-gmm8-shifted", mixture_target(g8.weights, g8.means + shift, g8.sigma),
+         pts8 + shift),
+        ("cloud-1024", point_cloud_target(cloud, 0.05), pts_cloud),
+        ("gaussian", gaussian_target([3.0, -4.0], 0.01), 20.0 * rng.normal(size=(20, 2))),
+    ]
+
+
+class TestKernelAgainstDecimalOracle:
+    """Posterior quantities against full-distance log-densities in 30-digit
+    decimal arithmetic.
+
+    Where the posterior sits on one component the check is 1e-12 relative
+    (to the mixture's radius R about its mean m0 for mu_bar, to 1 for the
+    responsibilities).  Near a boundary between components mu_bar is
+    ill-conditioned in the logits: any double-precision evaluation rounds
+    them by about eps * L, with L = (b / c^2) (|x - b m0| + b R) R their
+    scale, and that rounding moves a responsibility by at most
+    2 eps L r (1 - r) and mu_bar by at most 2 eps L sqrt(tr spread), so the
+    bound adds those terms.
+    """
+
+    @pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.999, 1.0])
+    def test_posterior_quantities(self, case, t):
+        _, target, x = case
+        sched = LinearSchedule()
+        p = sched.eval(t)
+        resp_o, mu_o, spread_tr, logdens_o = mixture_posterior_decimal(
+            target.weights, target.means, target.sigma, p.a, p.b, x)
+        eps = np.finfo(float).eps
+        c2 = p.a ** 2 + target.sigma ** 2 * p.b ** 2
+        m0 = target.weights @ target.means
+        radius = max(float(np.max(np.linalg.norm(target.means - m0, axis=1))), 1.0)
+        scale = p.b / c2 * (np.linalg.norm(x - p.b * m0, axis=1) + p.b * radius) * radius
+        tol_resp = 1e-12 + 2.0 * eps * scale[:, None] * resp_o * (1.0 - resp_o)
+        tol_mu = 1e-12 * radius + 2.0 * eps * scale * np.sqrt(spread_tr)
+
+        resp, mu_bar, _ = posterior_stats(target, sched, t, x)
+        assert np.all(np.abs(resp - resp_o) <= tol_resp)
+        assert np.all(np.linalg.norm(mu_bar - mu_o, axis=1) <= tol_mu)
+        assert np.array_equal(posterior(target, sched, t, x).resp, resp)
+
+        shrink, pull = p.a ** 2 / c2, target.sigma ** 2 * p.b / c2
+        den_o = shrink * mu_o + pull * x
+        err = np.linalg.norm(denoiser(target, sched, t, x) - den_o, axis=1)
+        assert np.all(err <= shrink * tol_mu + 1e-12 * np.linalg.norm(den_o, axis=1))
+
+        logdens = marginal_log_density(target, sched, t, x)
+        assert np.all(np.abs(logdens - logdens_o) <= 1e-12 * np.maximum(1.0, np.abs(logdens_o)))
