@@ -210,6 +210,8 @@ def cmd_flow(seed, steps, out, threads, no_timestamp, config_path, x_text,
         x0 = np.array([float(v) for v in x_text.split(",")])
     except ValueError:
         raise InvalidParamError(f"could not parse --x {x_text!r} as coordinates")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParamError(f"--x coordinates must be finite, got {x_text!r}")
     ctx = FlowContext(sched=sched, target=target,
                       early_stop=float(cfg.get("early_stop", 0.0)))
     n_steps = steps if steps is not None else int(cfg.get("steps", 256))

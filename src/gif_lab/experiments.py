@@ -8,6 +8,7 @@ bit-identical across reruns and across thread counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,10 @@ import numpy as np
 
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from .errors import InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError
-from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate, velocity,
-                   velocity_jacobian)
+# velocity is unused here but stays importable as experiments.velocity, the
+# name the traced benchmark (benchmarks/tracer.py) wraps
+from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
+                   velocity, velocity_jacobian)
 from .metrics import (
     NOISE_DOMAIN,
     _W2_EXACT_CAP,
@@ -304,14 +307,14 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
                             _meta(cfg, started, len(grid), **extra))
 
 
-def _spectral_sup(ctx: FlowContext, traj, decimate: int) -> float:
+def _spectral_sup(ctx: FlowContext, times, states, decimate: int) -> float:
     """Max spectral norm of the velocity Jacobian over recorded states."""
-    idx = list(range(0, len(traj.times), decimate))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
+    idx = list(range(0, len(times), decimate))
+    if idx[-1] != len(times) - 1:
+        idx.append(len(times) - 1)
     worst = 0.0
     for i in idx:
-        jac = velocity_jacobian(ctx, float(traj.times[i]), traj.states[i])
+        jac = velocity_jacobian(ctx, float(times[i]), states[i])
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(jac)))))
     return worst
 
@@ -319,9 +322,10 @@ def _spectral_sup(ctx: FlowContext, traj, decimate: int) -> float:
 def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     """Sweep Bernoulli +-eps velocity noise against the clean generation.
 
-    The noise is redrawn per coordinate at every integrator stage from a
-    stage-counter-keyed stream, so a rerun replays the identical
-    perturbation.  The sign pattern is shared across the whole eps grid;
+    The noise is redrawn per coordinate at every RK4 rate evaluation from a
+    stream keyed by the evaluation counter, so a rerun replays the identical
+    perturbation; it is added to the engine's table rate, as _ag_residual
+    adds delta.  The sign pattern is shared across the whole eps grid;
     only the amplitude changes, so the sweep measures the eps scaling
     rather than pattern-to-pattern scatter.  The squared-distance bound
     uses the measured supremum of the Jacobian spectral norm along both
@@ -339,25 +343,25 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     src = sample_source(target, cfg.sched, cfg.n, _subseed(cfg.seed, 0))
     base = integrate(ctx, src.points, 0.0, ctx.t_max, cfg.steps, record="all")
     decimate = max(1, cfg.steps // 32)
-    base_sup = _spectral_sup(ctx, base, decimate)
+    base_sup = _spectral_sup(ctx, base.times, base.states, decimate)
 
     noise_seed = _subseed(cfg.seed, 1000)
+    clock = _stage_times(0.0, ctx.t_max, cfg.steps)
+    tab = _table(ctx, clock)
 
     def one(j: int):
         eps = grid[j]
-        stage = [0]
+        stage = itertools.count()
 
-        def noisy(t, xb):
-            v = velocity(ctx, t, xb)
-            gen = keyed_generator(noise_seed, NOISE_DOMAIN, stage[0])
-            stage[0] += 1
-            signs = np.where(gen.random(size=xb.shape) < 0.5, -1.0, 1.0)
-            return v + eps * signs
+        def rate(k, state):
+            (v,) = _rates(target, tab, k, state)
+            gen = keyed_generator(noise_seed, NOISE_DOMAIN, next(stage))
+            return (v + eps * np.where(gen.random(size=v.shape) < 0.5, -1.0, 1.0),)
 
-        pert = integrate(ctx, src.points, 0.0, ctx.t_max, cfg.steps,
-                         field=noisy, record="all")
-        dist_sq = _cloud_w2(pert.final_state, base.final_state) ** 2
-        c3 = max(base_sup, _spectral_sup(ctx, pert, decimate))
+        path = _rk4(rate, (src.points,), clock, range(cfg.steps), keep_all=True)
+        pert = np.stack([s[0] for s in path])
+        dist_sq = _cloud_w2(pert[-1], base.final_state) ** 2
+        c3 = max(base_sup, _spectral_sup(ctx, base.times, pert, decimate))
         delta_v = dim * eps * eps
         if 2.0 * c3 > 700.0:
             factor = math.inf
@@ -443,7 +447,6 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
     ctx = FlowContext(sched=cfg.sched, target=target, early_stop=cfg.early_stop)
     prof = cfg.profile if cfg.profile is not None else RegularityProfile.from_target(target)
     envelope = theta_profile(prof, cfg.sched, cfg.bound_case)
-    sig_sq = target.sigma ** 2
 
     def one(j: int):
         t = grid[j]
@@ -452,9 +455,7 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
         eigs = np.linalg.eigvalsh(velocity_jacobian(ctx, t, pts))
         lam_min = float(eigs[..., 0].min())
         lam_max = float(eigs[..., -1].max())
-        p = cfg.sched.eval(t)
-        c_sq = p.a * p.a + sig_sq * p.b * p.b
-        lower = (cfg.sched.da_a(t) + sig_sq * cfg.sched.db_b(t)) / c_sq
+        lower = float(_table(ctx, np.array([t])).alpha[0])
         upper = float(envelope.theta(t))
         violation = max(0.0, lam_max - upper, lower - lam_min)
         return t, lam_min, lam_max, lower, upper, violation

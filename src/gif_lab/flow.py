@@ -16,9 +16,12 @@ where b_0 may vanish, and at t = 1 where a_1 = 0 and Follmer's da diverges.
 
 An integrator call evaluates these coefficients once, vectorised over the
 2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table;
-reverse runs store them sign-flipped.  One RK4 loop, _rk4, then advances a
-tuple state: the particles, optionally with their flow-map Jacobian and
-log-density, and checks every component for finiteness after every step.
+reverse runs store them sign-flipped.  This table is the only source of
+rates: no integrator takes a user-supplied field.  One RK4 loop, _rk4, then
+advances a tuple state: the particles, optionally with their flow-map
+Jacobian and log-density, and checks every component for finiteness after
+every step.  Callers that perturb the flow, such as the flow-difference
+check and the velocity-noise sweep, wrap _rates on a table of their own.
 
 States are batched: a point is (d,), a cloud is (n, d); all integrators
 advance whole clouds per step.  Reverse-time transport solves
@@ -39,6 +42,7 @@ from .errors import (
     NonFiniteError,
     NonFiniteStateError,
     OutOfRangeError,
+    SizeMismatchError,
 )
 from .schedules import Schedule
 from .targets import Target, _as_batch, _stats, posterior_moments
@@ -306,75 +310,58 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False) -
 
 
 def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,
-         direction: str, record: str, field=None, field_jac=None):
+         direction: str, record: str):
     """Shared driver of integrate and integrate_augmented.
 
-    Rates come from the coefficient table, or from the user callables
-    field (and field_jac, for a state with a Jacobian) in physical time,
-    negated for reverse runs.  Returns the recorded times and the stacked
-    path of each state component.
+    Rates come only from the coefficient table of the span's stage times.
+    Returns the recorded times and the stacked path of each state component.
     """
     clock = _stage_times(t_from, t_to, steps)
     sign = -1.0 if direction == "reverse" else 1.0
     t_phys = 1.0 - clock if direction == "reverse" else clock
-    if field is None:
-        tab, target = _table(ctx, t_phys, sign), ctx.target
-        rate = lambda k, s: _rates(target, tab, k, s)
-    else:
-        def rate(k, s):
-            t, x = t_phys[k], s[0]
-            v = sign * np.asarray(field(t, x), dtype=float)
-            if len(s) == 1:
-                return (v,)
-            G = sign * np.asarray(field_jac(t, x), dtype=float)
-            rates = (v, G @ s[1])
-            return rates if len(s) == 2 else rates + (-np.trace(G, axis1=1, axis2=2),)
+    tab, target = _table(ctx, t_phys, sign), ctx.target
     keep_all = record == "all"
-    path = _rk4(rate, state, clock, range(steps), keep_all)
+    path = _rk4(lambda k, s: _rates(target, tab, k, s), state, clock, range(steps), keep_all)
     times = clock[0::2] if keep_all else np.array([t_from, t_to])
     return times, [np.stack(c) for c in zip(*path)]
 
 
 def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
-              direction: str = "forward", record: str = "all", field=None) -> Trajectory:
-    """Fixed-step RK4 transport of a point or cloud along the velocity.
-
-    field overrides the velocity with a callable (t, cloud) -> cloud in
-    physical time; the reverse wrapper and sign are applied on top of it.
-    """
+              direction: str = "forward", record: str = "all") -> Trajectory:
+    """Fixed-step RK4 transport of a point or cloud along the velocity."""
     t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
-    times, (states,) = _run(ctx, (xb,), t_from, t_to, steps, direction, record, field)
+    times, (states,) = _run(ctx, (xb,), t_from, t_to, steps, direction, record)
     return Trajectory(times=times, states=states, direction=direction, single=single)
 
 
 def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
                         direction: str = "forward", record: str = "all",
-                        with_logdensity: bool = False, init_logdens=None,
-                        field=None, field_jac=None) -> Trajectory:
+                        with_logdensity: bool = False, init_logdens=None) -> Trajectory:
     """RK4 on the state jointly with its flow-map Jacobian and log-density.
 
     The Jacobian solves dJ/dt = grad v . J from J = I; the log-density
     solves dl/dt = -tr grad v from init_logdens (default 0) and is carried
-    only when with_logdensity is set.  Custom field overrides must come in
-    pairs (field, field_jac), both in physical time.
+    only when with_logdensity is set; a given init_logdens is a scalar or
+    one value per point.
     """
     t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
-    if (field is None) != (field_jac is None):
-        raise InvalidParamError("field and field_jac must be overridden together")
     xb, single = _as_batch(ctx.target, x0)
     n, d = xb.shape
     if init_logdens is None:
         ld = np.zeros(n)
     else:
-        ld = np.broadcast_to(np.asarray(init_logdens, dtype=float), (n,)).astype(float)
+        ld = np.asarray(init_logdens, dtype=float)
+        if ld.ndim > 1 or ld.size not in (1, n):
+            raise SizeMismatchError(
+                f"init_logdens has {ld.size} entries, the batch has {n} points")
+        ld = np.broadcast_to(ld, (n,)).astype(float)
         if not np.all(np.isfinite(ld)):
             raise NonFiniteError("init_logdens contains non-finite entries")
     state = (xb, np.broadcast_to(np.eye(d), (n, d, d)))
     if with_logdensity:
         state += (ld,)
-    times, stacked = _run(ctx, state, t_from, t_to, steps, direction, record,
-                          field, field_jac)
+    times, stacked = _run(ctx, state, t_from, t_to, steps, direction, record)
     return Trajectory(times=times, states=stacked[0], direction=direction,
                       single=single, jac=stacked[1],
                       logdens=stacked[2] if with_logdensity else None)

@@ -3,10 +3,12 @@
 Everything here is deliberately implemented by a different route than the
 library code: finite differences instead of closed-form derivatives,
 quadrature instead of log-sum-exp identities, brute force instead of the
-Hungarian method, the affine Gaussian transport law instead of RK4, one
-numpy Philox generator per particle with a scalar polar loop instead of the
-vectorised Philox4x64-10 draw, and full-distance log-densities in 30-digit
-decimal arithmetic instead of the GEMM posterior kernel.
+Hungarian method, the affine Gaussian transport law instead of RK4, a plain
+RK4 loop on the public velocity at physical stage times instead of the
+engine's coefficient table, one numpy Philox generator per particle with a
+scalar polar loop instead of the vectorised Philox4x64-10 draw, and
+full-distance log-densities in 30-digit decimal arithmetic instead of the
+GEMM posterior kernel.
 """
 
 from __future__ import annotations
@@ -138,6 +140,33 @@ def mixture_posterior_decimal(weights, means, sigma: float, a: float, b: float, 
                 for rj, mu in zip(r, mus))))
             log_dens.append(float(top + total.ln() - log_norm_const))
     return np.array(resp), np.array(mean), np.array(spread_tr), np.array(log_dens)
+
+
+def noisy_rk4(field, x0, t_end: float, steps: int, eps: float, seed: int,
+              domain: int) -> np.ndarray:
+    """Final state of RK4 on field(t, x) plus per-evaluation Bernoulli noise.
+
+    field is evaluated at the physical stage times t, t + h/2, t + h/2,
+    t + h of each step; evaluation number m (counted from 0 across the
+    whole run) adds eps times the signs of keyed_generator(seed, domain, m).
+    """
+    times = np.linspace(0.0, t_end, steps + 1)
+    calls = itertools.count()
+
+    def rate(t, x):
+        gen = keyed_generator(seed, domain, next(calls))
+        return field(t, x) + eps * np.where(gen.random(size=x.shape) < 0.5, -1.0, 1.0)
+
+    x = np.array(x0, dtype=float)
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h = t1 - t0
+        mid = t0 + 0.5 * h
+        k1 = rate(t0, x)
+        k2 = rate(mid, x + 0.5 * h * k1)
+        k3 = rate(mid, x + 0.5 * h * k2)
+        k4 = rate(t1, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
 
 
 def w2_bruteforce(xs: np.ndarray, ys: np.ndarray) -> float:

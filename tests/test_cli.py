@@ -153,8 +153,11 @@ class TestFlow:
         header = _csv_body(capsys.readouterr().out)[0]
         assert header == "t,x_1,x_2,logdens,jac_11,jac_12,jac_21,jac_22"
 
-    def test_bad_point(self, gauss_cfg):
-        assert dispatch(["flow", "--config", gauss_cfg, "--x", "1.0,abc"]) == 1
+    @pytest.mark.parametrize("x_text", ["1.0,abc", "nan,0", "inf,0", "1e400,0"],
+                             ids=["not-a-number", "nan", "inf", "overflow"])
+    def test_bad_point(self, gauss_cfg, x_text, capsys):
+        assert dispatch(["flow", "--config", gauss_cfg, "--x", x_text]) == 1
+        assert "--x" in capsys.readouterr().err
 
     def test_bad_span(self, gauss_cfg):
         assert dispatch(["flow", "--config", gauss_cfg, "--x", "0.0,0.0",

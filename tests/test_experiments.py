@@ -15,6 +15,7 @@ from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
+    _subseed,
     moderate_gmm4,
     paper_gmm8,
     run_ag_check,
@@ -24,8 +25,12 @@ from gif_lab.experiments import (
     run_source_perturbation,
     run_velocity_perturbation,
 )
-from gif_lab.schedules import FollmerSchedule, LinearSchedule
+from gif_lab.flow import FlowContext, integrate, velocity
+from gif_lab.metrics import NOISE_DOMAIN, sample_source, w2
+from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule, VPSchedule
 from gif_lab.targets import gaussian_target, mixture_target
+
+from oracles import noisy_rk4
 
 
 @pytest.fixture
@@ -168,6 +173,24 @@ class TestVelocityPerturbation:
         r2 = run_velocity_perturbation(cfg)
         assert np.array_equal(r1.rows, r2.rows)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
+                                       VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
+                             ids=lambda s: s.family)
+    def test_matches_public_velocity_oracle(self, gmm4, sched, threads):
+        # the sweep's noisy run, replayed by a plain RK4 loop on the public
+        # velocity with the same per-evaluation keyed noise
+        cfg = ExperimentConfig(target=gmm4, sched=sched, n=128, steps=16, seed=7,
+                               eps_grid=(0.5, 2.0), threads=threads)
+        res = run_velocity_perturbation(cfg)
+        ctx = FlowContext(sched=sched, target=gmm4)
+        x0 = sample_source(gmm4, sched, cfg.n, _subseed(cfg.seed, 0)).points
+        clean = integrate(ctx, x0, 0.0, 1.0, cfg.steps, record="final").final_state
+        for eps, w2_sq in zip(res.column("eps"), res.column("w2_sq")):
+            pert = noisy_rk4(lambda t, x: velocity(ctx, t, x), x0, 1.0, cfg.steps, eps,
+                             _subseed(cfg.seed, 1000), NOISE_DOMAIN)
+            assert w2_sq == w2(pert, clean) ** 2
+
 
 class TestAutoencode:
     def test_follmer_gaussian_is_identity(self):
@@ -254,6 +277,16 @@ class TestJacobianEnvelope:
         res = run_jacobian_envelope(cfg)
         assert res.rows.shape[0] == 12
         assert res.meta["max_violation"] <= 1e-8
+
+    def test_lower_column_is_public_alpha(self, gmm4):
+        sched = TrigSchedule()
+        cfg = ExperimentConfig(target=gmm4, sched=sched, n=20, seed=3,
+                               t_grid=(0.0, 0.25, 0.5, 0.999, 1.0))
+        res = run_jacobian_envelope(cfg)
+        s2 = gmm4.sigma ** 2
+        for t, lower in zip(res.column("t"), res.column("lower")):
+            a, b = sched.a(t), sched.b(t)
+            assert lower == (sched.da_a(t) + s2 * sched.db_b(t)) / (a * a + s2 * b * b)
 
     def test_piecewise_kappa_d_profile(self):
         # 2-point mixture: exact semi-log-concavity constant and a pointwise

@@ -268,17 +268,11 @@ class TestIntegrate:
         assert last.states.shape[0] == 2
         assert last.final_state == pytest.approx(full.final_state, abs=0.0)
 
-    def test_custom_field_override(self, gmm2_ctx):
-        # constant unit field moves the state by the elapsed time exactly
-        traj = integrate(gmm2_ctx, np.zeros(2), 0.0, 1.0, steps=16,
-                         field=lambda t, x: np.ones_like(x))
-        assert traj.final_state == pytest.approx([1.0, 1.0], abs=1e-13)
-
     def test_blowup_reports_step_index(self, gmm2_ctx):
+        # a start point at the edge of the float range overflows in step 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError) as err:
-                integrate(gmm2_ctx, np.array([1.0, 1.0]), 0.0, 1.0, steps=8,
-                          field=lambda t, x: x * 1e200)
+                integrate(gmm2_ctx, np.array([1e308, 0.0]), 0.0, 1.0, steps=8)
         assert err.value.step >= 0
 
     def test_argument_validation(self, gmm2_ctx):
@@ -346,15 +340,21 @@ class TestIntegrateAugmented:
         assert prod == pytest.approx(np.eye(2), abs=1e-4)
 
     def test_blowup_reports_step_index(self, gmm2_ctx):
-        eye = np.eye(2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError) as err:
-                integrate_augmented(
-                    gmm2_ctx, np.array([1.0, 1.0]), 0.0, 1.0, steps=8,
-                    with_logdensity=True, field=lambda t, x: x * 1e200,
-                    field_jac=lambda t, x: np.broadcast_to(1e200 * eye, (len(x), 2, 2)))
+                integrate_augmented(gmm2_ctx, np.array([1e308, 0.0]), 0.0, 1.0, steps=8,
+                                    with_logdensity=True)
         assert err.value.step == 0
         assert "step 0" in str(err.value)
+
+    def test_init_logdens_length_checked(self, gmm2_ctx):
+        with pytest.raises(SizeMismatchError, match="2 entries.*3 points"):
+            integrate_augmented(gmm2_ctx, np.zeros((3, 2)), 0.0, 1.0, 4,
+                                with_logdensity=True, init_logdens=np.zeros(2))
+        # a scalar still broadcasts over the batch
+        traj = integrate_augmented(gmm2_ctx, np.zeros((3, 2)), 0.0, 1.0, 4,
+                                   with_logdensity=True, init_logdens=1.5)
+        assert traj.logdens[0] == pytest.approx([1.5] * 3, abs=0.0)
 
 
 class TestTrajectoryCsv:
