@@ -13,8 +13,10 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .artifacts import repr_lines, write_table
 from .bounds import RegularityProfile, lipschitz_flow_map, theta_profile
-from .config import experiment_from_config, load_config, schedule_from_config, target_from_config
+from .config import (config_value, experiment_from_config, load_config, schedule_from_config,
+                     target_from_config)
 from .errors import (
     DegenerateInputError,
     DegenerateTimeError,
@@ -55,18 +57,21 @@ def cli() -> None:
     """Interpolation-flow toolkit: schedules, transport, bounds, experiments."""
 
 
-def _common(f):
+def _output(f):
     for opt in (
-        click.option("--seed", type=int, default=None, help="Override the RNG seed."),
-        click.option("--steps", type=int, default=None, help="Override ODE step count."),
         click.option("--out", type=click.Path(file_okay=False), default=None,
                      help="Output directory; stdout when omitted."),
-        click.option("--threads", type=int, default=None, help="Grid-point parallelism."),
         click.option("--no-timestamp", is_flag=True,
                      help="Omit the generated-at header for byte-stable output."),
     ):
         f = opt(f)
     return f
+
+
+_SEED = click.option("--seed", type=int, default=None, help="Override the RNG seed.")
+_STEPS = click.option("--steps", type=int, default=None, help="Override ODE step count.")
+_CONFIG = click.option("--config", "config_path", required=True,
+                       type=click.Path(exists=True, dir_okay=False))
 
 
 def _schedule_params(f):
@@ -94,14 +99,13 @@ def _stamp(no_timestamp: bool):
     return datetime.datetime.now().isoformat(timespec="seconds")
 
 
-def _deliver(write_fn, out, filename: str) -> None:
-    """write_fn(path_or_buf): to stdout without --out, else into the out dir."""
+def _destination(out, filename: str):
+    """stdout without --out, else ``filename`` in the out dir."""
     if out is None:
-        write_fn(sys.stdout)
-    else:
-        directory = Path(out)
-        directory.mkdir(parents=True, exist_ok=True)
-        write_fn(directory / filename)
+        return sys.stdout
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / filename
 
 
 @cli.command("validate-schedule")
@@ -120,7 +124,7 @@ def cmd_validate_schedule(family, sigma_max, alpha0, p, zeta, grid) -> int:
 
 
 @cli.command("bounds")
-@_common
+@_output
 @_schedule_params
 @click.option("--case", required=True,
               help="Regularity case: gaussian, bounded-d, mixture, log-lip.")
@@ -132,7 +136,7 @@ def cmd_validate_schedule(family, sigma_max, alpha0, p, zeta, grid) -> int:
 @click.option("--l", "lip", type=float, default=None)
 @click.option("--t2", type=float, default=None, help="Log-lip handover time.")
 @click.option("--grid", type=int, default=129, help="Number of output rows.")
-def cmd_bounds(seed, steps, out, threads, no_timestamp, family, sigma_max,
+def cmd_bounds(out, no_timestamp, family, sigma_max,
                alpha0, p, zeta, case, kappa, beta, d_bound, radius, sigma,
                lip, t2, grid) -> int:
     """Tabulate the theta envelope and flow-map Lipschitz bound over time."""
@@ -142,56 +146,41 @@ def cmd_bounds(seed, steps, out, threads, no_timestamp, family, sigma_max,
     profile = RegularityProfile(kappa=kappa, beta=beta, D=d_bound, R=radius,
                                 sigma=sigma, L=lip)
     envelope = theta_profile(profile, sched, case, t2=t2)
-    ts = np.linspace(envelope.lo, 1.0, grid)
-    stamp = _stamp(no_timestamp)
-
-    def write(path_or_buf):
-        rows = []
-        cum = 0.0
-        for i, t in enumerate(ts):
-            if i > 0:
-                cum += envelope.integral(float(ts[i - 1]), float(t))
-            lip_bound = lipschitz_flow_map(envelope, float(ts[0]), float(t)) \
-                if i > 0 else 1.0
-            rows.append((float(t), float(envelope.theta(float(t))),
-                         envelope.piece_at(float(t)).piece_id, cum, lip_bound))
-        text = []
-        if stamp is not None:
-            text.append(f"# generated: {stamp}")
-        text.append("t,theta_t,piece_id,cumulative_integral,lipschitz_bound")
-        for t, theta, piece, c, lb in rows:
-            text.append(f"{t!r},{theta!r},{piece},{c!r},{lb!r}")
-        payload = "\n".join(text) + "\n"
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(payload)
-        else:
-            Path(path_or_buf).write_text(payload)
-
-    _deliver(write, out, "bounds.csv")
+    ts = np.linspace(envelope.lo, 1.0, grid).tolist()
+    lines, cum = [], 0.0
+    for i, t in enumerate(ts):
+        lip_bound = 1.0
+        if i > 0:
+            cum += envelope.integral(ts[i - 1], t)
+            lip_bound = lipschitz_flow_map(envelope, ts[0], t)
+        lines.append(f"{t!r},{float(envelope.theta(t))!r},"
+                     f"{envelope.piece_at(t).piece_id},{cum!r},{lip_bound!r}\n")
+    write_table(_destination(out, "bounds.csv"),
+                ("t", "theta_t", "piece_id", "cumulative_integral", "lipschitz_bound"),
+                lines, _stamp(no_timestamp))
     return 0
 
 
 @cli.command("sample")
-@_common
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_output
+@_SEED
+@_CONFIG
 @click.option("--n", type=int, default=None, help="Override sample count.")
-def cmd_sample(seed, steps, out, threads, no_timestamp, config_path, n) -> int:
+def cmd_sample(out, no_timestamp, seed, config_path, n) -> int:
     """Draw target samples defined by a config file."""
     cfg = load_config(config_path)
     target = target_from_config(cfg)
-    count = n if n is not None else int(cfg.get("n", 1024))
-    seed_val = seed if seed is not None else int(cfg.get("seed", 0))
+    count = n if n is not None else config_value(cfg, "n", 1024)
+    seed_val = seed if seed is not None else config_value(cfg, "seed", 0)
     cloud = sample_target(target, count, seed_val)
-    stamp = _stamp(no_timestamp)
-    _deliver(lambda dst: cloud.write_csv(dst, timestamp=stamp), out, "sample.csv")
+    cloud.write_csv(_destination(out, "sample.csv"), timestamp=_stamp(no_timestamp))
     return 0
 
 
 @cli.command("flow")
-@_common
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_output
+@_STEPS
+@_CONFIG
 @click.option("--x", "x_text", required=True,
               help="Start point, comma-separated: --x 1.0,0.0")
 @click.option("--from", "t_from", type=float, default=0.0)
@@ -200,7 +189,7 @@ def cmd_sample(seed, steps, out, threads, no_timestamp, config_path, n) -> int:
               default="forward")
 @click.option("--jacobian", is_flag=True, help="Carry the flow-map Jacobian.")
 @click.option("--logdensity", is_flag=True, help="Carry the log-density.")
-def cmd_flow(seed, steps, out, threads, no_timestamp, config_path, x_text,
+def cmd_flow(out, no_timestamp, steps, config_path, x_text,
              t_from, t_to, direction, jacobian, logdensity) -> int:
     """Integrate one point and emit the trajectory as CSV."""
     cfg = load_config(config_path)
@@ -213,15 +202,14 @@ def cmd_flow(seed, steps, out, threads, no_timestamp, config_path, x_text,
     if not np.all(np.isfinite(x0)):
         raise InvalidParamError(f"--x coordinates must be finite, got {x_text!r}")
     ctx = FlowContext(sched=sched, target=target,
-                      early_stop=float(cfg.get("early_stop", 0.0)))
-    n_steps = steps if steps is not None else int(cfg.get("steps", 256))
+                      early_stop=config_value(cfg, "early_stop", 0.0))
+    n_steps = steps if steps is not None else config_value(cfg, "steps", 256)
     if jacobian or logdensity:
         traj = integrate_augmented(ctx, x0, t_from, t_to, n_steps,
                                    direction=direction, with_logdensity=logdensity)
     else:
         traj = integrate(ctx, x0, t_from, t_to, n_steps, direction=direction)
-    stamp = _stamp(no_timestamp)
-    _deliver(lambda dst: traj.write_csv(dst, timestamp=stamp), out, "flow.csv")
+    traj.write_csv(_destination(out, "flow.csv"), timestamp=_stamp(no_timestamp))
     return 0
 
 
@@ -243,12 +231,14 @@ _EXPERIMENTS = {
 
 def _make_experiment_command(name: str, runner, svg_cols, help_text: str):
     @cli.command(name, help=help_text)
-    @_common
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False))
+    @_output
+    @_SEED
+    @_STEPS
+    @click.option("--threads", type=int, default=None, help="Grid-point parallelism.")
+    @_CONFIG
     @click.option("--n", type=int, default=None, help="Override particle count.")
     @click.option("--svg", is_flag=True, help="Also write <name>.svg (needs --out).")
-    def _cmd(seed, steps, out, threads, no_timestamp, config_path, n, svg) -> int:
+    def _cmd(out, no_timestamp, seed, steps, threads, config_path, n, svg) -> int:
         if svg and out is None:
             raise click.UsageError("--svg requires --out")
         cfg = load_config(config_path)
@@ -257,17 +247,12 @@ def _make_experiment_command(name: str, runner, svg_cols, help_text: str):
         result = runner(ec)
         stamp = _stamp(no_timestamp)
         if out is None:
-            lines = []
-            if stamp is not None:
-                lines.append(f"# generated: {stamp}")
-            lines.append(",".join(result.columns))
-            for row in result.rows:
-                lines.append(",".join(repr(float(v)) for v in row))
-            if result.fit is not None:
-                lines.append(f"# fit: slope={result.fit.slope!r} "
-                             f"intercept={result.fit.intercept!r} "
-                             f"r_squared={result.fit.r_squared!r}")
-            sys.stdout.write("\n".join(lines) + "\n")
+            body = list(repr_lines(result.rows))
+            fit = result.fit
+            if fit is not None:
+                body.append(f"# fit: slope={fit.slope!r} intercept={fit.intercept!r} "
+                            f"r_squared={fit.r_squared!r}\n")
+            write_table(sys.stdout, result.columns, body, stamp)
         else:
             result.write_csv(out, timestamp=stamp)
             if svg:
@@ -289,10 +274,7 @@ def dispatch(argv=None) -> int:
         return int(rv) if isinstance(rv, int) else 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show(file=sys.stderr)
         return 1
     except click.Abort:

@@ -8,6 +8,7 @@ comments, values parsed as Python literals with a bare-string fallback, so
 from __future__ import annotations
 
 import ast
+import math
 from typing import Optional
 
 from .errors import InvalidParamError, MissingFieldError
@@ -16,6 +17,7 @@ from .schedules import Schedule, make_schedule
 from .targets import Target, gaussian_target, mixture_target
 
 __all__ = [
+    "config_value",
     "experiment_from_config",
     "load_config",
     "parse_config_text",
@@ -54,6 +56,52 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
+def _is_number(v) -> bool:
+    return ((isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v)))
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
+_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int), int)
+_NUMBER = ("a finite number", _is_number, float)
+_NUMBERS = ("a list of finite numbers", _is_numbers, tuple)
+# What each key's value must be, the test for that, and the cast applied.
+_EXPERIMENT_KEYS = {
+    **dict.fromkeys(("n", "steps", "seed", "threads"), _INTEGER),
+    "early_stop": _NUMBER,
+    **dict.fromkeys(("zeta_grid", "eps_grid", "t_grid", "steps_grid", "delta"), _NUMBERS),
+    "check_bound": ("True or False", lambda v: isinstance(v, bool), bool),
+}
+_TARGET_KEYS = {
+    "mean": ("a finite number or a list of them",
+             lambda v: _is_number(v) or _is_numbers(v), lambda v: v),
+    "var": _NUMBER,
+    "means": ("a list of points",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v)), tuple),
+    "weights": _NUMBERS,
+    "sigma": _NUMBER,
+}
+
+
+def config_value(cfg: dict, key: str, default=None, suffix: str = ""):
+    """The value of key ``key + suffix``, or ``default`` when it is absent.
+
+    A value of the wrong kind (a string or ``1e999`` where a number
+    belongs, a float where an integer belongs, ``false`` for ``False``)
+    raises InvalidParamError naming the key.
+    """
+    value = cfg.get(key + suffix)
+    if value is None:
+        return default
+    kind, test, cast = _EXPERIMENT_KEYS.get(key) or _TARGET_KEYS[key]
+    if not test(value):
+        raise InvalidParamError(f"config key '{key}{suffix}' must be {kind}, got {value!r}")
+    return cast(value)
+
+
 _TARGET_KINDS = ("gaussian", "gmm", "paper-gmm8", "moderate-gmm4")
 
 
@@ -69,20 +117,17 @@ def target_from_config(cfg: dict, suffix: str = "") -> Target:
     kind = str(kind).strip().lower().replace("_", "-")
 
     def need(key: str):
-        value = cfg.get(key + suffix)
+        value = config_value(cfg, key, suffix=suffix)
         if value is None:
             raise MissingFieldError(f"target kind {kind!r} needs key '{key}{suffix}'")
         return value
 
     if kind == "gaussian":
-        return gaussian_target(mean=need("mean"), var=float(need("var")))
+        return gaussian_target(mean=need("mean"), var=need("var"))
     if kind == "gmm":
         means = need("means")
-        weights = cfg.get("weights" + suffix)
-        if weights is None:
-            weights = [1.0 / len(means)] * len(means)
-        return mixture_target(weights=weights, means=means,
-                              sigma=float(need("sigma")))
+        weights = config_value(cfg, "weights", [1.0 / len(means)] * len(means), suffix)
+        return mixture_target(weights=weights, means=means, sigma=need("sigma"))
     if kind == "paper-gmm8":
         return paper_gmm8()
     if kind == "moderate-gmm4":
@@ -103,23 +148,10 @@ def schedule_from_config(cfg: dict, default: Optional[str] = None) -> Schedule:
     return make_schedule(str(family), **params)
 
 
-_EXPERIMENT_KEYS = {
-    "n": int,
-    "steps": int,
-    "seed": int,
-    "threads": int,
-    "early_stop": float,
-    "zeta_grid": tuple,
-    "eps_grid": tuple,
-    "t_grid": tuple,
-    "steps_grid": tuple,
-    "delta": tuple,
-    "check_bound": bool,
-}
 _KNOWN_KEYS = (
     set(_EXPERIMENT_KEYS)
-    | {"target", "schedule", "mean", "var", "means", "weights", "sigma"}
-    | {"target2", "mean2", "var2", "means2", "weights2", "sigma2"}
+    | {"target", "schedule", "target2"}
+    | set(_TARGET_KEYS) | {key + "2" for key in _TARGET_KEYS}
     | set(_SCHEDULE_PARAM_KEYS)
 )
 
@@ -139,10 +171,10 @@ def experiment_from_config(cfg: dict, **overrides) -> ExperimentConfig:
     }
     if cfg.get("target2") is not None:
         kwargs["target2"] = target_from_config(cfg, suffix="2")
-    for key, cast in _EXPERIMENT_KEYS.items():
-        if key in cfg:
-            value = cfg[key]
-            kwargs[key] = cast(value) if not isinstance(value, cast) else value
+    for key in _EXPERIMENT_KEYS:
+        value = config_value(cfg, key)
+        if value is not None:
+            kwargs[key] = value
     for key, value in overrides.items():
         if value is not None:
             kwargs[key] = value

@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .artifacts import repr_lines, write_table, xy_plot
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from .errors import InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError
 # velocity is unused here but stays importable as experiments.velocity, the
@@ -37,7 +38,6 @@ from .metrics import (
     w2,
 )
 from .schedules import Schedule, ShiftedLinearSchedule
-from .svg import xy_plot
 from .targets import Target, mixture_target
 
 __all__ = [
@@ -172,23 +172,14 @@ class ExperimentResult:
         """Write <name>.csv and, when a fit exists, <name>.fit.csv."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        main = out / f"{self.name}.csv"
-        with open(main, "w", newline="") as fh:
-            if timestamp is not None:
-                fh.write(f"# generated: {timestamp}\n")
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        paths = [main]
+        paths = [out / f"{self.name}.csv"]
+        write_table(paths[0], self.columns, repr_lines(self.rows), timestamp)
         if self.fit is not None:
-            fit_path = out / f"{self.name}.fit.csv"
-            with open(fit_path, "w", newline="") as fh:
-                if timestamp is not None:
-                    fh.write(f"# generated: {timestamp}\n")
-                fh.write("slope,intercept,r_squared,n\n")
-                fh.write(f"{self.fit.slope!r},{self.fit.intercept!r},"
-                         f"{self.fit.r_squared!r},{self.fit.n}\n")
-            paths.append(fit_path)
+            paths.append(out / f"{self.name}.fit.csv")
+            fit = self.fit
+            write_table(paths[1], ("slope", "intercept", "r_squared", "n"),
+                        [f"{fit.slope!r},{fit.intercept!r},{fit.r_squared!r},{fit.n}\n"],
+                        timestamp)
         return paths
 
     def write_svg(self, out_dir, x_col: str, y_col: str,

@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from .artifacts import repr_lines, write_table
 from .errors import (
     DegenerateTimeError,
     InvalidParamError,
@@ -224,29 +225,14 @@ class Trajectory:
         """
         d = self.states.shape[2]
         header = ["t"] + [f"x_{i + 1}" for i in range(d)]
-        if self.logdens is not None:
-            header.append("logdens")
-        if self.jac is not None:
-            header += [f"jac_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-
         cols = [self.physical_times[:, None], self.states[:, particle]]
         if self.logdens is not None:
+            header.append("logdens")
             cols.append(self.logdens[:, particle, None])
         if self.jac is not None:
+            header += [f"jac_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
             cols.append(self.jac[:, particle].reshape(len(self.times), d * d))
-        rows = np.hstack(cols).tolist()
-
-        def emit(fh):
-            if timestamp is not None:
-                fh.write(f"# generated: {timestamp}\n")
-            fh.write(",".join(header) + "\n")
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
-
-        if hasattr(path_or_buf, "write"):
-            emit(path_or_buf)
-        else:
-            with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-                emit(fh)
+        write_table(path_or_buf, header, repr_lines(np.hstack(cols)), timestamp)
 
 
 def _validate_span(ctx: FlowContext, t_from: float, t_to: float, steps: int,

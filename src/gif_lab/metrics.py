@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, NoReturn, Union
+from typing import Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .artifacts import _read_rows, repr_lines, write_table
 from .errors import (
     DegenerateInputError,
     InvalidParamError,
@@ -69,11 +70,8 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
-# Particles per pass of the vectorised draw and of the CSV writer; bounds
-# their uint64 temporaries and formatted text.
+# Particles per pass of the vectorised draw; bounds its uint64 temporaries.
 _CHUNK = 4096
-# Text per chunk of the CSV reader.
-_READ_BYTES = 1 << 16
 
 
 def _check_stream(seed, domain):
@@ -211,25 +209,9 @@ class ParticleCloud:
         return self.points.shape[1]
 
     def write_csv(self, path_or_buf, timestamp: Union[str, None] = None) -> None:
-        """Write the cloud with header ``x1,...,xd``.
-
-        When ``timestamp`` is given it is emitted as a leading comment line;
-        omit it for byte-identical reruns.
-        """
-        if hasattr(path_or_buf, "write"):
-            self._write_csv(path_or_buf, timestamp)
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                self._write_csv(fh, timestamp)
-
-    def _write_csv(self, buf: IO[str], timestamp: Union[str, None]) -> None:
-        if timestamp is not None:
-            buf.write(f"# generated: {timestamp}\n")
-        buf.write(",".join(f"x{j + 1}" for j in range(self.dim)) + "\n")
-        # repr of a float is its shortest round-trip form
-        for lo in range(0, self.n, _CHUNK):
-            rows = self.points[lo:lo + _CHUNK].tolist()
-            buf.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        """Write the cloud with header ``x1,...,xd``; see ``artifacts.write_table``."""
+        write_table(path_or_buf, (f"x{j + 1}" for j in range(self.dim)),
+                    repr_lines(self.points), timestamp)
 
     @classmethod
     def read_csv(cls, path_or_buf, label: str = "") -> "ParticleCloud":
@@ -244,52 +226,6 @@ class ParticleCloud:
             return cls(points=_read_rows(path_or_buf), label=label)
         with open(path_or_buf) as fh:
             return cls(points=_read_rows(fh), label=label)
-
-
-def _read_rows(fh: IO[str]) -> np.ndarray:
-    """Data rows of a cloud CSV, parsed in chunks of about _READ_BYTES of
-    text straight into arrays."""
-    blocks, width, header, line_no = [], None, True, 0
-    while lines := fh.readlines(_READ_BYTES):
-        rows = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-        skip = header and bool(rows)
-        header = header and not skip
-        if len(rows) > skip:
-            try:
-                block = np.loadtxt(rows[skip:], delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:
-                _raise_bad_row(lines, line_no, width, skip, exc)
-            if width is not None and block.shape[1] != width:
-                _raise_bad_row(lines, line_no, width, skip, None)
-            width = block.shape[1]
-            blocks.append(block)
-        line_no += len(lines)
-    if not blocks:
-        raise DegenerateInputError("cloud file has no data rows")
-    return np.concatenate(blocks)
-
-
-def _raise_bad_row(lines, line_no: int, width, skip: bool, exc) -> NoReturn:
-    """Raise for the first row of a rejected chunk that is not numeric or
-    not `width` fields wide, naming its line."""
-    for i, ln in enumerate(lines, line_no + 1):
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        if skip:
-            skip = False
-            continue
-        fields = ln.rstrip("\r\n").split(",")
-        try:
-            [float(v) for v in fields]
-        except ValueError:
-            raise InvalidParamError(
-                f"cloud file line {i}: non-numeric field in {ln.strip()!r}") from None
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise SizeMismatchError(
-                f"cloud file line {i}: {len(fields)} fields, expected {width}")
-    raise InvalidParamError(f"cloud file lines {line_no + 1}-{line_no + len(lines)}: {exc}")
 
 
 def sample_gaussian(

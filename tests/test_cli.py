@@ -254,3 +254,88 @@ class TestExperimentCommands:
         assert capsys.readouterr().out != base
         assert dispatch(args + ["--seed", "1"]) == 0
         assert capsys.readouterr().out == base
+
+
+_GAUSS_SWEEP = ("target = gaussian\nmean = (0.0, 0.0)\nvar = 0.25\n"
+                "n = 128\nsteps = 16\nzeta_grid = (0.0, 0.2)\n")
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command, key, text", [
+        ("stability-source", "mean", _GAUSS_SWEEP + "mean = (abc, 0.0)\n"),
+        ("stability-source", "var", _GAUSS_SWEEP + "var = abc\n"),
+        ("stability-source", "means",
+         "target = gmm\nmeans = [(0.0, 0.0), (1.0, x)]\nsigma = 0.5\n"
+         "n = 128\nsteps = 16\nzeta_grid = (0.0, 0.2)\n"),
+        ("stability-source", "n", _GAUSS_SWEEP + "n = abc\n"),
+        ("stability-source", "zeta_grid", _GAUSS_SWEEP + "zeta_grid = abc\n"),
+        ("stability-source", "delta", _GAUSS_SWEEP + "delta = 0.1\n"),
+        ("stability-source", "check_bound", _GAUSS_SWEEP + "check_bound = false\n"),
+        ("stability-source", "steps", _GAUSS_SWEEP + "steps = 2.5\n"),
+        ("sample", "n", _GAUSS_SWEEP + "n = 2.5\n"),
+        ("sample", "mean", _GAUSS_SWEEP + "mean = (1e999, 0.0)\n"),
+        ("flow", "early_stop", _GAUSS_SWEEP + "early_stop = abc\n"),
+    ], ids=["mean", "var", "means", "n", "zeta_grid", "delta", "check_bound",
+            "steps", "sample-n", "sample-inf-mean", "flow-early_stop"])
+    def test_wrong_kind_is_validation_error(self, tmp_path, capsys, command, key, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        extra = ["--x", "0.0,0.0"] if command == "flow" else []
+        assert dispatch([command, "--config", str(cfg), "--no-timestamp"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key '{key}'" in captured.err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, option", [
+        ("bounds", "--seed"), ("bounds", "--steps"), ("bounds", "--threads"),
+        ("sample", "--steps"), ("sample", "--threads"),
+        ("flow", "--seed"), ("flow", "--threads"),
+    ])
+    def test_unread_option_is_usage_error(self, gauss_cfg, capsys, command, option):
+        args = {"bounds": ["--schedule", "linear", "--case", "gaussian", "--kappa", "1"],
+                "sample": ["--config", gauss_cfg],
+                "flow": ["--config", gauss_cfg, "--x", "0.0,0.0"]}[command]
+        assert dispatch([command] + args + [option, "2", "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+
+
+_EXPERIMENT_CFGS = {
+    "stability-source": _GAUSS_SWEEP,
+    "stability-velocity": ("target = moderate-gmm4\nschedule = linear\n"
+                           "n = 100\nsteps = 16\neps_grid = (0.5, 1.5)\n"),
+    "autoencode": ("target = moderate-gmm4\nschedule = linear\n"
+                   "n = 64\nsteps = 16\nsteps_grid = (8, 16)\n"),
+    "cycle": ("target = moderate-gmm4\nschedule = linear\nn = 64\nsteps = 16\n"
+              "steps_grid = (8, 16)\ntarget2 = gaussian\nmean2 = (0.0, 0.0)\nvar2 = 1.0\n"),
+    "jacobian-envelope": ("target = moderate-gmm4\nschedule = linear\n"
+                          "n = 32\nt_grid = (0.0, 0.5, 1.0)\n"),
+    "ag-check": ("target = gaussian\nmean = (0.0, 0.0)\nvar = 1.0\n"
+                 "schedule = linear\nn = 2\nsteps = 64\ndelta = (0.1, 0.0)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPERIMENT_CFGS))
+def test_stdout_is_out_csv_plus_fit_line(tmp_path, capsys, name):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(_EXPERIMENT_CFGS[name])
+    args = [name, "--config", str(cfg), "--no-timestamp"]
+    assert dispatch(args) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "res"
+    assert dispatch(args + ["--out", str(out)]) == 0
+    csv = (out / f"{name}.csv").read_bytes()
+    assert stdout.startswith(csv)
+    fit_line = stdout[len(csv):]
+    fit_path = out / f"{name}.fit.csv"
+    if not fit_path.exists():
+        assert fit_line == b""
+        return
+    header, values = fit_path.read_text().splitlines()
+    assert header == "slope,intercept,r_squared,n"
+    slope, intercept, r_squared, _ = values.split(",")
+    assert fit_line.decode() == (f"# fit: slope={slope} intercept={intercept} "
+                                 f"r_squared={r_squared}\n")

@@ -16,7 +16,7 @@ from gif_lab.errors import (
     SizeMismatchError,
     TooLargeError,
 )
-from gif_lab import metrics
+from gif_lab import artifacts, metrics
 from gif_lab.metrics import (
     ParticleCloud,
     keyed_generator,
@@ -382,7 +382,7 @@ class TestParticleCloudCsv:
         pts[0] = (5e-324, -0.0, 1.7976931348623157e308)
         path = tmp_path / "cloud.csv"
         ParticleCloud(pts).write_csv(path, timestamp="2026-02-02T10:00:00")
-        assert path.stat().st_size > 2 * metrics._READ_BYTES
+        assert path.stat().st_size > 2 * artifacts._READ_BYTES
         back = ParticleCloud.read_csv(path)
         assert back.points.tobytes() == pts.tobytes()
 
@@ -399,7 +399,7 @@ class TestParticleCloudCsv:
     def test_width_change_at_chunk_boundary_names_line(self):
         # the first read chunk ends with the last 2-field row, so the
         # 3-field rows form chunks of their own
-        n_rows = -(-(metrics._READ_BYTES - 10) // 8)
+        n_rows = -(-(artifacts._READ_BYTES - 10) // 8)
         text = "# c\nx1,x2\n" + "1.0,2.0\n" * n_rows + "1.0,2.0,3.0\n" * 9000
         with pytest.raises(SizeMismatchError,
                            match=f"line {n_rows + 3}: 3 fields, expected 2"):
