@@ -107,8 +107,7 @@ def _axis_range(vals: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def xy_plot(path, xs, ys, title: str = "", x_label: str = "",
-            y_label: str = "") -> None:
+def xy_plot(path, xs, ys, title: str, x_label: str, y_label: str) -> None:
     """Write one (x, y) series as a standalone SVG file: a polyline through
     circle markers."""
     xa = np.asarray(xs, dtype=float).ravel()
@@ -136,20 +135,16 @@ def xy_plot(path, xs, ys, title: str = "", x_label: str = "",
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>')
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(x_label, quote=False)}</text>')
-    if y_label:
-        cx, cy = 18, _MARGIN_T + ph / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label, quote=False)}</text>')
+    cx, cy = 18, _MARGIN_T + ph / 2
+    parts += [
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
+        f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{escape(x_label, quote=False)}</text>',
+        f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label, quote=False)}</text>',
+    ]
     for v, anchor, xpix, ypix in (
         (x0, "middle", px(x0), _MARGIN_T + ph + 16),
         (x1, "middle", px(x1), _MARGIN_T + ph + 16),

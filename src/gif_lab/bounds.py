@@ -43,14 +43,7 @@ __all__ = [
     "functional_constant",
 ]
 
-_CASES = {
-    "gaussian": "gaussian",
-    "gaussian-kappa": "gaussian",
-    "bounded-d": "bounded-d",
-    "mixture": "mixture",
-    "mixture-sigma-r": "mixture",
-    "log-lip": "log-lip",
-}
+_CASES = ("gaussian", "bounded-d", "mixture", "log-lip")
 
 
 def _opt_num(name, value, lo=None, allow_inf=False):
@@ -302,10 +295,6 @@ class ThetaProfile:
                 total += piece.integral(seg_lo, seg_hi)
         return total
 
-    @property
-    def total_integral(self) -> float:
-        return self.integral(self.lo, 1.0)
-
 
 def _snr_root(sched: Schedule, value: float) -> float:
     """Time where b^2/a^2 crosses value, by bisection on b^2 - value*a^2."""
@@ -358,10 +347,9 @@ def _t0_or_none(sched: Schedule, kappa: float) -> float | None:
 def theta_profile(profile: RegularityProfile, sched: Schedule, case: str,
                   t2: float | None = None) -> ThetaProfile:
     """Assemble the piecewise envelope for one of the four regularity cases."""
-    key = _CASES.get(str(case).strip().lower().replace("_", "-"))
-    if key is None:
-        raise InvalidParamError(
-            f"unknown case {case!r}; known: {sorted(set(_CASES.values()))}")
+    key = str(case).strip().lower().replace("_", "-")
+    if key not in _CASES:
+        raise InvalidParamError(f"unknown case {case!r}; known: {sorted(_CASES)}")
 
     if key == "gaussian":
         kappa = profile.require("kappa", key)
@@ -440,7 +428,7 @@ def endpoint_lipschitz(profile: RegularityProfile, sched: Schedule,
         raise InvalidParamError(f"direction must be forward or reverse, got {direction!r}")
     if case is None:
         case = "mixture" if profile.sigma is not None else "gaussian"
-    key = _CASES.get(str(case).strip().lower().replace("_", "-"))
+    key = str(case).strip().lower().replace("_", "-")
     if key not in ("gaussian", "mixture"):
         raise InvalidParamError(f"endpoint case must be gaussian or mixture, got {case!r}")
     a0, b0 = sched.a0, sched.b0

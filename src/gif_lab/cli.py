@@ -15,8 +15,8 @@ import numpy as np
 
 from .artifacts import repr_lines, write_table
 from .bounds import RegularityProfile, lipschitz_flow_map, theta_profile
-from .config import (config_value, experiment_from_config, load_config, schedule_from_config,
-                     target_from_config)
+from .config import (_check_keys, config_value, experiment_from_config, load_config,
+                     schedule_from_config, target_from_config)
 from .errors import (
     DegenerateInputError,
     DegenerateTimeError,
@@ -169,6 +169,7 @@ def cmd_bounds(out, no_timestamp, family, sigma_max,
 def cmd_sample(out, no_timestamp, seed, config_path, n) -> int:
     """Draw target samples defined by a config file."""
     cfg = load_config(config_path)
+    _check_keys(cfg)
     target = target_from_config(cfg)
     count = n if n is not None else config_value(cfg, "n", 1024)
     seed_val = seed if seed is not None else config_value(cfg, "seed", 0)
@@ -193,6 +194,7 @@ def cmd_flow(out, no_timestamp, steps, config_path, x_text,
              t_from, t_to, direction, jacobian, logdensity) -> int:
     """Integrate one point and emit the trajectory as CSV."""
     cfg = load_config(config_path)
+    _check_keys(cfg)
     target = target_from_config(cfg)
     sched = schedule_from_config(cfg, default="linear")
     try:

@@ -156,15 +156,16 @@ _KNOWN_KEYS = (
 )
 
 
-def experiment_from_config(cfg: dict, **overrides) -> ExperimentConfig:
-    """Assemble an ExperimentConfig; keyword overrides beat config values.
-
-    Unknown keys are rejected so typos fail loudly instead of silently
-    running with defaults.
-    """
+def _check_keys(cfg: dict) -> None:
+    """Reject unknown keys, so a typo fails instead of running with a default."""
     unknown = sorted(set(cfg) - _KNOWN_KEYS)
     if unknown:
         raise InvalidParamError(f"unknown config keys: {', '.join(unknown)}")
+
+
+def experiment_from_config(cfg: dict, **overrides) -> ExperimentConfig:
+    """Assemble an ExperimentConfig; keyword overrides beat config values."""
+    _check_keys(cfg)
     kwargs: dict = {
         "target": target_from_config(cfg),
         "sched": schedule_from_config(cfg, default="linear"),

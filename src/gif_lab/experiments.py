@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -182,12 +182,10 @@ class ExperimentResult:
                         timestamp)
         return paths
 
-    def write_svg(self, out_dir, x_col: str, y_col: str,
-                  title: Optional[str] = None) -> Path:
+    def write_svg(self, out_dir, x_col: str, y_col: str) -> Path:
         path = Path(out_dir) / f"{self.name}.svg"
         xy_plot(path, self.column(x_col), self.column(y_col),
-                title=title if title is not None else self.name,
-                x_label=x_col, y_label=y_col)
+                title=self.name, x_label=x_col, y_label=y_col)
         return path
 
 

@@ -14,6 +14,17 @@ Schedules supply the products a da and b db directly, so the coefficients
 never divide by a_t or b_t and are finite on the whole of [0, 1]: at t = 0
 where b_0 may vanish, and at t = 1 where a_1 = 0 and Follmer's da diverges.
 
+On 0 < t < 1 the time derivative is one formula on the same coefficients:
+
+    d/dt v      = alpha' x + beta' mu_bar + beta d/dt mu_bar
+    alpha'      = (d(a da) + sigma^2 d(b db)) / c^2 - 2 alpha^2
+    beta'       = (a da db + a^2 d2b - d(a da) b) / c^2 - 2 alpha beta
+    d/dt mu_bar = spread(mu) ((beta - b alpha) / c^2 x - 2 gamma mu_bar) - gamma k3
+
+with gamma = b beta / c^2, d(a da) = da^2 + a d2a, d(b db) = db^2 + b d2b
+and k3 the third central moment of the component means; it uses
+(c^2)' = 2 alpha c^2, (b / c^2)' = (beta - b alpha) / c^2, (b^2 / c^2)' = 2 gamma.
+
 An integrator call evaluates these coefficients once, vectorised over the
 2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table;
 reverse runs store them sign-flipped.  This table is the only source of
@@ -46,7 +57,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .schedules import Schedule
-from .targets import Target, _as_batch, _stats, posterior_moments
+from .targets import Target, _as_batch, _stats, _third_moment
 
 __all__ = [
     "FlowContext",
@@ -151,26 +162,26 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
 
 
 def velocity_dt(ctx: FlowContext, t: float, x):
-    """Partial time derivative of the velocity, valid on the open interval.
+    """Partial time derivative of the velocity (module docstring).
 
-    Uses the closed-form posterior moments; requires 0 < t < 1 (and within
-    the early-stop horizon) since the coefficients divide by a_t and b_t.
+    Requires 0 < t < 1 (and within the early-stop horizon): the formula
+    needs the schedule's second derivatives, which may diverge at an
+    endpoint, as Follmer's d2a does at t = 1.
     """
-    t = float(t)
-    if not (0.0 < t < 1.0):
+    t = _check_flow_time(ctx, t)
+    if not 0.0 < t < 1.0:
         raise OutOfRangeError(f"velocity_dt needs t in (0, 1), got {t!r}")
-    _check_flow_time(ctx, t)
-    xb, single = _as_batch(ctx.target, x)
-    p = ctx.sched.eval(t)
-    a, b, da, db, d2a, d2b = p.a, p.b, p.da, p.db, p.d2a, p.d2b
-    ra, rb = da / a, db / b
-    M1, M2, M2c, M3 = posterior_moments(ctx.target, ctx.sched, t, xb)
-    q1 = d2a / a - ra ** 2
-    q2 = (a ** 2 * (d2b / b) - da * a * rb - d2a * a + da ** 2) * (b / a ** 2)
-    q3 = (b ** 2 / a ** 2) * (rb - ra) * (rb - 2.0 * ra)
-    q4 = (b ** 3 / a ** 2) * (rb - ra) ** 2
-    out = (q1 * xb + q2 * M1 + q3 * np.einsum("nij,nj->ni", M2c, xb)
-           - q4 * (M3 - M2[:, None] * M1))
+    target = ctx.target
+    xb, single = _as_batch(target, x)
+    b, c2, alpha, beta, gamma = (float(col[0]) for col in _table(ctx, np.array([t])))
+    p, s2 = ctx.sched.eval(t), target.sigma ** 2
+    d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
+    dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
+    dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
+    resp, mu_bar, spread = _stats(target, b, c2, xb, True)
+    pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
+    dmu = np.einsum("nij,nj->ni", spread, pull) - gamma * _third_moment(target, resp, mu_bar)
+    out = dalpha * xb + dbeta * mu_bar + beta * dmu
     return out[0] if single else out
 
 

@@ -21,7 +21,7 @@ last bit, and then the particle would not match its stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -361,9 +361,6 @@ class FitReport:
     intercept: float
     r_squared: float
     n: int
-
-    def predict(self, xs) -> np.ndarray:
-        return self.slope * np.asarray(xs, dtype=float) + self.intercept
 
 
 def linear_fit(xs, ys) -> FitReport:

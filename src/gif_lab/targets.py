@@ -369,6 +369,13 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: boo
     return resp, mu_bar, spread
 
 
+def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
+    """Third central moment of the component means, sum_j r_j c_j |c_j|^2
+    with c_j = mu_j - mu_bar, (n, d); centred like _stats' spread."""
+    centered = target.means[None, :, :] - mu_bar[:, None, :]
+    return np.einsum("nk,nkd,nk->nd", resp, centered, np.sum(centered * centered, axis=2))
+
+
 def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
@@ -379,8 +386,7 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
     comp_var = target.sigma ** 2 * p.a ** 2 / c2
     if single:
-        return Posterior(t=float(t), resp=resp[0], comp_means=comp_means[0],
-                         comp_var=comp_var)
+        resp, comp_means = resp[0], comp_means[0]
     return Posterior(t=float(t), resp=resp, comp_means=comp_means, comp_var=comp_var)
 
 
@@ -441,21 +447,22 @@ def posterior_moments(target: Target, sched: Schedule, t: float, x):
     """First three posterior moments of X1 given X_t = x.
 
     Returns (M1, M2, M2c, M3): the mean vector, the scalar second moment
-    E||X1||^2, the covariance matrix, and the vector E[||X1||^2 X1], each
-    in closed form per mixture component.  Batch shapes (n,d), (n,),
-    (n,d,d), (n,d).
+    E||X1||^2, the covariance matrix, and the vector E[||X1||^2 X1].
+    Batch shapes (n,d), (n,), (n,d,d), (n,d).  One kernel call gives M1
+    and M2c as the denoiser and cond_cov expressions, M2 = |M1|^2 + tr M2c,
+    and M3 from them plus the third central moment of the component means.
     """
     xb, single = _as_batch(target, x)
-    post = posterior(target, sched, t, xb)
-    resp, m, s2 = post.resp, post.comp_means, post.comp_var
-    d = target.dim
-    msq = np.einsum("nkd,nkd->nk", m, m)
-    M1 = np.einsum("nk,nkd->nd", resp, m)
-    M2 = np.einsum("nk,nk->n", resp, msq + d * s2)
-    centered = m - M1[:, None, :]
-    M2c = np.einsum("nk,nki,nkj->nij", resp, centered, centered) \
-        + s2 * np.eye(d)[None, :, :]
-    M3 = np.einsum("nk,nkd->nd", resp, m * (msq + (d + 2) * s2)[:, :, None])
+    p, c2 = _coeffs(target, sched, t)
+    resp, mu_bar, spread = _stats(target, p.b, c2, xb, True)
+    shrink = p.a ** 2 / c2
+    s2 = target.sigma ** 2 * shrink
+    M1 = shrink * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
+    C = shrink ** 2 * spread
+    M2c = C + s2 * np.eye(target.dim)[None, :, :]
+    M2 = np.sum(M1 * M1, axis=1) + np.trace(M2c, axis1=1, axis2=2)
+    M3 = ((M2 + 2.0 * s2)[:, None] * M1 + 2.0 * np.einsum("nij,nj->ni", C, M1)
+          + shrink ** 3 * _third_moment(target, resp, mu_bar))
     if single:
         return M1[0], float(M2[0]), M2c[0], M3[0]
     return M1, M2, M2c, M3

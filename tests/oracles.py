@@ -6,9 +6,10 @@ quadrature instead of log-sum-exp identities, brute force instead of the
 Hungarian method, the affine Gaussian transport law instead of RK4, a plain
 RK4 loop on the public velocity at physical stage times instead of the
 engine's coefficient table, one numpy Philox generator per particle with a
-scalar polar loop instead of the vectorised Philox4x64-10 draw, and
+scalar polar loop instead of the vectorised Philox4x64-10 draw,
 full-distance log-densities in 30-digit decimal arithmetic instead of the
-GEMM posterior kernel.
+GEMM posterior kernel, and per-component posterior moments summed over
+the responsibilities instead of central-moment identities.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from gif_lab.metrics import keyed_generator
+from gif_lab.targets import posterior
 
 # stream domains of the per-particle sampling contract
 TARGET_DOMAIN, SOURCE_DOMAIN, PROJ_DOMAIN = 1, 2, 3
@@ -140,6 +142,28 @@ def mixture_posterior_decimal(weights, means, sigma: float, a: float, b: float, 
                 for rj, mu in zip(r, mus))))
             log_dens.append(float(top + total.ln() - log_norm_const))
     return np.array(resp), np.array(mean), np.array(spread_tr), np.array(log_dens)
+
+
+def posterior_moments_einsum(target, sched, t: float, xb: np.ndarray):
+    """Posterior moments (M1, M2, M2c, M3) of a batch, per mixture component.
+
+    Builds every shrunk component mean m_j = (a^2 mu_j + sigma^2 b x) / c^2
+    as an (n, k, d) array and sums the per-component Gaussian moments
+    E|X|^2 = |m_j|^2 + d s2 and E[|X|^2 X] = m_j (|m_j|^2 + (d + 2) s2)
+    over the responsibilities, instead of the library's central-moment
+    identities on the posterior kernel's mu_bar and spread.
+    """
+    post = posterior(target, sched, t, xb)
+    resp, m, s2 = post.resp, post.comp_means, post.comp_var
+    d = target.dim
+    msq = np.einsum("nkd,nkd->nk", m, m)
+    M1 = np.einsum("nk,nkd->nd", resp, m)
+    M2 = np.einsum("nk,nk->n", resp, msq + d * s2)
+    centered = m - M1[:, None, :]
+    M2c = np.einsum("nk,nki,nkj->nij", resp, centered, centered) \
+        + s2 * np.eye(d)[None, :, :]
+    M3 = np.einsum("nk,nkd->nd", resp, m * (msq + (d + 2) * s2)[:, :, None])
+    return M1, M2, M2c, M3
 
 
 def noisy_rk4(field, x0, t_end: float, steps: int, eps: float, seed: int,

@@ -286,6 +286,16 @@ class TestConfigValues:
         assert captured.out == ""
         assert f"config key '{key}'" in captured.err
 
+    @pytest.mark.parametrize("command", ["sample", "flow", "stability-source"])
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(_GAUSS_SWEEP + "stpes = 8\n")
+        extra = ["--x", "0.0,0.0"] if command == "flow" else []
+        assert dispatch([command, "--config", str(cfg), "--no-timestamp"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config keys: stpes" in captured.err
+
 
 class TestOptions:
     @pytest.mark.parametrize("command, option", [

@@ -15,6 +15,7 @@ from gif_lab.errors import (
     OutOfRangeError,
     SizeMismatchError,
 )
+from gif_lab.experiments import moderate_gmm4
 from gif_lab.flow import (
     FlowContext,
     Trajectory,
@@ -226,6 +227,27 @@ class TestVelocityDt:
                     for i in range(2)
                 ])
                 assert got == pytest.approx(fd, abs=2e-5, rel=2e-5)
+
+    @pytest.mark.parametrize("sched", [
+        LinearSchedule(), TrigSchedule(), FollmerSchedule(), VPSchedule(alpha0=0.8, p=2.0),
+        VPSchedule(alpha0=0.9, p=1.0), VESchedule(sigma_max=2.0),
+        ShiftedLinearSchedule(zeta=0.2)], ids=lambda s: s.describe())
+    def test_matches_richardson_fd_near_one(self, sched):
+        # a step h = 1e-4 (1 - t) keeps the stencil inside (0, 1); the
+        # Richardson combination cancels the h^2 error of central differences
+        rng = np.random.default_rng(71)
+        for target in (_gmm8(), moderate_gmm4(), gaussian_target(mean=[0.4, -0.2], var=0.49)):
+            ctx = FlowContext(sched=sched, target=target)
+            for t in (0.99, 0.999, 0.9999):
+                x, h = 2.0 * rng.normal(size=(4, 2)), 1e-4 * (1.0 - t)
+
+                def cd(h):
+                    return (velocity(ctx, t + h, x) - velocity(ctx, t - h, x)) / (2.0 * h)
+
+                ref = (4.0 * cd(0.5 * h) - cd(h)) / 3.0
+                err = np.max(np.abs(velocity_dt(ctx, t, x) - ref), axis=1)
+                tol = 1e-6 * np.maximum(1.0, np.max(np.abs(ref), axis=1))
+                assert np.all(err <= tol), (target.n_components, t, err / tol)
 
     def test_rejects_endpoints(self, gmm2_ctx):
         for t in [0.0, 1.0]:

@@ -32,7 +32,8 @@ from gif_lab.targets import (
     score,
 )
 
-from oracles import grad_fd, jacobian_fd, mixture_logpdf_quad, mixture_posterior_decimal
+from oracles import (grad_fd, jacobian_fd, mixture_logpdf_quad, mixture_posterior_decimal,
+                     posterior_moments_einsum)
 
 
 @pytest.fixture
@@ -380,6 +381,21 @@ def _kernel_cases():
         ("cloud-1024", point_cloud_target(cloud, 0.05), pts_cloud),
         ("gaussian", gaussian_target([3.0, -4.0], 0.01), 20.0 * rng.normal(size=(20, 2))),
     ]
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("sched", [LinearSchedule(), FollmerSchedule(), TrigSchedule()],
+                         ids=lambda s: s.describe())
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 0.99, 1.0])
+def test_moments_match_component_oracle(case, sched, t):
+    """posterior_moments against per-component sums, and its M1 and M2c are
+    the denoiser and cond_cov values bit for bit."""
+    _, target, x = case
+    got = posterior_moments(target, sched, t, x)
+    for value, ref in zip(got, posterior_moments_einsum(target, sched, t, x)):
+        assert np.all(np.abs(value - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(got[0], denoiser(target, sched, t, x))
+    assert np.array_equal(got[2], cond_cov(target, sched, t, x))
 
 
 class TestKernelAgainstDecimalOracle:
