@@ -373,21 +373,20 @@ def _round_trip_rows(cfg: ExperimentConfig, trip) -> ExperimentResult:
     started = time.perf_counter()
     steps_list = cfg.steps_grid if cfg.steps_grid is not None else (cfg.steps,)
     x = sample_target(cfg.target, cfg.n, _subseed(cfg.seed, 0)).points
-    rows = []
-    errors = None
-    for s in steps_list:
-        out = trip(x, int(s))
-        errors = np.linalg.norm(out - x, axis=1)
-        rows.append((float(s),
-                     float(np.median(errors)),
-                     float(np.quantile(errors, 0.9)),
-                     float(np.max(errors))))
-    rows = np.array(rows)
+
+    def one(j: int):
+        errors = np.linalg.norm(trip(x, int(steps_list[j])) - x, axis=1)
+        row = (float(steps_list[j]), float(np.median(errors)),
+               float(np.quantile(errors, 0.9)), float(np.max(errors)))
+        return row, errors
+
+    measured = _map_indexed(one, len(steps_list), cfg.threads)
+    rows = np.array([m[0] for m in measured])
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult(trip.__name__.strip("_"),
                             ("steps", "median_err", "p90_err", "max_err"),
                             rows, fit,
-                            _meta(cfg, started, len(steps_list), errors=errors))
+                            _meta(cfg, started, len(steps_list), errors=measured[-1][1]))
 
 
 def run_autoencode(cfg: ExperimentConfig) -> ExperimentResult:
@@ -458,17 +457,23 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
-                 steps: int) -> float:
+                 steps: int) -> tuple:
     """Max-norm gap between the flow difference and its integral form.
 
     The integral over s of J_{s->1}(Y_s) (-delta) is evaluated by composite
     Simpson quadrature with nodes on the step grid.  One engine run on a
     shared coefficient table carries the perturbed path Y (velocity plus
     delta) together with one block per node: block j joins at node j with
-    the state Y there and the identity Jacobian, then follows the
-    unperturbed flow to the end.  Block 0 joins at t = 0 with Y_0 = x0, so
-    its final state is the clean flow's.  The block rows are preallocated;
-    between two nodes only the blocks that have joined advance.
+    the state Y there and the tangent u = -delta / |delta|, then follows the
+    unperturbed flow to the end, so it carries J.u, never J.  The tangent
+    equation is linear, so |delta| J.u is the integrand; starting from the
+    unit direction keeps the tangent finite where -delta itself would
+    overflow.  Block 0 joins at t = 0 with Y_0 = x0, so its final state is
+    the clean flow's.  The block rows are preallocated; between two nodes
+    only the blocks that have joined advance.
+
+    Returns the residual, the number of rate evaluations and the number of
+    rows they advanced in total.
     """
     panels = max(4, steps // 8)
     spacing, rem = divmod(steps, 2 * panels)
@@ -480,25 +485,29 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     n_nodes = 2 * panels + 1
     clock = _stage_times(0.0, t_end, steps)
     tab, target = _table(ctx, clock), ctx.target
+    dnorm = math.hypot(*delta)
+    work = [0, 0]  # rate calls, rows advanced
 
     def rate(k, state):
-        v, dJ = _rates(target, tab, k, state)
+        work[0] += 1
+        work[1] += state[0].shape[0]
+        v, dw = _rates(target, tab, k, state)
         v[:n] += delta
-        return v, dJ
+        return v, dw
 
     # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
     xs = np.empty((n_nodes * n, d))
-    js = np.tile(np.eye(d), (n_nodes * n, 1, 1))
+    ws = np.tile(-delta / dnorm if dnorm > 0.0 else np.zeros(d), (n_nodes * n, 1))
     xs[:n] = x0
     for j in range(n_nodes - 1):
         m = (j + 2) * n
         xs[m - n:m] = xs[:n]
-        xs[:m], js[:m] = _rk4(rate, (xs[:m], js[:m]), clock,
+        xs[:m], ws[:m] = _rk4(rate, (xs[:m], ws[:m]), clock,
                               range(j * spacing, (j + 1) * spacing))[-1]
     lhs = xs[n:2 * n] - xs[:n]
 
-    # the last node's Jacobian is the identity, so its integrand is -delta
-    integrand = (js[n:] @ -delta).reshape(n_nodes - 1, n * d)
+    # the last node's tangent is u itself, so its integrand is -delta
+    integrand = (dnorm * ws[n:]).reshape(n_nodes - 1, n * d)
     weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -509,7 +518,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
         raise NonFiniteError(
             f"flow-difference residual is not finite at steps={steps}: the "
             f"quadrature or the gap overflows for max |delta_i| = {np.max(np.abs(delta)):.3g}")
-    return float(np.max(gap))
+    return float(np.max(gap)), work[0], work[1]
 
 
 def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
@@ -520,12 +529,17 @@ def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
     ctx = FlowContext(sched=cfg.sched, target=cfg.target, early_stop=cfg.early_stop)
     x0 = sample_source(cfg.target, cfg.sched, cfg.n, _subseed(cfg.seed, 0)).points
     dnorm = math.hypot(*delta)
-    rows = []
-    for s in steps_list:
-        resid = _ag_residual(ctx, x0, delta, int(s))
-        rows.append((float(s), resid, resid / dnorm if dnorm > 0.0 else resid))
-    rows = np.array(rows)
+
+    def one(j: int):
+        resid, calls, row_stages = _ag_residual(ctx, x0, delta, int(steps_list[j]))
+        row = (float(steps_list[j]), resid, resid / dnorm if dnorm > 0.0 else resid)
+        return row, calls, row_stages
+
+    measured = _map_indexed(one, len(steps_list), cfg.threads)
+    rows = np.array([m[0] for m in measured])
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult("ag-check", ("steps", "max_residual", "rel_residual"),
                             rows, fit,
-                            _meta(cfg, started, len(steps_list), delta_norm=dnorm))
+                            _meta(cfg, started, len(steps_list), delta_norm=dnorm,
+                                  rate_calls=sum(m[1] for m in measured),
+                                  row_stages=sum(m[2] for m in measured)))

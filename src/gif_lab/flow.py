@@ -29,10 +29,17 @@ An integrator call evaluates these coefficients once, vectorised over the
 2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table;
 reverse runs store them sign-flipped.  This table is the only source of
 rates: no integrator takes a user-supplied field.  One RK4 loop, _rk4, then
-advances a tuple state: the particles, optionally with their flow-map
-Jacobian and log-density, and checks every component for finiteness after
-every step.  Callers that perturb the flow, such as the flow-difference
-check and the velocity-noise sweep, wrap _rates on a table of their own.
+advances a tuple state and checks every component for finiteness after
+every step.  The state is the particles, optionally with either one
+tangent per particle or their flow-map Jacobian (and log-density):
+
+    d(J u)/dt = grad v . (J u),   dJ/dt = grad v . J,   dl/dt = -tr grad v.
+
+A tangent needs only spread(mu) w = sum_j r_j c_j (c_j . w), never the
+(n, d, d) spread, so a caller that wants J u for one direction u carries
+that (n, d) product instead of J.  Callers that perturb the flow, such as
+the flow-difference check and the velocity-noise sweep, wrap _rates on a
+table of their own.
 
 States are batched: a point is (d,), a cloud is (n, d); all integrators
 advance whole clouds per step.  Reverse-time transport solves
@@ -57,7 +64,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .schedules import Schedule
-from .targets import Target, _as_batch, _stats, _third_moment
+from .targets import Target, _as_batch, _spread_apply, _stats, _third_moment
 
 __all__ = [
     "FlowContext",
@@ -127,16 +134,28 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
 
 
 def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
-    """Rates of the state (x,), (x, J) or (x, J, logdens) at table entry k.
+    """Rates of the state (x,), (x, w), (x, J) or (x, J, logdens) at entry k.
 
-    dJ = grad v . J and dl = -tr grad v, without forming grad v.
+    A tangent w is (n, d), a Jacobian J is (n, d, d): dw = grad v . w,
+    dJ = grad v . J and dl = -tr grad v, without forming grad v.  A
+    one-component target has zero spread, so there grad v = alpha I.
     """
     x, alpha = state[0], tab.alpha[k]
-    _, mu_bar, spread = _stats(target, tab.b[k], tab.c2[k], x, len(state) > 1)
+    if target.n_components == 1:
+        rates = (alpha * x + tab.beta[k] * target.means[0],)
+        if len(state) > 1:
+            rates += (alpha * state[1],)
+        if len(state) > 2:
+            rates += (-(target.dim * alpha),)
+        return rates
+    jac = len(state) > 1 and state[1].ndim == 3
+    resp, mu_bar, spread = _stats(target, tab.b[k], tab.c2[k], x, jac)
     v = alpha * x + tab.beta[k] * mu_bar
     if len(state) == 1:
         return (v,)
     gamma = tab.gamma[k]
+    if not jac:
+        return v, alpha * state[1] + gamma * _spread_apply(target, resp, mu_bar, state[1])
     rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
     if len(state) == 2:
         return rates
@@ -156,7 +175,8 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
     """Space Jacobian of the velocity, (d, d) per point, symmetric."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    eye = np.eye(ctx.target.dim)
+    n, d = xb.shape
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
     _, out = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb, eye))
     return out[0] if single else out
 
@@ -178,9 +198,9 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
-    resp, mu_bar, spread = _stats(target, b, c2, xb, True)
+    resp, mu_bar, _ = _stats(target, b, c2, xb, False)
     pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
-    dmu = np.einsum("nij,nj->ni", spread, pull) - gamma * _third_moment(target, resp, mu_bar)
+    dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
     out = dalpha * xb + dbeta * mu_bar + beta * dmu
     return out[0] if single else out
 

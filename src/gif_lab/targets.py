@@ -348,9 +348,11 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: boo
     an integrator can read them from a table built once per call.  The
     responsibilities come from _resp's GEMM logits, in which the
     -|x|^2 / (2 c^2) term of the Gaussian log-densities drops out because
-    it is shared by all components.  The one-component shortcut and the
-    skippable spread matter: RK4 calls this four times per step on small
-    batches, where fixed numpy overhead dominates.
+    it is shared by all components.  The skippable spread matters: RK4
+    calls this four times per step on small batches, where fixed numpy
+    overhead dominates.  The flow's rates never call it for one component,
+    whose spread is zero; the zero spread here serves the public posterior
+    functions.
     """
     if target.n_components == 1:
         n = xb.shape[0]
@@ -367,6 +369,18 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: boo
     centered = target.means[None, :, :] - mu_bar[:, None, :]
     spread = (centered * resp[:, :, None]).transpose(0, 2, 1) @ centered
     return resp, mu_bar, spread
+
+
+def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (n, d).
+
+    The product of _stats' spread with one vector per point, without
+    forming the (n, d, d) spread; centred like it.
+    """
+    centered = target.means[None, :, :] - mu_bar[:, None, :]
+    rc = resp * np.einsum("nkd,nd->nk", centered, w)
+    return np.einsum("nk,nkd->nd", rc, centered)
 
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ RK4 loop on the public velocity at physical stage times instead of the
 engine's coefficient table, one numpy Philox generator per particle with a
 scalar polar loop instead of the vectorised Philox4x64-10 draw,
 full-distance log-densities in 30-digit decimal arithmetic instead of the
-GEMM posterior kernel, and per-component posterior moments summed over
-the responsibilities instead of central-moment identities.
+GEMM posterior kernel, per-component posterior moments summed over
+the responsibilities instead of central-moment identities, and the full
+flow-map Jacobian per quadrature block instead of its product with one
+tangent direction.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import numpy as np
 from scipy.integrate import trapezoid
 
+from gif_lab.flow import _rates, _rk4, _stage_times, _table
 from gif_lab.metrics import keyed_generator
 from gif_lab.targets import posterior
 
@@ -274,3 +277,48 @@ def sliced_w2(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> 
         gap = np.sort(pa @ u) - np.sort(pb @ u)
         total += float(np.mean(gap * gap))
     return math.sqrt(total / n_projections)
+
+
+def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> float:
+    """Flow-difference residual with the full flow-map Jacobian per block.
+
+    Same Simpson nodes and perturbed path Y as experiments._ag_residual,
+    but block j carries the (d, d) Jacobian J_{s_j->1}, advanced by
+    dJ = grad v . J from the identity, and the integrand is J (-delta)
+    instead of |delta| times the transported unit tangent.
+    """
+    panels = max(4, steps // 8)
+    spacing, rem = divmod(steps, 2 * panels)
+    if rem != 0 or spacing < 1:
+        raise ValueError(
+            f"steps={steps} is not a multiple of the quadrature node spacing")
+    t_end = ctx.t_max
+    n, d = x0.shape
+    n_nodes = 2 * panels + 1
+    clock = _stage_times(0.0, t_end, steps)
+    tab, target = _table(ctx, clock), ctx.target
+
+    def rate(k, state):
+        v, dJ = _rates(target, tab, k, state)
+        v[:n] += delta
+        return v, dJ
+
+    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
+    xs = np.empty((n_nodes * n, d))
+    js = np.tile(np.eye(d), (n_nodes * n, 1, 1))
+    xs[:n] = x0
+    for j in range(n_nodes - 1):
+        m = (j + 2) * n
+        xs[m - n:m] = xs[:n]
+        xs[:m], js[:m] = _rk4(rate, (xs[:m], js[:m]), clock,
+                              range(j * spacing, (j + 1) * spacing))[-1]
+    lhs = xs[n:2 * n] - xs[:n]
+
+    # the last node's Jacobian is the identity, so its integrand is -delta
+    integrand = (js[n:] @ -delta).reshape(n_nodes - 1, n * d)
+    weights = np.ones(n_nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= t_end / (n_nodes - 1) / 3.0
+    rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))

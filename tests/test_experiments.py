@@ -30,7 +30,7 @@ from gif_lab.metrics import NOISE_DOMAIN, sample_source, w2
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule, VPSchedule
 from gif_lab.targets import gaussian_target, mixture_target
 
-from oracles import noisy_rk4
+from oracles import ag_residual_jacobian, noisy_rk4
 
 
 @pytest.fixture
@@ -220,6 +220,14 @@ class TestAutoencode:
         assert errs.shape == (32,)
         assert np.median(errs) == pytest.approx(res.rows[0, 1])
 
+    def test_thread_count_invariant(self, gmm4):
+        base = dict(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=2,
+                    steps_grid=(8, 16, 32))
+        r1 = run_autoencode(ExperimentConfig(**base, threads=1))
+        r2 = run_autoencode(ExperimentConfig(**base, threads=2))
+        assert np.array_equal(r1.rows, r2.rows)
+        assert np.array_equal(r1.meta["errors"], r2.meta["errors"])
+
 
 class TestCycle:
     def test_follmer_two_standard_gaussians(self):
@@ -250,6 +258,14 @@ class TestCycle:
         cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=16, steps=32)
         with pytest.raises(MissingFieldError):
             run_cycle(cfg)
+
+    def test_thread_count_invariant(self, gmm4):
+        base = dict(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=3,
+                    steps_grid=(8, 16), target2=gaussian_target(mean=[0.0, 0.0], var=1.0))
+        r1 = run_cycle(ExperimentConfig(**base, threads=1))
+        r2 = run_cycle(ExperimentConfig(**base, threads=2))
+        assert np.array_equal(r1.rows, r2.rows)
+        assert np.array_equal(r1.meta["errors"], r2.meta["errors"])
 
 
 class TestJacobianEnvelope:
@@ -372,6 +388,45 @@ class TestAgCheck:
                                n=2, steps=64)
         with pytest.raises(MissingFieldError):
             run_ag_check(cfg)
+
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(), FollmerSchedule(),
+                                       VPSchedule()], ids=lambda s: s.describe())
+    @pytest.mark.parametrize("target", [
+        gaussian_target(mean=(0.2, -0.1), var=1.0),
+        mixture_target(weights=(0.5, 0.5), means=((-1.0, 0.0), (1.0, 0.5)), sigma=0.6),
+        moderate_gmm4(), paper_gmm8()], ids=["gaussian", "gmm2", "gmm4", "gmm8"])
+    def test_tangent_route_matches_jacobian_oracle(self, target, sched):
+        # blocks carry J.u for the unit u = -delta / |delta|; the oracle
+        # carries the full Jacobian and applies it to -delta at the end
+        delta = np.array([0.05, -0.02])
+        cfg = ExperimentConfig(target=target, sched=sched, n=5, seed=3,
+                               delta=tuple(delta), steps_grid=(16, 64, 256))
+        res = run_ag_check(cfg)
+        ctx = FlowContext(sched=sched, target=target)
+        x0 = sample_source(target, sched, 5, _subseed(3, 0)).points
+        for steps, rel in zip(cfg.steps_grid, res.column("rel_residual")):
+            ref = ag_residual_jacobian(ctx, x0, delta, steps) / np.linalg.norm(delta)
+            assert abs(rel - ref) <= 1e-9 * abs(ref) + 1e-14, (steps, rel, ref)
+
+    def test_meta_counts_rate_work(self, small_gauss):
+        # 4 rate calls per step; 64 and 128 steps make 8 and 16 panels of
+        # 2 * 4 steps, and between nodes j and j + 1 the path and j + 1
+        # blocks, (j + 2) * n rows, advance
+        cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(), n=3,
+                               seed=1, delta=(0.1, 0.0), steps_grid=(64, 128))
+        meta = run_ag_check(cfg).meta
+        assert meta["rate_calls"] == 4 * (64 + 128)
+        assert meta["row_stages"] == sum(4 * 4 * 3 * sum(range(2, 2 * panels + 2))
+                                         for panels in (8, 16))
+
+    def test_thread_count_invariant(self):
+        base = dict(target=moderate_gmm4(), sched=LinearSchedule(), n=4, seed=5,
+                    delta=(0.05, -0.02), steps_grid=(32, 64, 128))
+        r1 = run_ag_check(ExperimentConfig(**base, threads=1))
+        r2 = run_ag_check(ExperimentConfig(**base, threads=2))
+        assert np.array_equal(r1.rows, r2.rows)
+        for key in ("rate_calls", "row_stages"):
+            assert r1.meta[key] == r2.meta[key]
 
 
 class TestResultArtifacts:

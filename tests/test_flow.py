@@ -172,6 +172,30 @@ class TestEngineTable:
             assert _close(dj, want_g, 1e-12), t
             assert _close(dl, -np.trace(want_g, axis1=1, axis2=2), 1e-12), t
 
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("target", [
+        gaussian_target(mean=[0.3, -0.2], var=0.64),
+        mixture_target(weights=[0.3, 0.7], means=[[-2.0, 0.0], [2.0, 1.0]], sigma=0.5),
+        _gmm8()], ids=["k1", "k2", "k8"])
+    @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
+    def test_tangent_rate_is_jacobian_times_tangent(self, sched, target, direction):
+        # the (x, w) kind never forms grad v; it must still give grad v . w,
+        # and the same velocity as the (x,) kind bit for bit
+        ctx = FlowContext(sched=sched, target=target)
+        rng = np.random.default_rng(8)
+        x = np.concatenate([2.0 * rng.normal(size=(4, 2)), target.means[:2] + 0.1])
+        w = rng.normal(size=x.shape)
+        clock = _stage_times(0.0, 1.0, 8)
+        sign = -1.0 if direction == "reverse" else 1.0
+        t_phys = 1.0 - clock if direction == "reverse" else clock
+        assert {0.0, 1.0} <= set(t_phys.tolist())
+        tab = _table(ctx, t_phys, sign)
+        for k, t in enumerate(t_phys):
+            v, dw = _rates(target, tab, k, (x, w))
+            want = sign * np.einsum("nij,nj->ni", velocity_jacobian(ctx, t, x), w)
+            assert np.array_equal(v, _rates(target, tab, k, (x,))[0]), t
+            assert np.all(np.abs(dw - want) <= 1e-12 * np.max(np.abs(want))), t
+
     @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
                                         _gmm4()], ids=["gaussian", "gmm4"])
     @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())

@@ -19,6 +19,7 @@ from gif_lab.errors import (
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule
 from gif_lab.targets import (
     Target,
+    _spread_apply,
     cond_cov,
     denoiser,
     gaussian_target,
@@ -396,6 +397,20 @@ def test_moments_match_component_oracle(case, sched, t):
         assert np.all(np.abs(value - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     assert np.array_equal(got[0], denoiser(target, sched, t, x))
     assert np.array_equal(got[2], cond_cov(target, sched, t, x))
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.99, 1.0])
+def test_spread_apply_is_spread_times_vector(case, t):
+    """_spread_apply against the (n, d, d) spread of posterior_stats times w."""
+    _, target, x = case
+    resp, mu_bar, spread = posterior_stats(target, TrigSchedule(), t, x)
+    w = np.random.default_rng(607).normal(size=x.shape)
+    got = _spread_apply(target, resp, mu_bar, w)
+    ref = np.einsum("nij,nj->ni", spread, w)
+    # 1-norms: squaring the tiny spreads of one-hot rows would underflow
+    scale = np.abs(spread).sum(axis=(1, 2)) * np.abs(w).sum(axis=1)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale[:, None])
 
 
 class TestKernelAgainstDecimalOracle:
