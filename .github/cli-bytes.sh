@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Runs every gif-lab subcommand under --no-timestamp into the directory $1
+# (default cli-out) and prints the SHA-256 digest of every file written
+# there, one "digest  ./path" line each, sorted by path.  The steps-grid
+# runners and the velocity-noise sweep run a second time on a two-thread
+# pool, into "$1-threads2", and must write the same bytes as on one thread.
+# The digests are compared with the committed manifest:
+#
+#   bash .github/cli-bytes.sh cli-out > cli-bytes.actual
+#   diff .github/cli-bytes.sha256 cli-bytes.actual
+#
+# A change that alters output bytes on purpose regenerates the manifest
+# with the first line.
+set -euo pipefail
+out=${1:-cli-out}
+exec 3>&1 1>&2  # the commands' own output goes to stderr, the digests to stdout
+
+printf '%s\n' 'target = moderate-gmm4' 'schedule = linear' 'n = 128' 'steps = 16' \
+  'zeta_grid = (0.0, 0.2)' 'eps_grid = (0.5, 1.5)' 'steps_grid = (8, 16)' \
+  't_grid = (0.0, 0.5, 1.0)' 'delta = (0.1, 0.0)' \
+  'target2 = gaussian' 'mean2 = (0.0, 0.0)' 'var2 = 1.0' > cli-run.cfg
+gif-lab sample --config cli-run.cfg --n 512 --seed 3 --no-timestamp --out "$out/sample"
+gif-lab flow --config cli-run.cfg --x 0.3,-0.2 --jacobian --logdensity --no-timestamp --out "$out/flow"
+gif-lab bounds --schedule linear --case mixture --sigma 0.5 --r 2.0 --grid 9 --no-timestamp --out "$out/bounds"
+gif-lab validate-schedule --schedule vp --alpha0 0.02 --p 2.0 > "$out/validate-schedule.txt"
+for cmd in stability-source stability-velocity autoencode cycle jacobian-envelope ag-check; do
+  gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"
+done
+for cmd in ag-check autoencode cycle stability-velocity; do
+  gif-lab "$cmd" --config cli-run.cfg --threads 2 --no-timestamp --svg --out "$out-threads2/$cmd"
+  diff -r "$out/$cmd" "$out-threads2/$cmd"
+done
+
+cd "$out"
+find . -type f | LC_ALL=C sort | xargs sha256sum >&3

@@ -64,7 +64,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .schedules import Schedule
-from .targets import Target, _as_batch, _spread_apply, _stats, _third_moment
+from .targets import Target, _as_batch, _spread, _spread_apply, _stats, _third_moment
 
 __all__ = [
     "FlowContext",
@@ -148,14 +148,14 @@ def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
         if len(state) > 2:
             rates += (-(target.dim * alpha),)
         return rates
-    jac = len(state) > 1 and state[1].ndim == 3
-    resp, mu_bar, spread = _stats(target, tab.b[k], tab.c2[k], x, jac)
+    resp, mu_bar = _stats(target, tab.b[k], tab.c2[k], x)
     v = alpha * x + tab.beta[k] * mu_bar
     if len(state) == 1:
         return (v,)
     gamma = tab.gamma[k]
-    if not jac:
+    if state[1].ndim == 2:
         return v, alpha * state[1] + gamma * _spread_apply(target, resp, mu_bar, state[1])
+    spread = _spread(target, resp, mu_bar)
     rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
     if len(state) == 2:
         return rates
@@ -198,7 +198,7 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
-    resp, mu_bar, _ = _stats(target, b, c2, xb, False)
+    resp, mu_bar = _stats(target, b, c2, xb)
     pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
     dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
     out = dalpha * xb + dbeta * mu_bar + beta * dmu

@@ -7,7 +7,9 @@ products a_t*da_t and b_t*db_t.  The products matter: for some families
 (Follmer) the raw derivative diverges at t = 1 while the product stays
 finite, and downstream velocity formulas only ever need the products.
 
-All evaluators accept scalars or numpy arrays of times in [0, 1].
+The evaluators a, b, da_a, db_b and snr accept scalars or numpy arrays
+of times in [0, 1]; eval gives the weights and all four derivatives at
+one scalar time.
 """
 
 from __future__ import annotations
@@ -109,18 +111,6 @@ class Schedule:
 
     def b(self, t):
         return self._dispatch(self._b, t)
-
-    def da(self, t):
-        return self._dispatch(self._da, t)
-
-    def db(self, t):
-        return self._dispatch(self._db, t)
-
-    def d2a(self, t):
-        return self._dispatch(self._d2a, t)
-
-    def d2b(self, t):
-        return self._dispatch(self._d2b, t)
 
     def da_a(self, t):
         """The product da_t * a_t, finite on all of [0, 1]."""

@@ -341,42 +341,36 @@ def _resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
     return lg
 
 
-def _stats(target: Target, b: float, c2: float, xb: np.ndarray, want_spread: bool):
-    """Shared hot path: (resp, mu_bar, spread or None) at schedule values b, c^2.
+def _stats(target: Target, b: float, c2: float, xb: np.ndarray):
+    """Shared hot path: (resp, mu_bar) at schedule values b, c^2.
 
     Callers pass b_t and c_t^2 = a_t^2 + sigma^2 b_t^2 already checked, so
     an integrator can read them from a table built once per call.  The
     responsibilities come from _resp's GEMM logits, in which the
     -|x|^2 / (2 c^2) term of the Gaussian log-densities drops out because
-    it is shared by all components.  The skippable spread matters: RK4
-    calls this four times per step on small batches, where fixed numpy
-    overhead dominates.  The flow's rates never call it for one component,
-    whose spread is zero; the zero spread here serves the public posterior
-    functions.
+    it is shared by all components.  For one component the logits are all
+    zero, so resp is exactly 1 and mu_bar the component mean.
     """
-    if target.n_components == 1:
-        n = xb.shape[0]
-        resp = np.ones((n, 1))
-        mu_bar = np.broadcast_to(target.means[0], xb.shape).copy()
-        spread = np.zeros((n, target.dim, target.dim)) if want_spread else None
-        return resp, mu_bar, spread
     resp = _resp(target, b, c2, xb)
-    mu_bar = resp @ target.means
-    if not want_spread:
-        return resp, mu_bar, None
-    # centered form: each summand is PSD, so roundoff cannot push the
-    # spread's eigenvalues materially below zero even for far-out means
+    return resp, resp @ target.means
+
+
+def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted covariance of the component means, (n, d, d).
+
+    Centred form: each summand is PSD, so roundoff cannot push the
+    spread's eigenvalues materially below zero even for far-out means.
+    """
     centered = target.means[None, :, :] - mu_bar[:, None, :]
-    spread = (centered * resp[:, :, None]).transpose(0, 2, 1) @ centered
-    return resp, mu_bar, spread
+    return (centered * resp[:, :, None]).transpose(0, 2, 1) @ centered
 
 
 def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
     """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (n, d).
 
-    The product of _stats' spread with one vector per point, without
-    forming the (n, d, d) spread; centred like it.
+    The product of _spread with one vector per point, without forming the
+    (n, d, d) spread; centred like it.
     """
     centered = target.means[None, :, :] - mu_bar[:, None, :]
     rc = resp * np.einsum("nkd,nd->nk", centered, w)
@@ -385,7 +379,7 @@ def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     """Third central moment of the component means, sum_j r_j c_j |c_j|^2
-    with c_j = mu_j - mu_bar, (n, d); centred like _stats' spread."""
+    with c_j = mu_j - mu_bar, (n, d); centred like _spread."""
     centered = target.means[None, :, :] - mu_bar[:, None, :]
     return np.einsum("nk,nkd,nk->nd", resp, centered, np.sum(centered * centered, axis=2))
 
@@ -417,7 +411,7 @@ def denoiser(target: Target, sched: Schedule, t: float, x):
     """Posterior mean E[X1 | X_t = x]."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar, _ = _stats(target, p.b, c2, xb, False)
+    _, mu_bar = _stats(target, p.b, c2, xb)
     out = (p.a ** 2 / c2) * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
     return out[0] if single else out
 
@@ -426,7 +420,7 @@ def score(target: Target, sched: Schedule, t: float, x):
     """Gradient of the marginal log density, -(x - b_t mu_bar)/c_t^2."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar, _ = _stats(target, p.b, c2, xb, False)
+    _, mu_bar = _stats(target, p.b, c2, xb)
     out = -(xb - p.b * mu_bar) / c2
     return out[0] if single else out
 
@@ -440,7 +434,8 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar, mu_spread = _stats(target, p.b, c2, xb, True)
+    resp, mu_bar = _stats(target, p.b, c2, xb)
+    mu_spread = _spread(target, resp, mu_bar)
     if single:
         return resp[0], mu_bar[0], mu_spread[0]
     return resp, mu_bar, mu_spread
@@ -450,7 +445,7 @@ def cond_cov(target: Target, sched: Schedule, t: float, x):
     """Posterior covariance Cov(X1 | X_t = x), a (d, d) matrix per point."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, _, spread = _stats(target, p.b, c2, xb, True)
+    spread = _spread(target, *_stats(target, p.b, c2, xb))
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     out = shrink ** 2 * spread + s2 * np.eye(target.dim)[None, :, :]
@@ -468,7 +463,8 @@ def posterior_moments(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar, spread = _stats(target, p.b, c2, xb, True)
+    resp, mu_bar = _stats(target, p.b, c2, xb)
+    spread = _spread(target, resp, mu_bar)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     M1 = shrink * mu_bar + (target.sigma ** 2 * p.b / c2) * xb

@@ -11,7 +11,8 @@ full-distance log-densities in 30-digit decimal arithmetic instead of the
 GEMM posterior kernel, per-component posterior moments summed over
 the responsibilities instead of central-moment identities, and the full
 flow-map Jacobian per quadrature block instead of its product with one
-tangent direction.
+tangent direction, and one recorded engine pass per noise amplitude
+instead of all amplitudes as row blocks of a single pass.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import math
 import numpy as np
 from scipy.integrate import trapezoid
 
-from gif_lab.flow import _rates, _rk4, _stage_times, _table
-from gif_lab.metrics import keyed_generator
+from gif_lab.experiments import _cloud_w2, _subseed
+from gif_lab.flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
+                          velocity_jacobian)
+from gif_lab.metrics import NOISE_DOMAIN, keyed_generator, sample_source
 from gif_lab.targets import posterior
 
 # stream domains of the per-particle sampling contract
@@ -322,3 +325,56 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
     weights *= t_end / (n_nodes - 1) / 3.0
     rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
+
+
+def _spectral_sup(ctx, times, states, decimate: int) -> float:
+    """Max spectral norm of the velocity Jacobian over every decimate-th
+    recorded state, the last one included."""
+    idx = list(range(0, len(times), decimate))
+    if idx[-1] != len(times) - 1:
+        idx.append(len(times) - 1)
+    worst = 0.0
+    for i in idx:
+        jac = velocity_jacobian(ctx, float(times[i]), states[i])
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(jac)))))
+    return worst
+
+
+def velocity_perturbation_per_eps(cfg) -> np.ndarray:
+    """Rows of experiments.run_velocity_perturbation, one pass per amplitude.
+
+    The clean path is recorded by integrate, each eps gets its own recorded
+    engine pass with the same keyed noise stream restarted at evaluation 0,
+    and c3 is the larger of the two paths' Jacobian spectral suprema over
+    every (steps // 32)-th recorded state.
+    """
+    target, steps = cfg.target, cfg.steps
+    ctx = FlowContext(sched=cfg.sched, target=target, early_stop=cfg.early_stop)
+    src = sample_source(target, cfg.sched, cfg.n, _subseed(cfg.seed, 0)).points
+    base = integrate(ctx, src, 0.0, ctx.t_max, steps, record="all")
+    decimate = max(1, steps // 32)
+    base_sup = _spectral_sup(ctx, base.times, base.states, decimate)
+    clock = _stage_times(0.0, ctx.t_max, steps)
+    tab = _table(ctx, clock)
+    rows = []
+    for eps in cfg.eps_grid:
+        calls = itertools.count()
+
+        def rate(k, state):
+            (v,) = _rates(target, tab, k, state)
+            gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, next(calls))
+            return (v + eps * np.where(gen.random(size=v.shape) < 0.5, -1.0, 1.0),)
+
+        pert = np.stack([s[0] for s in _rk4(rate, (src,), clock, range(steps),
+                                            keep_all=True)])
+        c3 = max(base_sup, _spectral_sup(ctx, base.times, pert, decimate))
+        delta_v = target.dim * eps * eps
+        if 2.0 * c3 > 700.0:
+            factor = math.inf
+        elif c3 < 1e-12:
+            factor = 1.0
+        else:
+            factor = (math.exp(2.0 * c3) - 1.0) / (2.0 * c3)
+        rows.append((eps, delta_v, _cloud_w2(pert[-1], base.final_state) ** 2, c3,
+                     factor * delta_v if delta_v > 0.0 else 0.0))
+    return np.array(rows)

@@ -15,6 +15,7 @@ from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
+    _cloud_w2,
     _subseed,
     moderate_gmm4,
     paper_gmm8,
@@ -26,11 +27,12 @@ from gif_lab.experiments import (
     run_velocity_perturbation,
 )
 from gif_lab.flow import FlowContext, integrate, velocity
-from gif_lab.metrics import NOISE_DOMAIN, sample_source, w2
+from gif_lab.metrics import _W2_EXACT_CAP, NOISE_DOMAIN, sample_source, w2
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule, VPSchedule
 from gif_lab.targets import gaussian_target, mixture_target
 
-from oracles import ag_residual_jacobian, noisy_rk4
+from oracles import (ag_residual_jacobian, gaussian_cloud, noisy_rk4,
+                     velocity_perturbation_per_eps)
 
 
 @pytest.fixture
@@ -190,6 +192,32 @@ class TestVelocityPerturbation:
             pert = noisy_rk4(lambda t, x: velocity(ctx, t, x), x0, 1.0, cfg.steps, eps,
                              _subseed(cfg.seed, 1000), NOISE_DOMAIN)
             assert w2_sq == w2(pert, clean) ** 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("early_stop", [0.0, 0.05])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
+                                       VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
+                             ids=lambda s: s.family)
+    def test_matches_per_eps_oracle(self, gmm4, sched, early_stop, threads):
+        # every column, c3 and bound_rhs included, equals one recorded pass
+        # per eps; at steps = 100 the c3 stride is 3, so the last step is an
+        # extra sample point
+        cfg = ExperimentConfig(target=gmm4, sched=sched, n=100, steps=100, seed=9,
+                               eps_grid=(0.0, 0.5, 2.0), early_stop=early_stop,
+                               threads=threads)
+        assert np.array_equal(run_velocity_perturbation(cfg).rows,
+                              velocity_perturbation_per_eps(cfg))
+
+
+class TestCloudW2:
+    def test_exact_up_to_the_cap(self):
+        a, b = gaussian_cloud(2, 300, 1), gaussian_cloud(2, 300, 2, scale=1.5)
+        assert _cloud_w2(a, b) == w2(a, b)
+
+    def test_sliced_beyond_the_cap(self):
+        n = _W2_EXACT_CAP + 1
+        a, b = gaussian_cloud(2, n, 3), gaussian_cloud(2, n, 4, scale=1.5)
+        assert _cloud_w2(a, b) == w2(a, b, method="sliced", n_projections=64, seed=0)
 
 
 class TestAutoencode:
