@@ -201,6 +201,11 @@ def _require_w2_n(cfg: ExperimentConfig) -> None:
         raise InvalidParamError(f"W2-based experiments need n >= 100, got {cfg.n}")
 
 
+def _w2_method(n: int) -> str:
+    """The estimator _cloud_w2 uses for n-particle clouds."""
+    return "exact" if n <= _W2_EXACT_CAP else "sliced"
+
+
 def _cloud_w2(a, b) -> float:
     """Exact assignment W2 up to its size cap, sliced beyond it.
 
@@ -208,7 +213,7 @@ def _cloud_w2(a, b) -> float:
     experiment sees the same estimator.  Sliced never exceeds exact, which
     keeps one-sided bound checks sound.
     """
-    if np.asarray(a).shape[0] <= _W2_EXACT_CAP:
+    if _w2_method(np.asarray(a).shape[0]) == "exact":
         return w2(a, b)
     return w2(a, b, method="sliced", n_projections=64, seed=0)
 
@@ -263,12 +268,17 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     def one(j: int):
         sched = ShiftedLinearSchedule(zeta=grid[j])
         ctx = FlowContext(sched=sched, target=target, early_stop=cfg.early_stop)
+        t0 = time.perf_counter()
         out = integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps, record="final")
-        return grid[j], sched.b0, _cloud_w2(out.final_state, ref), sched
+        t1 = time.perf_counter()
+        dist = _cloud_w2(out.final_state, ref)
+        return grid[j], sched.b0, dist, sched, t1 - t0, time.perf_counter() - t1
 
     measured = _map_indexed(one, len(grid), cfg.threads)
     columns = ["zeta", "b0", "w2"]
     data = [np.array([m[k] for m in measured]) for k in range(3)]
+    timings = {"integrate_s": sum(m[4] for m in measured),
+               "w2_s": sum(m[5] for m in measured), "w2_method": _w2_method(cfg.n)}
     extra = {"bound_checked": False}
 
     if cfg.check_bound and target.is_gaussian:
@@ -277,7 +287,7 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
         prof = RegularityProfile.from_target(target)
         dense = np.linspace(0.0, 1.0, 2001)
         rhs = []
-        for _, b0, _, sched in measured:
+        for _, b0, _, sched, _, _ in measured:
             c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
             c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
             expo = c2 * target.dim
@@ -293,7 +303,7 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     rows = np.column_stack(data)
     fit = linear_fit(rows[:, 1], rows[:, 2]) if len(grid) >= 2 else None
     return ExperimentResult("stability-source", tuple(columns), rows, fit,
-                            _meta(cfg, started, len(grid), **extra))
+                            _meta(cfg, started, len(grid), **timings, **extra))
 
 
 def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:

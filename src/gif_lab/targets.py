@@ -15,11 +15,19 @@ The responsibilities are a softmax over components of
         = -|x|^2 / (2 c^2) + (b / c^2) x . mu_j + log w_j - (b^2 / (2 c^2)) |mu_j|^2.
 
 The -|x|^2 / (2 c^2) term is the same for every component, so it cancels
-in the softmax: the logits are one (n, d) @ (d, k) GEMM plus a per-component
+in the softmax: the logits are one (k, d) @ (d, n) GEMM plus a per-component
 constant, with the means measured from the mixture mean and their squared
 norms cached once per target.  Only the marginal log density needs the
 dropped term; it keeps the full-distance normaliser, because adding
 |x|^2 / (2 c^2) back would cancel badly far from the means.
+
+Inside the module the responsibilities are component-major, (k, n): the
+max and the sum of the softmax run over axis 0, numpy's fast stride, and
+every layer below the kernel reads that layout.  Shifted logits at or
+below -700 are set to exactly 0 instead of exponentiated (_softmax0): each
+such term is below e^-700 < 1e-304 of the largest, so no normalising sum
+changes, and exp never reaches the subnormal range where it runs 10-100x
+slower.  The public functions keep the point-major (n, k) shapes.
 
 Operations accept a single point of shape (d,) or a batch (n, d) and
 return matching shapes.  Time arguments are scalars in [0, 1].
@@ -134,14 +142,21 @@ class Target:
 
     @functools.cached_property
     def _logit_terms(self):
-        """Centre m0 = sum_j w_j mu_j, centred means (mu_j - m0)^T as (d, k)
+        """Centre m0 = sum_j w_j mu_j, centred means mu_j - m0 as (k, d)
         and their squared norms (k,), read by the posterior kernel."""
         m0 = self.weights @ self.means
         mc = self.means - m0
-        terms = (m0, np.ascontiguousarray(mc.T), np.sum(mc * mc, axis=1))
+        terms = (m0, mc, np.sum(mc * mc, axis=1))
         for arr in terms:
             arr.setflags(write=False)
         return terms
+
+    @functools.cached_property
+    def _means_t(self) -> np.ndarray:
+        """The means as a contiguous (d, k) array, read by _centred."""
+        mt = np.ascontiguousarray(self.means.T)
+        mt.setflags(write=False)
+        return mt
 
     @functools.cached_property
     def radius(self) -> float:
@@ -309,35 +324,63 @@ def _coeffs(target: Target, sched: Schedule, t: float):
     return p, c2
 
 
+# Shifted logits at or below this are dropped from the softmax, not
+# exponentiated: e^-700 ~ 9.9e-305 is still a normal double.
+_EXP_FLOOR = -700.0
+
+
+def _softmax0(lg: np.ndarray) -> np.ndarray:
+    """In place: lg (k, n) minus its column max, exponentiated where it is
+    above _EXP_FLOOR and exactly 0 elsewhere; returns lg.
+
+    A dropped term is below e^-700 of the column's largest term, which is
+    1, so no column sum changes.  Clamping before exp keeps every input of
+    exp at or above -700, and the mask then zeroes the clamped entries.
+    """
+    lg -= lg.max(axis=0)
+    live = lg > _EXP_FLOOR
+    np.maximum(lg, _EXP_FLOOR, out=lg)
+    np.exp(lg, out=lg)
+    lg *= live
+    return lg
+
+
 def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
     """Log-sum-exp over components of log w_j - |x - b mu_j|^2 / (2 c^2), (n,).
 
-    The full-distance normaliser of the marginal log density; the
-    posterior quantities use the GEMM logits of _resp instead.
+    The full-distance normaliser of the marginal log density: adding
+    |x|^2 / (2 c^2) back to _resp's GEMM logits would cancel badly far from
+    the means.  The logits are component-major (k, n) and go through
+    _softmax0's masked exp.
     """
-    diff = xb[:, None, :] - b * target.means[None, :, :]
-    lg = target.log_weights[None, :] - (diff * diff).sum(axis=2) / (2.0 * c2)
-    m = lg.max(axis=1)
-    return m + np.log(np.exp(lg - m[:, None]).sum(axis=1))
+    diff = xb.T[:, None, :] - b * target._means_t[:, :, None]
+    lg = target.log_weights[:, None] - (diff * diff).sum(axis=0) / (2.0 * c2)
+    m = lg.max(axis=0)
+    return m + np.log(_softmax0(lg).sum(axis=0))
 
 
 def _resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
-    """Responsibilities (n, k) at schedule values b, c^2, from one GEMM.
+    """Responsibilities (k, n), component-major, at schedule values b, c^2.
 
-    With means measured from the target's centre m0 and x from b m0, the
-    logits (b / c^2) x . mu_j + log w_j - (b^2 / (2 c^2)) |mu_j|^2 differ
-    from the full-distance ones by -|x|^2 / (2 c^2), the same for every
-    component, so the softmax is unchanged.  Centring keeps the rounding
-    of the GEMM at the scale of the mixture's spread, not of its offset
-    from the origin.
+    The logits are one (k, d) @ (d, n) GEMM, (s mc) @ (x - b m0)^T with
+    s = b / c^2 and mc the centred means, plus the per-component constant
+    log w_j - (s b / 2) |mc_j|^2.  With means measured from the target's
+    centre m0 and x from b m0, they differ from the full-distance logits
+    log w_j - |x - b mu_j|^2 / (2 c^2) by -|x|^2 / (2 c^2), the same for
+    every component, so the softmax is unchanged.  Centring keeps the
+    rounding of the GEMM at the scale of the mixture's spread, not of its
+    offset from the origin.  The softmax runs over axis 0 through
+    _softmax0: a shifted logit at or below -700 gives exactly 0, and the
+    terms so dropped are below e^-700 < 1e-304 of the largest, so no
+    column sum changes.  Every nonzero exponential is a normal double;
+    divided by a column sum of at most k it stays normal for k < 4000.
     """
-    m0, mc_t, mc_sq = target._logit_terms
+    m0, mc, mc_sq = target._logit_terms
     s = b / c2
-    lg = (xb - b * m0) @ (s * mc_t)
-    lg += target.log_weights - (0.5 * s * b) * mc_sq
-    lg -= lg.max(axis=1, keepdims=True)
-    np.exp(lg, out=lg)
-    lg /= lg.sum(axis=1, keepdims=True)
+    lg = (s * mc) @ (xb - b * m0).T
+    lg += (target.log_weights - (0.5 * s * b) * mc_sq)[:, None]
+    _softmax0(lg)
+    lg /= lg.sum(axis=0)
     return lg
 
 
@@ -345,24 +388,30 @@ def _stats(target: Target, b: float, c2: float, xb: np.ndarray):
     """Shared hot path: (resp, mu_bar) at schedule values b, c^2.
 
     Callers pass b_t and c_t^2 = a_t^2 + sigma^2 b_t^2 already checked, so
-    an integrator can read them from a table built once per call.  The
-    responsibilities come from _resp's GEMM logits, in which the
-    -|x|^2 / (2 c^2) term of the Gaussian log-densities drops out because
-    it is shared by all components.  For one component the logits are all
-    zero, so resp is exactly 1 and mu_bar the component mean.
+    an integrator can read them from a table built once per call.  resp
+    is _resp's component-major (k, n) array and mu_bar is (n, d).  For one
+    component the logits are all zero, so resp is exactly 1 and mu_bar the
+    component mean.
     """
     resp = _resp(target, b, c2, xb)
-    return resp, resp @ target.means
+    return resp, resp.T @ target.means
+
+
+def _centred(target: Target, mu_bar: np.ndarray) -> np.ndarray:
+    """c_j = mu_j - mu_bar as (d, k, n): one component-major (k, n) slab
+    per coordinate, so the sums below run over whole slabs."""
+    return target._means_t[:, :, None] - mu_bar.T[:, None, :]
 
 
 def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     """Responsibility-weighted covariance of the component means, (n, d, d).
 
-    Centred form: each summand is PSD, so roundoff cannot push the
-    spread's eigenvalues materially below zero even for far-out means.
+    resp is component-major (k, n).  Centred form: each summand is PSD, so
+    roundoff cannot push the spread's eigenvalues materially below zero
+    even for far-out means.
     """
-    centered = target.means[None, :, :] - mu_bar[:, None, :]
-    return (centered * resp[:, :, None]).transpose(0, 2, 1) @ centered
+    centred = _centred(target, mu_bar)
+    return np.einsum("ikn,jkn->nij", centred * resp, centred)
 
 
 def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
@@ -370,25 +419,26 @@ def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
     """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (n, d).
 
     The product of _spread with one vector per point, without forming the
-    (n, d, d) spread; centred like it.
+    (n, d, d) spread; centred like it, resp component-major (k, n).
     """
-    centered = target.means[None, :, :] - mu_bar[:, None, :]
-    rc = resp * np.einsum("nkd,nd->nk", centered, w)
-    return np.einsum("nk,nkd->nd", rc, centered)
+    centred = _centred(target, mu_bar)
+    rc = resp * (centred * w.T[:, None, :]).sum(axis=0)
+    return (centred * rc).sum(axis=1).T
 
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     """Third central moment of the component means, sum_j r_j c_j |c_j|^2
-    with c_j = mu_j - mu_bar, (n, d); centred like _spread."""
-    centered = target.means[None, :, :] - mu_bar[:, None, :]
-    return np.einsum("nk,nkd,nk->nd", resp, centered, np.sum(centered * centered, axis=2))
+    with c_j = mu_j - mu_bar, (n, d); centred like _spread, resp (k, n)."""
+    centred = _centred(target, mu_bar)
+    rq = resp * (centred * centred).sum(axis=0)
+    return (centred * rq).sum(axis=1).T
 
 
 def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp = _resp(target, p.b, c2, xb)
+    resp = _resp(target, p.b, c2, xb).T
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
@@ -437,8 +487,8 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     resp, mu_bar = _stats(target, p.b, c2, xb)
     mu_spread = _spread(target, resp, mu_bar)
     if single:
-        return resp[0], mu_bar[0], mu_spread[0]
-    return resp, mu_bar, mu_spread
+        return resp[:, 0], mu_bar[0], mu_spread[0]
+    return resp.T, mu_bar, mu_spread
 
 
 def cond_cov(target: Target, sched: Schedule, t: float, x):

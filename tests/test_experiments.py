@@ -27,8 +27,10 @@ from gif_lab.experiments import (
     run_velocity_perturbation,
 )
 from gif_lab.flow import FlowContext, integrate, velocity
-from gif_lab.metrics import _W2_EXACT_CAP, NOISE_DOMAIN, sample_source, w2
-from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule, VPSchedule
+from gif_lab.metrics import (_W2_EXACT_CAP, NOISE_DOMAIN, sample_gaussian, sample_source,
+                             sample_target, w2)
+from gif_lab.schedules import (FollmerSchedule, LinearSchedule, ShiftedLinearSchedule,
+                               TrigSchedule, VPSchedule)
 from gif_lab.targets import gaussian_target, mixture_target
 
 from oracles import (ag_residual_jacobian, gaussian_cloud, noisy_rk4,
@@ -140,6 +142,27 @@ class TestSourcePerturbation:
         r1 = run_source_perturbation(ExperimentConfig(**base, threads=1))
         r2 = run_source_perturbation(ExperimentConfig(**base, threads=3))
         assert np.array_equal(r1.rows, r2.rows)
+
+    @pytest.mark.parametrize("n, method", [(128, "exact"), (_W2_EXACT_CAP + 1, "sliced")])
+    def test_meta_splits_integrate_and_w2_time(self, n, method):
+        """meta names the W2 estimator and sums the integrate and W2 wall
+        times over the grid; the rows are plain integrate-then-W2 values."""
+        target = paper_gmm8() if method == "exact" else gaussian_target([1.0, 0.0], 0.25)
+        cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=n, steps=8,
+                               seed=5, zeta_grid=(0.0, 0.2))
+        res = run_source_perturbation(cfg)
+        meta = res.meta
+        assert meta["w2_method"] == method
+        assert 0.0 < meta["integrate_s"] and 0.0 < meta["w2_s"]
+        assert meta["integrate_s"] + meta["w2_s"] <= meta["runtime_s"]
+        z = sample_gaussian(2, n, _subseed(5, 1)).points
+        ref = sample_target(target, n, _subseed(5, 2)).points
+        for zeta, row in zip(cfg.zeta_grid, res.rows):
+            sched = ShiftedLinearSchedule(zeta=zeta)
+            ctx = FlowContext(sched=sched, target=target)
+            end = integrate(ctx, sched.a0 * z, 0.0, 1.0, 8, record="final").final_state
+            assert row[2] == _cloud_w2(end, ref)
+        assert res.columns[:3] == ("zeta", "b0", "w2")
 
 
 class TestVelocityPerturbation:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from gif_lab.experiments import paper_gmm8
 from gif_lab.errors import (
@@ -16,9 +17,11 @@ from gif_lab.errors import (
     SizeMismatchError,
     TooLargeError,
 )
+from gif_lab.flow import FlowContext, integrate
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule
 from gif_lab.targets import (
     Target,
+    _resp,
     _spread_apply,
     cond_cov,
     denoiser,
@@ -406,7 +409,7 @@ def test_spread_apply_is_spread_times_vector(case, t):
     _, target, x = case
     resp, mu_bar, spread = posterior_stats(target, TrigSchedule(), t, x)
     w = np.random.default_rng(607).normal(size=x.shape)
-    got = _spread_apply(target, resp, mu_bar, w)
+    got = _spread_apply(target, resp.T, mu_bar, w)  # the kernel reads (k, n)
     ref = np.einsum("nij,nj->ni", spread, w)
     # 1-norms: squaring the tiny spreads of one-hot rows would underflow
     scale = np.abs(spread).sum(axis=(1, 2)) * np.abs(w).sum(axis=1)
@@ -455,3 +458,125 @@ class TestKernelAgainstDecimalOracle:
 
         logdens = marginal_log_density(target, sched, t, x)
         assert np.all(np.abs(logdens - logdens_o) <= 1e-12 * np.maximum(1.0, np.abs(logdens_o)))
+
+
+def _far_tail_case(band):
+    """A 2d mixture and points whose shifted logits fall inside `band`.
+
+    Three heavy components near the origin stay live (shifted logits 0,
+    -0.7 and -2.5 at x = 0); five light ones sit where, at t = 0.5 of the
+    linear schedule, their shifted logits are the five values of `band`.
+    The points are x = 0 plus 0.002-sized jitter, which moves the far
+    logits by at most 0.2 in the two narrow bands and 0.7 below -2000; the
+    test checks that each stays within 1 of its band.
+    """
+    sched = LinearSchedule()
+    sigma, t = 0.1, 0.5
+    p = sched.eval(t)
+    c2 = p.a ** 2 + sigma ** 2 * p.b ** 2
+    weights = np.array([0.3, 0.3, 0.3, 0.02, 0.02, 0.02, 0.02, 0.02])
+    shifted = np.concatenate([[0.0, -0.7, -2.5], band])
+    radius = np.sqrt(2.0 * c2 * (np.log(weights / weights[0]) - shifted)) / p.b
+    angles = np.array([0.0, 0.5, 2.0, 0.3, 1.6, 2.9, 4.2, 5.5])
+    means = radius[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    x = 0.002 * np.random.default_rng(608).uniform(-1.0, 1.0, size=(16, 2))
+    return mixture_target(weights, means, sigma), sched, t, x
+
+
+def _logsumexp_oracle(target, sched, t, x):
+    """Row-major (n, k) full-distance logits minus their logsumexp."""
+    p = sched.eval(t)
+    c2 = p.a ** 2 + target.sigma ** 2 * p.b ** 2
+    with np.errstate(divide="ignore"):
+        lg = np.log(target.weights) - (
+            (x[:, None, :] - p.b * target.means[None, :, :]) ** 2).sum(axis=2) / (2.0 * c2)
+    return lg - logsumexp(lg, axis=1, keepdims=True)
+
+
+def _no_subnormal(a):
+    a = np.abs(np.asarray(a))
+    return bool(np.all((a == 0.0) | (a >= np.finfo(float).tiny)))
+
+
+class TestKernelFarTail:
+    """The kernel's masked exp against a logsumexp oracle where numpy's exp
+    is slow: shifted logits in -708..-700, in the subnormal band
+    -745..-708, and below -2000."""
+
+    BANDS = {"exp-slow": [-701.5, -703.0, -704.5, -706.0, -707.0],
+             "subnormal": [-710.0, -720.0, -730.0, -740.0, -744.0],
+             "below-2000": [-2100.0, -2500.0, -3000.0, -5000.0, -1.0e4]}
+
+    @pytest.mark.parametrize("band", BANDS.values(), ids=BANDS.keys())
+    def test_matches_oracle_with_exact_zeros(self, band):
+        target, sched, t, x = _far_tail_case(band)
+        p = sched.eval(t)
+        c2 = p.a ** 2 + target.sigma ** 2 * p.b ** 2
+        log_resp_o = _logsumexp_oracle(target, sched, t, x)
+        shifted_o = log_resp_o - log_resp_o.max(axis=1, keepdims=True)
+        lo, hi = min(band), max(band)
+        assert np.all((shifted_o[:, 3:] > lo - 1.0) & (shifted_o[:, 3:] < hi + 1.0))
+        resp_o = np.exp(log_resp_o)
+        mu_o = resp_o @ target.means
+        centred_o = target.means[None, :, :] - mu_o[:, None, :]
+        spread_o = np.einsum("nk,nki,nkj->nij", resp_o, centred_o, centred_o)
+
+        kernel = _resp(target, p.b, c2, x)
+        resp, mu_bar, spread = posterior_stats(target, sched, t, x)
+        assert kernel.shape == (target.n_components, x.shape[0])
+        assert np.array_equal(resp, kernel.T)
+        assert np.all(np.abs(resp - resp_o) <= 1e-15)
+        assert np.all(resp[:, 3:] == 0.0)
+        assert np.all(resp[:, :3] > 0.0)
+        assert np.all(np.abs(mu_bar - mu_o) <= 1e-15 * np.abs(target.means).max())
+        assert np.all(np.abs(spread - spread_o) <= 1e-15 * np.abs(spread_o).max())
+        for arr in (kernel, mu_bar, spread):
+            assert _no_subnormal(arr)
+
+        one = posterior_stats(target, sched, t, x[0])
+        assert np.array_equal(one[0], resp[0]) and np.array_equal(one[1], mu_bar[0])
+
+    def test_zero_weight_component_drops_out(self):
+        g8 = paper_gmm8()
+        weights = np.array([0.0] + [1.0 / 7.0] * 7)
+        with_zero = mixture_target(weights, g8.means, g8.sigma)
+        without = mixture_target(weights[1:], g8.means[1:], g8.sigma)
+        sched = TrigSchedule()
+        x = 14.0 * np.random.default_rng(609).normal(size=(64, 2))
+        for t in (0.0, 0.5, 0.9, 0.999):
+            resp, mu_bar, _ = posterior_stats(with_zero, sched, t, x)
+            resp7, mu_bar7, _ = posterior_stats(without, sched, t, x)
+            assert np.all(resp[:, 0] == 0.0)
+            # the renormalised weights and m0 differ in the last bit, and the
+            # logits round at their own scale, up to 1e5 at t = 0.999
+            assert np.all(np.abs(resp[:, 1:] - resp7) <= 1e-13)
+            assert np.all(np.abs(mu_bar - mu_bar7) <= 1e-13 * np.abs(g8.means).max())
+        z = np.random.default_rng(610).normal(size=(256, 2))
+        ends = [integrate(FlowContext(sched=sched, target=tg), z, 0.0, 1.0, 64,
+                          record="final").final_state for tg in (with_zero, without)]
+        assert np.all(np.abs(ends[0] - ends[1]) <= 1e-15 * np.abs(ends[1]).max())
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_marginal_log_density_30_sigma_out(self, k):
+        """Points 30 marginal standard deviations c_t beyond every mean, where
+        each full-distance logit is at or below -450."""
+        target = (gaussian_target([1.0, -2.0], 0.04) if k == 1 else paper_gmm8())
+        sched = LinearSchedule()
+        for t in (0.3, 0.9, 0.999):
+            p = sched.eval(t)
+            c = math.sqrt(p.a ** 2 + target.sigma ** 2 * p.b ** 2)
+            m0 = target.weights @ target.means
+            reach = p.b * np.max(np.linalg.norm(target.means - m0, axis=1))
+            angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False) + 0.1
+            x = p.b * m0 + (reach + 30.0 * c) * np.column_stack([np.cos(angles),
+                                                                 np.sin(angles)])
+            dist = np.linalg.norm(x[:, None, :] - p.b * target.means[None], axis=2)
+            assert np.all(dist >= 30.0 * c * (1.0 - 1e-12))
+            with np.errstate(divide="ignore"):
+                full = np.log(target.weights) - (dist ** 2) / (2.0 * c * c)
+            ref = logsumexp(full, axis=1) - math.log(2.0 * math.pi * c * c)
+            got = marginal_log_density(target, sched, t, x)
+            assert got.shape == (12,)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+            single = marginal_log_density(target, sched, t, x[5])
+            assert isinstance(single, float) and single == got[5]
