@@ -4,8 +4,10 @@
 # there, one "digest  ./path" line each, sorted by path.  The steps-grid
 # runners and the velocity-noise sweep run a second time on a two-thread
 # pool, into "$1-threads2", and must write the same bytes as on one thread.
-# A paper-gmm8 block runs the sweeps and autoencode late into a flow whose
-# shifted posterior logits mostly sit far below -700, into "$1/paper-gmm8".
+# A paper-gmm8 block runs the sweeps, autoencode and ag-check late into a
+# flow whose shifted posterior logits mostly sit far below -700, into
+# "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
+# engine pass.
 # The digests are compared with the committed manifest:
 #
 #   bash .github/cli-bytes.sh cli-out > cli-bytes.actual
@@ -34,8 +36,9 @@ for cmd in ag-check autoencode cycle stability-velocity; do
 done
 
 printf '%s\n' 'target = paper-gmm8' 'schedule = linear' 'n = 256' 'steps = 64' \
-  'zeta_grid = (0.0, 0.2)' 'eps_grid = (0.5, 1.5)' 'steps_grid = (32, 64)' > cli-run-gmm8.cfg
-for cmd in stability-source stability-velocity autoencode; do
+  'zeta_grid = (0.0, 0.2)' 'eps_grid = (0.5, 1.5)' 'steps_grid = (32, 64)' \
+  'delta = (0.05, -0.02)' > cli-run-gmm8.cfg
+for cmd in stability-source stability-velocity autoencode ag-check; do
   gif-lab "$cmd" --config cli-run-gmm8.cfg --no-timestamp --svg --out "$out/paper-gmm8/$cmd"
 done
 

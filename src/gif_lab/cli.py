@@ -236,7 +236,8 @@ def _make_experiment_command(name: str, runner, svg_cols, help_text: str):
     @_output
     @_SEED
     @_STEPS
-    @click.option("--threads", type=int, default=None, help="Grid-point parallelism.")
+    @click.option("--threads", type=int, default=None,
+                  help="Grid-point parallelism (no effect on ag-check, whose grid is one pass).")
     @_CONFIG
     @click.option("--n", type=int, default=None, help="Override particle count.")
     @click.option("--svg", is_flag=True, help="Also write <name>.svg (needs --out).")

@@ -30,12 +30,14 @@ class NonFiniteError(GifLabError, ValueError):
 class NonFiniteStateError(GifLabError, ArithmeticError):
     """An integrator state became non-finite.
 
-    Carries the step index at which the blow-up was detected.
+    Carries the step index at which the blow-up was detected and, for a
+    state with a group axis, the first group it reached (else None).
     """
 
-    def __init__(self, message: str, step: int):
+    def __init__(self, message: str, step: int, group: int | None = None):
         super().__init__(message)
         self.step = step
+        self.group = group
 
 
 class SizeMismatchError(GifLabError, ValueError):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .artifacts import repr_lines, write_table, xy_plot
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
-from .errors import InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError
+from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, NonFiniteStateError,
+                     SizeMismatchError)
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
 from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
@@ -466,90 +467,133 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
                                   max_violation=float(rows[:, 5].max())))
 
 
-def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
-                 steps: int) -> tuple:
-    """Max-norm gap between the flow difference and its integral form.
-
-    The integral over s of J_{s->1}(Y_s) (-delta) is evaluated by composite
-    Simpson quadrature with nodes on the step grid.  One engine run on a
-    shared coefficient table carries the perturbed path Y (velocity plus
-    delta) together with one block per node: block j joins at node j with
-    the state Y there and the tangent u = -delta / |delta|, then follows the
-    unperturbed flow to the end, so it carries J.u, never J.  The tangent
-    equation is linear, so |delta| J.u is the integrand; starting from the
-    unit direction keeps the tangent finite where -delta itself would
-    overflow.  Block 0 joins at t = 0 with Y_0 = x0, so its final state is
-    the clean flow's.  The block rows are preallocated; between two nodes
-    only the blocks that have joined advance.
-
-    Returns the residual, the number of rate evaluations and the number of
-    rows they advanced in total.
-    """
+def _node_spacing(steps: int) -> int:
+    """Steps between two Simpson nodes: max(4, steps // 8) panels of two."""
     panels = max(4, steps // 8)
     spacing, rem = divmod(steps, 2 * panels)
     if rem != 0 or spacing < 1:
         raise InvalidParamError(
             f"steps={steps} is not a multiple of the quadrature node spacing")
-    t_end = ctx.t_max
+    return spacing
+
+
+def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
+                 steps_grid) -> tuple:
+    """Max-norm gaps between the flow difference and its integral form.
+
+    The integral over s of J_{s->1}(Y_s) (-delta) is evaluated by composite
+    Simpson quadrature with nodes on the step grid.  One engine run carries
+    the perturbed path Y (velocity plus delta) together with one block per
+    node: block j joins at node j with the state Y there and the tangent
+    u = -delta / |delta|, then follows the unperturbed flow to the end, so
+    it carries J.u, never J.  The tangent equation is linear, so |delta| J.u
+    is the integrand; starting from the unit direction keeps the tangent
+    finite where -delta itself would overflow.  Block 0 joins at t = 0 with
+    Y_0 = x0, so its final state is the clean flow's.
+
+    Every entry of steps_grid is one group of that run, on its own stage
+    clock and table column, with the path in its rows [0, n) and block j in
+    rows [(j + 1) n, (j + 2) n).  The groups run longest first, so those
+    with steps left are a prefix and only they advance, and each joins its
+    blocks at its own nodes.  Between two joins every advancing group has
+    as many rows as the one with the most joined blocks; rows past a
+    group's own blocks hold copies of Y and u, which its next join
+    overwrites.  The last group left runs without the group axis.  Each
+    group's numbers are those of a pass of its own.
+
+    Returns the residuals in grid order, the number of rate evaluations and
+    the number of rows they advanced in total.
+    """
     n, d = x0.shape
-    n_nodes = 2 * panels + 1
-    clock = _stage_times(0.0, t_end, steps)
-    tab, target = _table(ctx, clock), ctx.target
+    gaps = {s: _node_spacing(s) for s in steps_grid}
+    steps = sorted(gaps, reverse=True)
+    spacing = [gaps[s] for s in steps]
+    nodes = [s // gap + 1 for s, gap in zip(steps, spacing)]
+    t_end = ctx.t_max
+    clock = np.full((2 * steps[0] + 1, len(steps)), t_end)
+    for g, s in enumerate(steps):
+        clock[:2 * s + 1, g] = _stage_times(0.0, t_end, s)
+    tab, solo, target = _table(ctx, clock), _table(ctx, clock[:, 0]), ctx.target
     dnorm = math.hypot(*delta)
+    u = -delta / dnorm if dnorm > 0.0 else np.zeros(d)
     work = [0, 0]  # rate calls, rows advanced
 
     def rate(k, state):
         work[0] += 1
-        work[1] += state[0].shape[0]
-        v, dw = _rates(target, tab, k, state)
-        v[:n] += delta
+        work[1] += state[0].size // d
+        v, dw = _rates(target, live_tab, k, state)
+        v[..., :n, :] += delta
         return v, dw
 
-    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
-    xs = np.empty((n_nodes * n, d))
-    ws = np.tile(-delta / dnorm if dnorm > 0.0 else np.zeros(d), (n_nodes * n, 1))
-    xs[:n] = x0
-    for j in range(n_nodes - 1):
-        m = (j + 2) * n
-        xs[m - n:m] = xs[:n]
-        xs[:m], ws[:m] = _rk4(rate, (xs[:m], ws[:m]), clock,
-                              range(j * spacing, (j + 1) * spacing))[-1]
-    lhs = xs[n:2 * n] - xs[:n]
+    xs = np.empty((len(steps), nodes[0] * n, d))
+    ws = np.empty_like(xs)
+    xs[:, :n], ws[:, :n] = x0, u
+    joins = {j * gap for s, gap in zip(steps, spacing) for j in range(s // gap)}
+    events = sorted(joins | set(steps))
+    try:
+        for lo, hi in zip(events, events[1:]):
+            live = sum(s > lo for s in steps)
+            own = [(lo // gap + 2) * n for gap in spacing[:live]]
+            m = max(own)
+            for g in range(live):
+                # the block joining at lo, if lo is a node of this group, and
+                # the rows past the group's own blocks start from Y and u
+                first = own[g] - (n if lo % spacing[g] == 0 else 0)
+                xs[g, first:m].reshape(-1, n, d)[:] = xs[g, :n]
+                ws[g, first:m] = u
+            # a lone group runs without the group axis: numpy multiplies by
+            # a scalar coefficient faster than by a (1, 1, 1) array
+            if live == 1:
+                live_tab, rows, run_clock = solo, 0, clock[:, 0]
+            else:
+                live_tab, rows, run_clock = tab.groups(live), slice(live), clock[:, :live, None, None]
+            xs[rows, :m], ws[rows, :m] = _rk4(rate, (xs[rows, :m], ws[rows, :m]), run_clock,
+                                              range(lo, hi))[-1]
+    except NonFiniteStateError as err:
+        g = err.group or 0
+        raise NonFiniteStateError(
+            f"state became non-finite at step {err.step} of the steps={steps[g]} entry "
+            f"(integrator time {float(clock[2 * err.step + 2, g])!r})",
+            step=err.step) from None
 
-    # the last node's tangent is u itself, so its integrand is -delta
-    integrand = (dnorm * ws[n:]).reshape(n_nodes - 1, n * d)
-    weights = np.ones(n_nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= t_end / (n_nodes - 1) / 3.0
-    rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
-    gap = np.linalg.norm(lhs - rhs, axis=1)
-    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(gap))):
-        raise NonFiniteError(
-            f"flow-difference residual is not finite at steps={steps}: the "
-            f"quadrature or the gap overflows for max |delta_i| = {np.max(np.abs(delta)):.3g}")
-    return float(np.max(gap)), work[0], work[1]
+    resid = {}
+    for g, s in enumerate(steps):
+        size = nodes[g]
+        lhs = xs[g, n:2 * n] - xs[g, :n]
+        # the last node's tangent is u itself, so its integrand is -delta
+        integrand = (dnorm * ws[g, n:size * n]).reshape(size - 1, n * d)
+        weights = np.ones(size)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        weights *= t_end / (size - 1) / 3.0
+        rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
+        resid[s] = rhs, np.linalg.norm(lhs - rhs, axis=1)
+    for s in steps_grid:
+        rhs, gap = resid[s]
+        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(gap))):
+            raise NonFiniteError(
+                f"flow-difference residual is not finite at steps={s}: the "
+                f"quadrature or the gap overflows for max |delta_i| = {np.max(np.abs(delta)):.3g}")
+    return [float(np.max(resid[s][1])) for s in steps_grid], work[0], work[1]
 
 
 def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
-    """Flow-difference identity residual, with optional step refinement."""
+    """Flow-difference identity residual, with optional step refinement.
+
+    The whole steps grid is one engine pass (_ag_residual), so cfg.threads
+    has nothing to spread and does not apply.
+    """
     started = time.perf_counter()
     delta = np.asarray(_require(cfg, "delta"), dtype=float)
     steps_list = cfg.steps_grid if cfg.steps_grid is not None else (cfg.steps,)
     ctx = FlowContext(sched=cfg.sched, target=cfg.target, early_stop=cfg.early_stop)
     x0 = sample_source(cfg.target, cfg.sched, cfg.n, _subseed(cfg.seed, 0)).points
     dnorm = math.hypot(*delta)
-
-    def one(j: int):
-        resid, calls, row_stages = _ag_residual(ctx, x0, delta, int(steps_list[j]))
-        row = (float(steps_list[j]), resid, resid / dnorm if dnorm > 0.0 else resid)
-        return row, calls, row_stages
-
-    measured = _map_indexed(one, len(steps_list), cfg.threads)
-    rows = np.array([m[0] for m in measured])
+    resids, calls, row_stages = _ag_residual(ctx, x0, delta, steps_list)
+    rows = np.array([(float(s), r, r / dnorm if dnorm > 0.0 else r)
+                     for s, r in zip(steps_list, resids)])
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult("ag-check", ("steps", "max_residual", "rel_residual"),
                             rows, fit,
                             _meta(cfg, started, len(steps_list), delta_norm=dnorm,
-                                  rate_calls=sum(m[1] for m in measured),
-                                  row_stages=sum(m[2] for m in measured)))
+                                  rate_calls=calls, row_stages=row_stages))

@@ -26,8 +26,9 @@ and k3 the third central moment of the component means; it uses
 (c^2)' = 2 alpha c^2, (b / c^2)' = (beta - b alpha) / c^2, (b^2 / c^2)' = 2 gamma.
 
 An integrator call evaluates these coefficients once, vectorised over the
-2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table;
-reverse runs store them sign-flipped.  This table is the only source of
+2*steps+1 RK4 stage times (step starts, midpoints, ends), into a table,
+together with the posterior kernel's logit terms at each stage; reverse
+runs store the coefficients sign-flipped.  This table is the only source of
 rates: no integrator takes a user-supplied field.  One RK4 loop, _rk4, then
 advances a tuple state and checks every component for finiteness after
 every step.  The state is the particles, optionally with either one
@@ -44,6 +45,11 @@ table of their own.
 States are batched: a point is (d,), a cloud is (n, d); all integrators
 advance whole clouds per step.  Reverse-time transport solves
 dX*/dtau = -v(1 - tau, X*) on the integrator clock tau in [0, 1].
+
+The table, the rates and _rk4 also take a leading group axis: G clouds of
+one size, (G, n, d), each on its own stage clock, advance together, and
+each group's numbers are those of its own 2-D run.  The flow-difference
+check runs its whole steps grid this way.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ from .errors import (
     SizeMismatchError,
 )
 from .schedules import Schedule
-from .targets import Target, _as_batch, _spread, _spread_apply, _stats, _third_moment
+from .targets import (Target, _as_batch, _logit_terms, _spread, _spread_apply, _stats,
+                      _third_moment)
 
 __all__ = [
     "FlowContext",
@@ -110,14 +117,30 @@ def _check_flow_time(ctx: FlowContext, t: float) -> float:
     return t
 
 
-# Velocity coefficients at a grid of physical times, all 1d arrays; gamma =
-# b beta / c^2 multiplies the spread in grad v.  Reverse runs store alpha,
-# beta and gamma sign-flipped, so the table gives the integrator-clock rate.
-_Table = collections.namedtuple("_Table", "b c2 alpha beta gamma")
+# Velocity coefficients at a grid of physical times; gamma = b beta / c^2
+# multiplies the spread in grad v.  Reverse runs store alpha, beta and gamma
+# sign-flipped, so the table gives the integrator-clock rate.  smc, bm0 and
+# const are the posterior kernel's logit terms (targets._logit_terms).
+class _Table(collections.namedtuple("_Table", "b c2 alpha beta gamma smc bm0 const")):
+    __slots__ = ()
+
+    def logits(self, k: int) -> tuple:
+        """The logit terms of stage k, as targets._stats takes them."""
+        return self.smc[k], self.bm0[k], self.const[k]
+
+    def groups(self, count: int) -> "_Table":
+        """The table of the first count groups of a grouped table."""
+        return _Table(*(col[:, :count] for col in self))
 
 
 def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
-    """Coefficients at the physical times t, validated once for the grid."""
+    """Coefficients at the physical times t, validated once for the grid.
+
+    t is (K,), one time per stage, or (K, G), one stage clock per group.
+    With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
+    over a (G, n, d) state, and the logit terms carry the G axis in front
+    of their own.
+    """
     sched, s2 = ctx.sched, ctx.target.sigma ** 2
     t = sched._check_time(t)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,15 +153,19 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
             f"marginal covariance degenerates at t={float(t[bad][0])}")
     alpha = sign * (a_da + s2 * b_db) / c2
     beta = sign * (a * a * db - a_da * b) / c2
-    return _Table(b=b, c2=c2, alpha=alpha, beta=beta, gamma=beta * b / c2)
+    cols = (b, c2, alpha, beta, beta * b / c2)
+    if t.ndim == 2:
+        cols = tuple(col[..., None, None] for col in cols)
+    return _Table(*cols, *_logit_terms(ctx.target, b[..., None, None], c2[..., None, None]))
 
 
 def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
     """Rates of the state (x,), (x, w), (x, J) or (x, J, logdens) at entry k.
 
-    A tangent w is (n, d), a Jacobian J is (n, d, d): dw = grad v . w,
-    dJ = grad v . J and dl = -tr grad v, without forming grad v.  A
-    one-component target has zero spread, so there grad v = alpha I.
+    A tangent w has the shape of x, a Jacobian J is (n, d, d): dw = grad
+    v . w, dJ = grad v . J and dl = -tr grad v, without forming grad v.  A
+    one-component target has zero spread, so there grad v = alpha I.  With
+    a grouped table, x and w are (G, n, d).
     """
     x, alpha = state[0], tab.alpha[k]
     if target.n_components == 1:
@@ -148,12 +175,12 @@ def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
         if len(state) > 2:
             rates += (-(target.dim * alpha),)
         return rates
-    resp, mu_bar = _stats(target, tab.b[k], tab.c2[k], x)
+    resp, mu_bar = _stats(target, tab.logits(k), x)
     v = alpha * x + tab.beta[k] * mu_bar
     if len(state) == 1:
         return (v,)
     gamma = tab.gamma[k]
-    if state[1].ndim == 2:
+    if state[1].ndim == x.ndim:
         return v, alpha * state[1] + gamma * _spread_apply(target, resp, mu_bar, state[1])
     spread = _spread(target, resp, mu_bar)
     rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
@@ -193,12 +220,13 @@ def velocity_dt(ctx: FlowContext, t: float, x):
         raise OutOfRangeError(f"velocity_dt needs t in (0, 1), got {t!r}")
     target = ctx.target
     xb, single = _as_batch(target, x)
-    b, c2, alpha, beta, gamma = (float(col[0]) for col in _table(ctx, np.array([t])))
+    tab = _table(ctx, np.array([t]))
+    b, c2, alpha, beta, gamma = (float(col[0]) for col in tab[:5])
     p, s2 = ctx.sched.eval(t), target.sigma ** 2
     d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
-    resp, mu_bar = _stats(target, b, c2, xb)
+    resp, mu_bar = _stats(target, tab.logits(0), xb)
     pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
     dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
     out = dalpha * xb + dbeta * mu_bar + beta * dmu
@@ -302,28 +330,46 @@ def _stage_times(t_from: float, t_to: float, steps: int) -> np.ndarray:
 def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False) -> list:
     """The one RK4 loop: advance a tuple of arrays over the given steps.
 
-    clock holds the stage times from _stage_times; rate(k, state) returns
+    clock holds the stage times from _stage_times, or (K, G, 1, 1) stage
+    clocks for a state with a group axis in front; rate(k, state) returns
     the tuple of time derivatives at stage k.  steps is the range of step
     indices to take.  Returns the states after every step with the
     initial one first (keep_all), or just the initial and final states.
+    A non-finite state raises NonFiniteStateError with the step, counted
+    from the first stage, and, with groups, the first group it reached.
     """
     path = [state]
     for i in steps:
         k = 2 * i
         h = clock[k + 2] - clock[k]
+        half, sixth = 0.5 * h, h / 6.0
         k1 = rate(k, state)
-        k2 = rate(k + 1, tuple(s + 0.5 * h * r for s, r in zip(state, k1)))
-        k3 = rate(k + 1, tuple(s + 0.5 * h * r for s, r in zip(state, k2)))
+        k2 = rate(k + 1, tuple(s + half * r for s, r in zip(state, k1)))
+        k3 = rate(k + 1, tuple(s + half * r for s, r in zip(state, k2)))
         k4 = rate(k + 2, tuple(s + h * r for s, r in zip(state, k3)))
-        state = tuple(s + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        state = tuple(s + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                       for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4))
         if not all(np.isfinite(s).all() for s in state):
-            raise NonFiniteStateError(
-                f"state became non-finite at step {i} "
-                f"(integrator time {float(clock[k + 2])!r})", step=i)
+            raise _blowup(state, clock[k + 2], i)
         if keep_all:
             path.append(state)
     return path if keep_all else [path[0], state]
+
+
+def _blowup(state: tuple, t_end, i: int) -> NonFiniteStateError:
+    """The error for a state that became non-finite in step i, which ends at
+    t_end: one time, or (G, 1, 1) with a group per time."""
+    if np.ndim(t_end) == 0:
+        return NonFiniteStateError(
+            f"state became non-finite at step {i} (integrator time {float(t_end)!r})", step=i)
+    count = len(t_end)
+    bad = np.zeros(count, dtype=bool)
+    for s in state:
+        bad |= ~np.isfinite(s.reshape(count, -1)).all(axis=1)
+    g = int(np.flatnonzero(bad)[0])
+    return NonFiniteStateError(
+        f"state became non-finite at step {i} in group {g} "
+        f"(integrator time {float(t_end[g, 0, 0])!r})", step=i, group=g)
 
 
 def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,

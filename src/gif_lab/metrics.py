@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .artifacts import _read_rows, repr_lines, write_table
 from .errors import (
@@ -292,6 +290,11 @@ def _w2_exact(pa: np.ndarray, pb: np.ndarray) -> float:
             f"exact w2 capped at {_W2_EXACT_CAP} particles, got {pa.shape[0]}; "
             "use method='sliced'"
         )
+    # imported here: scipy.optimize is most of the package's import time
+    # and memory, and only exact W2 needs it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(pa, pb, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(math.sqrt(cost[rows, cols].mean()))

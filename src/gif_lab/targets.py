@@ -17,20 +17,26 @@ The responsibilities are a softmax over components of
 The -|x|^2 / (2 c^2) term is the same for every component, so it cancels
 in the softmax: the logits are one (k, d) @ (d, n) GEMM plus a per-component
 constant, with the means measured from the mixture mean and their squared
-norms cached once per target.  Only the marginal log density needs the
-dropped term; it keeps the full-distance normaliser, because adding
-|x|^2 / (2 c^2) back would cancel badly far from the means.
+norms cached once per target.  The factors that depend on the time
+(_logit_terms) are built once per time: the flow engine builds them for
+every stage of a run in its coefficient table, the public functions from
+their one (b, c^2).  Only the marginal log density needs the dropped term;
+it keeps the full-distance normaliser, because adding |x|^2 / (2 c^2) back
+would cancel badly far from the means.
 
 Inside the module the responsibilities are component-major, (k, n): the
-max and the sum of the softmax run over axis 0, numpy's fast stride, and
-every layer below the kernel reads that layout.  Shifted logits at or
+max and the sum of the softmax run over the component axis, numpy's fast
+stride, and every layer below the kernel reads that layout.  Shifted logits at or
 below -700 are set to exactly 0 instead of exponentiated (_softmax0): each
 such term is below e^-700 < 1e-304 of the largest, so no normalising sum
 changes, and exp never reaches the subnormal range where it runs 10-100x
 slower.  The public functions keep the point-major (n, k) shapes.
 
 Operations accept a single point of shape (d,) or a batch (n, d) and
-return matching shapes.  Time arguments are scalars in [0, 1].
+return matching shapes.  Time arguments are scalars in [0, 1].  The
+kernel below the public functions also takes a leading group axis: a
+(G, n, d) batch with G sets of logit terms, one per group, gives the
+same numbers as G separate (n, d) calls.
 """
 
 from __future__ import annotations
@@ -141,9 +147,9 @@ class Target:
         return lw
 
     @functools.cached_property
-    def _logit_terms(self):
+    def _centred_means(self):
         """Centre m0 = sum_j w_j mu_j, centred means mu_j - m0 as (k, d)
-        and their squared norms (k,), read by the posterior kernel."""
+        and their squared norms (k,), read by _logit_terms."""
         m0 = self.weights @ self.means
         mc = self.means - m0
         terms = (m0, mc, np.sum(mc * mc, axis=1))
@@ -330,14 +336,14 @@ _EXP_FLOOR = -700.0
 
 
 def _softmax0(lg: np.ndarray) -> np.ndarray:
-    """In place: lg (k, n) minus its column max, exponentiated where it is
-    above _EXP_FLOOR and exactly 0 elsewhere; returns lg.
+    """In place: lg (..., k, n) minus its column max, exponentiated where it
+    is above _EXP_FLOOR and exactly 0 elsewhere; returns lg.
 
     A dropped term is below e^-700 of the column's largest term, which is
     1, so no column sum changes.  Clamping before exp keeps every input of
     exp at or above -700, and the mask then zeroes the clamped entries.
     """
-    lg -= lg.max(axis=0)
+    lg -= lg.max(axis=-2, keepdims=True)
     live = lg > _EXP_FLOOR
     np.maximum(lg, _EXP_FLOOR, out=lg)
     np.exp(lg, out=lg)
@@ -359,8 +365,21 @@ def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray
     return m + np.log(_softmax0(lg).sum(axis=0))
 
 
-def _resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
-    """Responsibilities (k, n), component-major, at schedule values b, c^2.
+def _logit_terms(target: Target, b, c2) -> tuple:
+    """The kernel's factors at schedule values b, c^2: (s mc, b m0, const).
+
+    With s = b / c^2, mc the centred means (k, d) and m0 the centre (d,),
+    const = log w_j - (s b / 2) |mc_j|^2 as a (k, 1) column.  b and c2 are
+    scalars, or arrays of one shape (..., 1, 1) whose leading axes the
+    terms keep: s mc is then (..., k, d), b m0 (..., 1, d), const (..., k, 1).
+    """
+    m0, mc, mc_sq = target._centred_means
+    s = b / c2
+    return s * mc, b * m0, target.log_weights[:, None] - (0.5 * s * b) * mc_sq[:, None]
+
+
+def _resp(target: Target, terms: tuple, xb: np.ndarray) -> np.ndarray:
+    """Responsibilities (k, n), component-major, from _logit_terms' terms.
 
     The logits are one (k, d) @ (d, n) GEMM, (s mc) @ (x - b m0)^T with
     s = b / c^2 and mc the centred means, plus the per-component constant
@@ -369,38 +388,42 @@ def _resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
     log w_j - |x - b mu_j|^2 / (2 c^2) by -|x|^2 / (2 c^2), the same for
     every component, so the softmax is unchanged.  Centring keeps the
     rounding of the GEMM at the scale of the mixture's spread, not of its
-    offset from the origin.  The softmax runs over axis 0 through
-    _softmax0: a shifted logit at or below -700 gives exactly 0, and the
-    terms so dropped are below e^-700 < 1e-304 of the largest, so no
-    column sum changes.  Every nonzero exponential is a normal double;
+    offset from the origin.  The softmax runs over the component axis
+    through _softmax0: a shifted logit at or below -700 gives exactly 0,
+    and the terms so dropped are below e^-700 < 1e-304 of the largest, so
+    no column sum changes.  Every nonzero exponential is a normal double;
     divided by a column sum of at most k it stays normal for k < 4000.
+
+    With a group axis, xb is (G, n, d), the terms carry a leading G and
+    the result is (G, k, n): one batched GEMM, which numpy runs as one
+    BLAS call per group, so each group's numbers are those of a 2-D call.
     """
-    m0, mc, mc_sq = target._logit_terms
-    s = b / c2
-    lg = (s * mc) @ (xb - b * m0).T
-    lg += (target.log_weights - (0.5 * s * b) * mc_sq)[:, None]
+    smc, bm0, const = terms
+    lg = smc @ (xb - bm0).swapaxes(-1, -2)
+    lg += const
     _softmax0(lg)
-    lg /= lg.sum(axis=0)
+    lg /= lg.sum(axis=-2, keepdims=True)
     return lg
 
 
-def _stats(target: Target, b: float, c2: float, xb: np.ndarray):
-    """Shared hot path: (resp, mu_bar) at schedule values b, c^2.
+def _stats(target: Target, terms: tuple, xb: np.ndarray):
+    """Shared hot path: (resp, mu_bar) from the logit terms of one time.
 
-    Callers pass b_t and c_t^2 = a_t^2 + sigma^2 b_t^2 already checked, so
-    an integrator can read them from a table built once per call.  resp
-    is _resp's component-major (k, n) array and mu_bar is (n, d).  For one
-    component the logits are all zero, so resp is exactly 1 and mu_bar the
-    component mean.
+    Callers build the terms from b_t and c_t^2 = a_t^2 + sigma^2 b_t^2
+    already checked, so an integrator can read them from a table built once
+    per call.  resp is _resp's component-major (k, n) array and mu_bar is
+    (n, d), each with the group axis of xb in front when it has one.  For
+    one component the logits are all zero, so resp is exactly 1 and mu_bar
+    the component mean.
     """
-    resp = _resp(target, b, c2, xb)
-    return resp, resp.T @ target.means
+    resp = _resp(target, terms, xb)
+    return resp, resp.swapaxes(-1, -2) @ target.means
 
 
 def _centred(target: Target, mu_bar: np.ndarray) -> np.ndarray:
-    """c_j = mu_j - mu_bar as (d, k, n): one component-major (k, n) slab
-    per coordinate, so the sums below run over whole slabs."""
-    return target._means_t[:, :, None] - mu_bar.T[:, None, :]
+    """c_j = mu_j - mu_bar as (..., d, k, n): one component-major (k, n)
+    slab per coordinate, so the sums below run over whole slabs."""
+    return target._means_t[:, :, None] - mu_bar.swapaxes(-1, -2)[..., :, None, :]
 
 
 def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
@@ -419,11 +442,12 @@ def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
     """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (n, d).
 
     The product of _spread with one vector per point, without forming the
-    (n, d, d) spread; centred like it, resp component-major (k, n).
+    (n, d, d) spread; centred like it, resp component-major (k, n).  The
+    sums run over negative axes, so a leading group axis passes through.
     """
     centred = _centred(target, mu_bar)
-    rc = resp * (centred * w.T[:, None, :]).sum(axis=0)
-    return (centred * rc).sum(axis=1).T
+    rc = resp * (centred * w.swapaxes(-1, -2)[..., :, None, :]).sum(axis=-3)
+    return (centred * rc[..., None, :, :]).sum(axis=-2).swapaxes(-1, -2)
 
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
@@ -438,7 +462,7 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp = _resp(target, p.b, c2, xb).T
+    resp = _resp(target, _logit_terms(target, p.b, c2), xb).T
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
@@ -461,7 +485,7 @@ def denoiser(target: Target, sched: Schedule, t: float, x):
     """Posterior mean E[X1 | X_t = x]."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, p.b, c2, xb)
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
     out = (p.a ** 2 / c2) * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
     return out[0] if single else out
 
@@ -470,7 +494,7 @@ def score(target: Target, sched: Schedule, t: float, x):
     """Gradient of the marginal log density, -(x - b_t mu_bar)/c_t^2."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, p.b, c2, xb)
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
     out = -(xb - p.b * mu_bar) / c2
     return out[0] if single else out
 
@@ -484,7 +508,7 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, p.b, c2, xb)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
     mu_spread = _spread(target, resp, mu_bar)
     if single:
         return resp[:, 0], mu_bar[0], mu_spread[0]
@@ -495,7 +519,7 @@ def cond_cov(target: Target, sched: Schedule, t: float, x):
     """Posterior covariance Cov(X1 | X_t = x), a (d, d) matrix per point."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    spread = _spread(target, *_stats(target, p.b, c2, xb))
+    spread = _spread(target, *_stats(target, _logit_terms(target, p.b, c2), xb))
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     out = shrink ** 2 * spread + s2 * np.eye(target.dim)[None, :, :]
@@ -513,7 +537,7 @@ def posterior_moments(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, p.b, c2, xb)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
     spread = _spread(target, resp, mu_bar)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink

@@ -11,8 +11,10 @@ full-distance log-densities in 30-digit decimal arithmetic instead of the
 GEMM posterior kernel, per-component posterior moments summed over
 the responsibilities instead of central-moment identities, and the full
 flow-map Jacobian per quadrature block instead of its product with one
-tangent direction, and one recorded engine pass per noise amplitude
-instead of all amplitudes as row blocks of a single pass.
+tangent direction, one recorded engine pass per noise amplitude
+instead of all amplitudes as row blocks of a single pass, and one 2-D
+engine pass per steps-grid entry of the flow-difference check instead of
+the whole grid as groups of a single pass.
 """
 
 from __future__ import annotations
@@ -280,6 +282,57 @@ def sliced_w2(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> 
         gap = np.sort(pa @ u) - np.sort(pb @ u)
         total += float(np.mean(gap * gap))
     return math.sqrt(total / n_projections)
+
+
+def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> tuple:
+    """Flow-difference residual of one steps-grid entry in a 2-D engine pass.
+
+    The same Simpson nodes, path Y and unit tangent blocks as
+    experiments._ag_residual, for one step count, without a group axis:
+    between two nodes the path and the blocks that have joined advance.
+    Returns the residual, the number of rate evaluations and the number of
+    rows they advanced.
+    """
+    panels = max(4, steps // 8)
+    spacing, rem = divmod(steps, 2 * panels)
+    if rem != 0 or spacing < 1:
+        raise ValueError(
+            f"steps={steps} is not a multiple of the quadrature node spacing")
+    t_end = ctx.t_max
+    n, d = x0.shape
+    n_nodes = 2 * panels + 1
+    clock = _stage_times(0.0, t_end, steps)
+    tab, target = _table(ctx, clock), ctx.target
+    dnorm = math.hypot(*delta)
+    work = [0, 0]
+
+    def rate(k, state):
+        work[0] += 1
+        work[1] += state[0].shape[0]
+        v, dw = _rates(target, tab, k, state)
+        v[:n] += delta
+        return v, dw
+
+    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
+    xs = np.empty((n_nodes * n, d))
+    ws = np.tile(-delta / dnorm if dnorm > 0.0 else np.zeros(d), (n_nodes * n, 1))
+    xs[:n] = x0
+    for j in range(n_nodes - 1):
+        m = (j + 2) * n
+        xs[m - n:m] = xs[:n]
+        xs[:m], ws[:m] = _rk4(rate, (xs[:m], ws[:m]), clock,
+                              range(j * spacing, (j + 1) * spacing))[-1]
+    lhs = xs[n:2 * n] - xs[:n]
+    integrand = (dnorm * ws[n:]).reshape(n_nodes - 1, n * d)
+    weights = np.ones(n_nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= t_end / (n_nodes - 1) / 3.0
+    rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
+    gap = np.linalg.norm(lhs - rhs, axis=1)
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(gap))):
+        raise FloatingPointError(f"flow-difference residual is not finite at steps={steps}")
+    return float(np.max(gap)), work[0], work[1]
 
 
 def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> float:

@@ -6,6 +6,8 @@ acceptance suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from gif_lab.schedules import (FollmerSchedule, LinearSchedule, ShiftedLinearSch
                                TrigSchedule, VPSchedule)
 from gif_lab.targets import gaussian_target, mixture_target
 
-from oracles import (ag_residual_jacobian, gaussian_cloud, noisy_rk4,
+from oracles import (ag_residual_jacobian, ag_residual_per_entry, gaussian_cloud, noisy_rk4,
                      velocity_perturbation_per_eps)
 
 
@@ -415,6 +417,36 @@ class TestAgCheck:
         assert where[0] >= 8 / 64
         assert abs(where[0] - where[1]) <= 2 / 64
 
+    def test_grid_blowup_names_the_entry(self):
+        # the grid is one engine pass; the coarse entry reaches the overflow
+        # time in fewer steps, so it fails first, at the step of its own run
+        target = mixture_target(weights=[0.5, 0.5], means=[[-50.0, 0.0], [50.0, 25.0]],
+                                sigma=0.6)
+        base = dict(target=target, sched=LinearSchedule(), n=3, seed=1, delta=(1e307, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as alone:
+                run_ag_check(ExperimentConfig(**base, steps=64))
+            with pytest.raises(NonFiniteStateError) as err:
+                run_ag_check(ExperimentConfig(**base, steps_grid=(64, 128)))
+        assert err.value.step == alone.value.step
+        assert f"step {err.value.step} of the steps=64 entry" in str(err.value)
+        assert "integrator time" in str(err.value)
+
+    def test_only_the_finest_entry_overflows(self):
+        # an affine flow: the residual is |delta| times a fixed discretisation
+        # error, which for the 9 Simpson nodes of 8 and 16 steps is 6.9e-6
+        # and 1.4e-5; at this |delta| only the 16-step gap squares overflow
+        target = gaussian_target(mean=(3.0, 1.0), var=0.25)
+        base = dict(target=target, sched=TrigSchedule(), n=4, seed=5)
+        small = run_ag_check(ExperimentConfig(**base, delta=(1.0, 0.0), steps_grid=(8, 16)))
+        assert 1.9 < small.rows[1, 1] / small.rows[0, 1] < 2.1
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="at steps=16:"):
+                run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0),
+                                              steps_grid=(8, 16)))
+            alone = run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0), steps=8))
+        assert np.isfinite(alone.rows[0, 1])
+
     def test_overflowing_residual_raises(self):
         # the states stay finite, but the Simpson sum and the gap norm of a
         # delta this large overflow; that must not come back as a residual
@@ -459,14 +491,43 @@ class TestAgCheck:
             ref = ag_residual_jacobian(ctx, x0, delta, steps) / np.linalg.norm(delta)
             assert abs(rel - ref) <= 1e-9 * abs(ref) + 1e-14, (steps, rel, ref)
 
+    @pytest.mark.parametrize("early_stop", [0.0, 0.05])
+    @pytest.mark.parametrize("grid", [(8, 16, 64), (128, 256)], ids=["8-16-64", "128-256"])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule()],
+                             ids=lambda s: s.describe())
+    @pytest.mark.parametrize("target", [
+        gaussian_target(mean=(0.2, -0.1), var=1.0),
+        mixture_target(weights=(0.5, 0.5), means=((-1.0, 0.0), (1.0, 0.5)), sigma=0.6),
+        paper_gmm8()], ids=["gaussian", "gmm2", "gmm8"])
+    def test_grid_pass_matches_per_entry_oracle(self, target, sched, grid, early_stop):
+        # the grid's entries are groups of one engine pass; every row must be
+        # the bits of the entry's own 2-D pass, also where the node spacings
+        # differ (1, 2 and 4 steps for 8, 16 and 64) and groups carry rows
+        # past their own blocks
+        delta = np.array([0.05, -0.02])
+        cfg = ExperimentConfig(target=target, sched=sched, n=4, seed=7, delta=tuple(delta),
+                               steps_grid=grid, early_stop=early_stop)
+        res = run_ag_check(cfg)
+        ctx = FlowContext(sched=sched, target=target, early_stop=early_stop)
+        x0 = sample_source(target, sched, 4, _subseed(7, 0)).points
+        dnorm = math.hypot(*delta)
+        per_entry = [ag_residual_per_entry(ctx, x0, delta, steps) for steps in grid]
+        want = np.array([(float(steps), r, r / dnorm)
+                         for steps, (r, _, _) in zip(grid, per_entry)])
+        assert np.array_equal(res.rows, want)
+        assert res.meta["rate_calls"] == 4 * max(grid)
+        if grid == (128, 256):  # one node spacing: no group carries spare rows
+            assert res.meta["row_stages"] == sum(m for _, _, m in per_entry)
+
     def test_meta_counts_rate_work(self, small_gauss):
-        # 4 rate calls per step; 64 and 128 steps make 8 and 16 panels of
-        # 2 * 4 steps, and between nodes j and j + 1 the path and j + 1
-        # blocks, (j + 2) * n rows, advance
+        # the grid is one engine pass: 4 rate calls per step of its longest
+        # entry; 64 and 128 steps make 8 and 16 panels of 2 * 4 steps, and
+        # between nodes j and j + 1 the path and j + 1 blocks, (j + 2) * n
+        # rows, advance in each entry with steps left
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(), n=3,
                                seed=1, delta=(0.1, 0.0), steps_grid=(64, 128))
         meta = run_ag_check(cfg).meta
-        assert meta["rate_calls"] == 4 * (64 + 128)
+        assert meta["rate_calls"] == 4 * max(cfg.steps_grid)
         assert meta["row_stages"] == sum(4 * 4 * 3 * sum(range(2, 2 * panels + 2))
                                          for panels in (8, 16))
 

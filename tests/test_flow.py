@@ -196,6 +196,31 @@ class TestEngineTable:
             assert np.array_equal(v, _rates(target, tab, k, (x,))[0]), t
             assert np.all(np.abs(dw - want) <= 1e-12 * np.max(np.abs(want))), t
 
+    @pytest.mark.parametrize("kind", ["x", "xw"])
+    @pytest.mark.parametrize("target", [
+        gaussian_target(mean=[0.3, -0.2], var=0.64),
+        mixture_target(weights=[0.3, 0.7], means=[[-2.0, 0.0], [2.0, 1.0]], sigma=0.5),
+        _gmm8()], ids=["k1", "k2", "k8"])
+    @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
+    def test_grouped_rates_match_2d_calls(self, sched, target, kind):
+        # a (K, G) table gives (G, 1, 1) coefficients at entry k; the rates
+        # of a (G, M, d) state are those of G 2-D calls, bit for bit, also
+        # for points whose shifted logits fall below the masked-exp floor
+        ctx = FlowContext(sched=sched, target=target)
+        clocks = np.stack([_stage_times(0.0, end, 16) for end in (0.4, 0.9, 1.0)], axis=1)
+        tab = _table(ctx, clocks)
+        rng = np.random.default_rng(12)
+        x = 6.0 * rng.normal(size=(3, 7, 2))
+        x[:, :2] = target.means[:2] + 0.05
+        state = (x, rng.normal(size=x.shape)) if kind == "xw" else (x,)
+        for k in range(clocks.shape[0]):
+            assert tab.alpha[k].shape == (3, 1, 1)
+            got = _rates(target, tab, k, state)
+            for g in range(3):
+                want = _rates(target, _table(ctx, clocks[:, g]), k,
+                              tuple(s[g] for s in state))
+                assert all(np.array_equal(a[g], b) for a, b in zip(got, want)), (k, g)
+
     @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
                                         _gmm4()], ids=["gaussian", "gmm4"])
     @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())

@@ -21,6 +21,7 @@ from gif_lab.flow import FlowContext, integrate
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule
 from gif_lab.targets import (
     Target,
+    _logit_terms,
     _resp,
     _spread_apply,
     cond_cov,
@@ -521,7 +522,7 @@ class TestKernelFarTail:
         centred_o = target.means[None, :, :] - mu_o[:, None, :]
         spread_o = np.einsum("nk,nki,nkj->nij", resp_o, centred_o, centred_o)
 
-        kernel = _resp(target, p.b, c2, x)
+        kernel = _resp(target, _logit_terms(target, p.b, c2), x)
         resp, mu_bar, spread = posterior_stats(target, sched, t, x)
         assert kernel.shape == (target.n_components, x.shape[0])
         assert np.array_equal(resp, kernel.T)
