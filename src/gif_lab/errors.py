@@ -30,14 +30,12 @@ class NonFiniteError(GifLabError, ValueError):
 class NonFiniteStateError(GifLabError, ArithmeticError):
     """An integrator state became non-finite.
 
-    Carries the step index at which the blow-up was detected and, for a
-    state with a group axis, the first group it reached (else None).
+    Carries the step index at which the blow-up was detected.
     """
 
-    def __init__(self, message: str, step: int, group: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-        self.group = group
 
 
 class SizeMismatchError(GifLabError, ValueError):

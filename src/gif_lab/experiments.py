@@ -20,8 +20,7 @@ import numpy as np
 
 from .artifacts import repr_lines, write_table, xy_plot
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
-from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, NonFiniteStateError,
-                     SizeMismatchError)
+from .errors import InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
 from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
@@ -498,8 +497,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     blocks at its own nodes.  Between two joins every advancing group has
     as many rows as the one with the most joined blocks; rows past a
     group's own blocks hold copies of Y and u, which its next join
-    overwrites.  The last group left runs without the group axis.  Each
-    group's numbers are those of a pass of its own.
+    overwrites.  Each group's numbers are those of a pass of its own.
 
     Returns the residuals in grid order, the number of rate evaluations and
     the number of rows they advanced in total.
@@ -513,7 +511,8 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     clock = np.full((2 * steps[0] + 1, len(steps)), t_end)
     for g, s in enumerate(steps):
         clock[:2 * s + 1, g] = _stage_times(0.0, t_end, s)
-    tab, solo, target = _table(ctx, clock), _table(ctx, clock[:, 0]), ctx.target
+    tab, target = _table(ctx, clock), ctx.target
+    names = [f"steps={s} entry" for s in steps]
     dnorm = math.hypot(*delta)
     u = -delta / dnorm if dnorm > 0.0 else np.zeros(d)
     work = [0, 0]  # rate calls, rows advanced
@@ -530,31 +529,20 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     xs[:, :n], ws[:, :n] = x0, u
     joins = {j * gap for s, gap in zip(steps, spacing) for j in range(s // gap)}
     events = sorted(joins | set(steps))
-    try:
-        for lo, hi in zip(events, events[1:]):
-            live = sum(s > lo for s in steps)
-            own = [(lo // gap + 2) * n for gap in spacing[:live]]
-            m = max(own)
-            for g in range(live):
-                # the block joining at lo, if lo is a node of this group, and
-                # the rows past the group's own blocks start from Y and u
-                first = own[g] - (n if lo % spacing[g] == 0 else 0)
-                xs[g, first:m].reshape(-1, n, d)[:] = xs[g, :n]
-                ws[g, first:m] = u
-            # a lone group runs without the group axis: numpy multiplies by
-            # a scalar coefficient faster than by a (1, 1, 1) array
-            if live == 1:
-                live_tab, rows, run_clock = solo, 0, clock[:, 0]
-            else:
-                live_tab, rows, run_clock = tab.groups(live), slice(live), clock[:, :live, None, None]
-            xs[rows, :m], ws[rows, :m] = _rk4(rate, (xs[rows, :m], ws[rows, :m]), run_clock,
-                                              range(lo, hi))[-1]
-    except NonFiniteStateError as err:
-        g = err.group or 0
-        raise NonFiniteStateError(
-            f"state became non-finite at step {err.step} of the steps={steps[g]} entry "
-            f"(integrator time {float(clock[2 * err.step + 2, g])!r})",
-            step=err.step) from None
+    for lo, hi in zip(events, events[1:]):
+        live = sum(s > lo for s in steps)
+        own = [(lo // gap + 2) * n for gap in spacing[:live]]
+        m = max(own)
+        for g in range(live):
+            # the block joining at lo, if lo is a node of this group, and
+            # the rows past the group's own blocks start from Y and u
+            first = own[g] - (n if lo % spacing[g] == 0 else 0)
+            xs[g, first:m].reshape(-1, n, d)[:] = xs[g, :n]
+            ws[g, first:m] = u
+        live_tab = tab.groups(live)
+        xs[:live, :m], ws[:live, :m] = _rk4(rate, (xs[:live, :m], ws[:live, :m]),
+                                            clock[:, :live, None, None], range(lo, hi),
+                                            names=names)[-1]
 
     resid = {}
     for g, s in enumerate(steps):

@@ -130,7 +130,7 @@ class _Table(collections.namedtuple("_Table", "b c2 alpha beta gamma smc bm0 con
 
     def groups(self, count: int) -> "_Table":
         """The table of the first count groups of a grouped table."""
-        return _Table(*(col[:, :count] for col in self))
+        return _Table(*(None if col is None else col[:, :count] for col in self))
 
 
 def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
@@ -139,7 +139,7 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     t is (K,), one time per stage, or (K, G), one stage clock per group.
     With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
     over a (G, n, d) state, and the logit terms carry the G axis in front
-    of their own.
+    of their own.  A one-component target has no logit terms (None).
     """
     sched, s2 = ctx.sched, ctx.target.sigma ** 2
     t = sched._check_time(t)
@@ -156,6 +156,8 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     cols = (b, c2, alpha, beta, beta * b / c2)
     if t.ndim == 2:
         cols = tuple(col[..., None, None] for col in cols)
+    if ctx.target.n_components == 1:  # _rates never reads the posterior
+        return _Table(*cols, None, None, None)
     return _Table(*cols, *_logit_terms(ctx.target, b[..., None, None], c2[..., None, None]))
 
 
@@ -226,7 +228,7 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
-    resp, mu_bar = _stats(target, tab.logits(0), xb)
+    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xb)
     pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
     dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
     out = dalpha * xb + dbeta * mu_bar + beta * dmu
@@ -327,16 +329,18 @@ def _stage_times(t_from: float, t_to: float, steps: int) -> np.ndarray:
     return clock
 
 
-def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False) -> list:
+def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
+         names=None) -> list:
     """The one RK4 loop: advance a tuple of arrays over the given steps.
 
     clock holds the stage times from _stage_times, or (K, G, 1, 1) stage
-    clocks for a state with a group axis in front; rate(k, state) returns
-    the tuple of time derivatives at stage k.  steps is the range of step
-    indices to take.  Returns the states after every step with the
-    initial one first (keep_all), or just the initial and final states.
-    A non-finite state raises NonFiniteStateError with the step, counted
-    from the first stage, and, with groups, the first group it reached.
+    clocks for a state with a group axis in front, with names labelling
+    its groups; rate(k, state) returns the tuple of time derivatives at
+    stage k.  steps is the range of step indices to take.  Returns the states
+    after every step with the initial one first (keep_all), or just the
+    initial and final states.  A non-finite state raises
+    NonFiniteStateError with the step, counted from the first stage, and,
+    with groups, the name and time of the first group it reached.
     """
     path = [state]
     for i in steps:
@@ -350,15 +354,15 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False) -
         state = tuple(s + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                       for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4))
         if not all(np.isfinite(s).all() for s in state):
-            raise _blowup(state, clock[k + 2], i)
+            raise _blowup(state, clock[k + 2], i, names)
         if keep_all:
             path.append(state)
     return path if keep_all else [path[0], state]
 
 
-def _blowup(state: tuple, t_end, i: int) -> NonFiniteStateError:
+def _blowup(state: tuple, t_end, i: int, names) -> NonFiniteStateError:
     """The error for a state that became non-finite in step i, which ends at
-    t_end: one time, or (G, 1, 1) with a group per time."""
+    t_end: one time, or (G, 1, 1) with a group per time, named by names."""
     if np.ndim(t_end) == 0:
         return NonFiniteStateError(
             f"state became non-finite at step {i} (integrator time {float(t_end)!r})", step=i)
@@ -368,8 +372,8 @@ def _blowup(state: tuple, t_end, i: int) -> NonFiniteStateError:
         bad |= ~np.isfinite(s.reshape(count, -1)).all(axis=1)
     g = int(np.flatnonzero(bad)[0])
     return NonFiniteStateError(
-        f"state became non-finite at step {i} in group {g} "
-        f"(integrator time {float(t_end[g, 0, 0])!r})", step=i, group=g)
+        f"state became non-finite at step {i} of the {names[g]} "
+        f"(integrator time {float(t_end[g, 0, 0])!r})", step=i)
 
 
 def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,

@@ -429,6 +429,7 @@ class TestAgCheck:
             with pytest.raises(NonFiniteStateError) as err:
                 run_ag_check(ExperimentConfig(**base, steps_grid=(64, 128)))
         assert err.value.step == alone.value.step
+        assert f"step {alone.value.step} of the steps=64 entry" in str(alone.value)
         assert f"step {err.value.step} of the steps=64 entry" in str(err.value)
         assert "integrator time" in str(err.value)
 
