@@ -2,8 +2,9 @@
 # Runs every gif-lab subcommand under --no-timestamp into the directory $1
 # (default cli-out) and prints the SHA-256 digest of every file written
 # there, one "digest  ./path" line each, sorted by path.  The steps-grid
-# runners and the velocity-noise sweep run a second time on a two-thread
-# pool, into "$1-threads2", and must write the same bytes as on one thread.
+# runners, both sweeps and the Jacobian-envelope scan run a second time on
+# a two-thread pool, into "$1-threads2", and must write the same bytes as
+# on one thread.
 # A paper-gmm8 block runs the sweeps, autoencode and ag-check late into a
 # flow whose shifted posterior logits mostly sit far below -700, into
 # "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
@@ -30,7 +31,7 @@ gif-lab validate-schedule --schedule vp --alpha0 0.02 --p 2.0 > "$out/validate-s
 for cmd in stability-source stability-velocity autoencode cycle jacobian-envelope ag-check; do
   gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"
 done
-for cmd in ag-check autoencode cycle stability-velocity; do
+for cmd in ag-check autoencode cycle stability-source stability-velocity jacobian-envelope; do
   gif-lab "$cmd" --config cli-run.cfg --threads 2 --no-timestamp --svg --out "$out-threads2/$cmd"
   diff -r "$out/$cmd" "$out-threads2/$cmd"
 done

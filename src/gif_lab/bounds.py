@@ -29,6 +29,7 @@ from .errors import (
     MissingFieldError,
     NoRootError,
     OutOfRangeError,
+    _real_param,
 )
 from .schedules import Schedule
 from .targets import Target
@@ -46,15 +47,9 @@ __all__ = [
 _CASES = ("gaussian", "bounded-d", "mixture", "log-lip")
 
 
-def _opt_num(name, value, lo=None, allow_inf=False):
-    if value is None:
-        return None
-    v = float(value)
-    if math.isnan(v) or (not allow_inf and math.isinf(v)):
-        raise InvalidParamError(f"{name} must be finite, got {value!r}")
-    if lo is not None and v < lo:
-        raise InvalidParamError(f"{name} must be >= {lo}, got {value!r}")
-    return v
+# The interval of each profile field; only D may be +inf.
+_PROFILE_FIELDS = {"kappa": "(-inf, inf)", "beta": "(0, inf)", "D": "[0, inf]",
+                   "R": "[0, inf)", "sigma": "(0, inf)", "L": "[0, inf)"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,16 +72,10 @@ class RegularityProfile:
     L: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", _opt_num("kappa", self.kappa))
-        object.__setattr__(self, "beta", _opt_num("beta", self.beta))
-        object.__setattr__(self, "D", _opt_num("D", self.D, lo=0.0, allow_inf=True))
-        object.__setattr__(self, "R", _opt_num("R", self.R, lo=0.0))
-        object.__setattr__(self, "sigma", _opt_num("sigma", self.sigma))
-        object.__setattr__(self, "L", _opt_num("L", self.L, lo=0.0))
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise InvalidParamError(f"sigma must be > 0, got {self.sigma}")
-        if self.beta is not None and self.beta <= 0.0:
-            raise InvalidParamError(f"beta must be > 0, got {self.beta}")
+        for name, interval in _PROFILE_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _real_param(name, value, interval))
         if self.kappa is not None and self.beta is not None and self.beta < self.kappa:
             raise InvalidParamError(
                 f"beta ({self.beta}) must dominate kappa ({self.kappa})")
@@ -459,7 +448,6 @@ def functional_constant(c_nu: float, sched: Schedule, t: float,
     """
     if kind not in ("log-sobolev", "poincare"):
         raise InvalidParamError(f"kind must be log-sobolev or poincare, got {kind!r}")
-    if not (isinstance(c_nu, (int, float)) and math.isfinite(c_nu) and c_nu > 0.0):
-        raise InvalidParamError(f"c_nu must be > 0, got {c_nu!r}")
+    c_nu = _real_param("c_nu", c_nu, "(0, inf)")
     p = sched.eval(t)
     return p.a ** 2 + p.b ** 2 * c_nu

@@ -27,6 +27,7 @@ from .errors import (
     OutOfRangeError,
     SizeMismatchError,
     TooLargeError,
+    _int_param,
 )
 from .experiments import (
     run_ag_check,
@@ -140,8 +141,7 @@ def cmd_bounds(out, no_timestamp, family, sigma_max,
                alpha0, p, zeta, case, kappa, beta, d_bound, radius, sigma,
                lip, t2, grid) -> int:
     """Tabulate the theta envelope and flow-map Lipschitz bound over time."""
-    if grid < 2:
-        raise InvalidParamError(f"--grid must be at least 2, got {grid}")
+    grid = _int_param("--grid", grid, "[2, inf)")
     sched = _build_schedule(family, sigma_max, alpha0, p, zeta)
     profile = RegularityProfile(kappa=kappa, beta=beta, D=d_bound, R=radius,
                                 sigma=sigma, L=lip)

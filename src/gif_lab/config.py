@@ -8,10 +8,9 @@ comments, values parsed as Python literals with a bare-string fallback, so
 from __future__ import annotations
 
 import ast
-import math
 from typing import Optional
 
-from .errors import InvalidParamError, MissingFieldError
+from .errors import InvalidParamError, MissingFieldError, _int_param, _real_param
 from .experiments import ExperimentConfig, moderate_gmm4, paper_gmm8
 from .schedules import Schedule, make_schedule
 from .targets import Target, gaussian_target, mixture_target
@@ -56,31 +55,27 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def _is_number(v) -> bool:
-    return ((isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and math.isfinite(v)))
+def _listed(name: str, v, item=_real_param) -> tuple:
+    """A list value, each entry parsed by item(name, entry)."""
+    if not isinstance(v, (list, tuple)):
+        raise InvalidParamError(f"{name} must be a list, got {v!r}")
+    return tuple(item(name, x) for x in v)
 
 
-def _is_numbers(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
-
-
-_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int), int)
-_NUMBER = ("a finite number", _is_number, float)
-_NUMBERS = ("a list of finite numbers", _is_numbers, tuple)
-# What each key's value must be, the test for that, and the cast applied.
+_INTEGER = ("an integer", _int_param)
+_NUMBER = ("a finite number", _real_param)
+_NUMBERS = ("a list of finite numbers", _listed)
+# What each key's value must be, and its parse(key, value), which raises InvalidParamError.
 _EXPERIMENT_KEYS = {
     **dict.fromkeys(("n", "steps", "seed", "threads"), _INTEGER),
     "early_stop": _NUMBER,
     **dict.fromkeys(("zeta_grid", "eps_grid", "t_grid", "steps_grid", "delta"), _NUMBERS),
-    "check_bound": ("True or False", lambda v: isinstance(v, bool), bool),
 }
 _TARGET_KEYS = {
     "mean": ("a finite number or a list of them",
-             lambda v: _is_number(v) or _is_numbers(v), lambda v: v),
+             lambda k, v: (_listed if isinstance(v, (list, tuple)) else _real_param)(k, v)),
     "var": _NUMBER,
-    "means": ("a list of points",
-              lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v)), tuple),
+    "means": ("a list of points", lambda k, v: _listed(k, v, _listed)),
     "weights": _NUMBERS,
     "sigma": _NUMBER,
 }
@@ -90,16 +85,18 @@ def config_value(cfg: dict, key: str, default=None, suffix: str = ""):
     """The value of key ``key + suffix``, or ``default`` when it is absent.
 
     A value of the wrong kind (a string or ``1e999`` where a number
-    belongs, a float where an integer belongs, ``false`` for ``False``)
-    raises InvalidParamError naming the key.
+    belongs, a float or ``True`` where an integer belongs) raises
+    InvalidParamError naming the key.
     """
     value = cfg.get(key + suffix)
     if value is None:
         return default
-    kind, test, cast = _EXPERIMENT_KEYS.get(key) or _TARGET_KEYS[key]
-    if not test(value):
-        raise InvalidParamError(f"config key '{key}{suffix}' must be {kind}, got {value!r}")
-    return cast(value)
+    kind, parse = _EXPERIMENT_KEYS.get(key) or _TARGET_KEYS[key]
+    try:
+        return parse(key + suffix, value)
+    except InvalidParamError:
+        raise InvalidParamError(
+            f"config key '{key}{suffix}' must be {kind}, got {value!r}") from None
 
 
 _TARGET_KINDS = ("gaussian", "gmm", "paper-gmm8", "moderate-gmm4")

@@ -6,6 +6,11 @@ catch domain failures without swallowing programming errors.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
+import operator
+
 
 class GifLabError(Exception):
     """Base class for all gif_lab errors."""
@@ -56,3 +61,41 @@ class MissingFieldError(GifLabError, ValueError):
 
 class NoRootError(GifLabError, ValueError):
     """A root-finding problem has no solution in the admissible interval."""
+
+
+# ---------------------------------------------------------------------------
+# scalar parameters: one rule for every constant that a constructor or an
+# operation takes, so a bool, a string or a NaN never reaches a formula
+
+
+@functools.lru_cache(maxsize=None)
+def _interval(text: str):
+    """Membership test of an interval written like "(0, 1]".  An infinite end
+    admits infinity only under a closed bracket; NaN lies in no interval."""
+    lo, hi = map(float, text[1:-1].split(","))
+    above = operator.lt if text[0] == "(" else operator.le
+    below = operator.lt if text[-1] == ")" else operator.le
+    return lambda v: above(lo, v) and below(v, hi)
+
+
+def _real_param(name: str, value, interval: str = "(-inf, inf)") -> float:
+    """``value`` as a float if it is a ``numbers.Real`` other than a bool
+    (numpy scalars included) inside ``interval``; else InvalidParamError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.nan
+        if _interval(interval)(v):
+            return v
+    raise InvalidParamError(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+def _int_param(name: str, value, interval: str = "(-inf, inf)") -> int:
+    """``value`` as an int if it is a ``numbers.Integral`` other than a bool
+    (numpy integers included) inside ``interval``; else InvalidParamError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        v = int(value)
+        if _interval(interval)(v):
+            return v
+    raise InvalidParamError(f"{name} must be an integer in {interval}, got {value!r}")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .artifacts import repr_lines, write_table, xy_plot
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
-from .errors import InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError
+from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError,
+                     _int_param)
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
 from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
@@ -118,14 +119,11 @@ class ExperimentConfig:
     delta: Optional[tuple] = None
     profile: Optional[RegularityProfile] = None
     bound_case: str = "mixture"
-    check_bound: bool = True
     threads: int = 1
 
     def __post_init__(self) -> None:
         for name, lo in (("n", 1), ("steps", 1), ("seed", 0), ("threads", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < lo:
-                raise InvalidParamError(f"{name} must be an integer >= {lo}, got {v!r}")
+            object.__setattr__(self, name, _int_param(name, getattr(self, name), f"[{lo}, inf)"))
         for name in ("zeta_grid", "eps_grid", "t_grid"):
             g = getattr(self, name)
             if g is not None:
@@ -281,7 +279,7 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
                "w2_s": sum(m[5] for m in measured), "w2_method": _w2_method(cfg.n)}
     extra = {"bound_checked": False}
 
-    if cfg.check_bound and target.is_gaussian:
+    if target.is_gaussian:
         floor = _cloud_w2(sample_target(target, cfg.n, _subseed(cfg.seed, 10_001)).points,
                           sample_target(target, cfg.n, _subseed(cfg.seed, 10_002)).points)
         prof = RegularityProfile.from_target(target)

@@ -68,6 +68,8 @@ from .errors import (
     NonFiniteStateError,
     OutOfRangeError,
     SizeMismatchError,
+    _int_param,
+    _real_param,
 )
 from .schedules import Schedule
 from .targets import (Target, _as_batch, _logit_terms, _spread, _spread_apply, _stats,
@@ -98,9 +100,8 @@ class FlowContext:
     early_stop: float = 0.0
 
     def __post_init__(self):
-        es = self.early_stop
-        if not (isinstance(es, (int, float)) and math.isfinite(es) and 0.0 <= es < 0.5):
-            raise InvalidParamError(f"early_stop must lie in [0, 0.5), got {es!r}")
+        object.__setattr__(self, "early_stop",
+                           _real_param("early_stop", self.early_stop, "[0, 0.5)"))
 
     @property
     def t_max(self) -> float:
@@ -302,8 +303,7 @@ def _validate_span(ctx: FlowContext, t_from: float, t_to: float, steps: int,
         raise InvalidParamError(f"direction must be forward or reverse, got {direction!r}")
     if record not in ("all", "final"):
         raise InvalidParamError(f"record must be all or final, got {record!r}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise InvalidParamError(f"steps must be a positive integer, got {steps!r}")
+    steps = _int_param("steps", steps, "[1, inf)")
     t_from, t_to = float(t_from), float(t_to)
     if not (math.isfinite(t_from) and math.isfinite(t_to) and t_from < t_to):
         raise OutOfRangeError(f"need from < to, got {t_from!r} .. {t_to!r}")
@@ -316,7 +316,7 @@ def _validate_span(ctx: FlowContext, t_from: float, t_to: float, steps: int,
         if t_from < ctx.early_stop or t_to > 1.0:
             raise OutOfRangeError(
                 f"reverse span must lie in [{ctx.early_stop}, 1], got [{t_from}, {t_to}]")
-    return t_from, t_to
+    return t_from, t_to, steps
 
 
 def _stage_times(t_from: float, t_to: float, steps: int) -> np.ndarray:
@@ -396,7 +396,7 @@ def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,
 def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
               direction: str = "forward", record: str = "all") -> Trajectory:
     """Fixed-step RK4 transport of a point or cloud along the velocity."""
-    t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
+    t_from, t_to, steps = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
     times, (states,) = _run(ctx, (xb,), t_from, t_to, steps, direction, record)
     return Trajectory(times=times, states=states, direction=direction, single=single)
@@ -412,7 +412,7 @@ def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps:
     only when with_logdensity is set; a given init_logdens is a scalar or
     one value per point.
     """
-    t_from, t_to = _validate_span(ctx, t_from, t_to, steps, direction, record)
+    t_from, t_to, steps = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
     n, d = xb.shape
     if init_logdens is None:

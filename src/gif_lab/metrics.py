@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteError,
     SizeMismatchError,
     TooLargeError,
+    _int_param,
 )
 from .schedules import Schedule
 from .targets import Target
@@ -75,11 +76,8 @@ _CHUNK = 4096
 def _check_stream(seed, domain):
     """(seed, domain) as Python ints, or InvalidParamError if either would not
     fit its key bits and so alias another stream."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= _MASK64:
-        raise InvalidParamError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not isinstance(domain, (int, np.integer)) or not 0 <= domain < (1 << _DOMAIN_BITS):
-        raise InvalidParamError(f"stream domain out of range: {domain!r}")
-    return int(seed), int(domain)
+    return (_int_param("seed", seed, f"[0, {1 << 64})"),
+            _int_param("domain", domain, f"[0, {1 << _DOMAIN_BITS})"))
 
 
 def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -90,9 +88,8 @@ def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
     streams.
     """
     seed, domain = _check_stream(seed, domain)
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < (1 << _INDEX_BITS):
-        raise InvalidParamError(f"stream index out of range: {index!r}")
-    key = np.array([seed, (domain << _INDEX_BITS) | int(index)], dtype=np.uint64)
+    index = _int_param("index", index, f"[0, {1 << _INDEX_BITS})")
+    key = np.array([seed, (domain << _INDEX_BITS) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -174,12 +171,6 @@ def _philox_draw(seed: int, domain: int, n: int, d: int, lead: int):
     return uniforms, normals
 
 
-def _check_count(n: int, what: str = "sample count") -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParamError(f"{what} must be a positive integer, got {n!r}")
-    return int(n)
-
-
 @dataclass(frozen=True)
 class ParticleCloud:
     """A set of particles with the seed and label they were drawn under."""
@@ -230,8 +221,8 @@ def sample_gaussian(
     dim: int, n: int, seed: int, scale: float = 1.0, label: str = "gaussian"
 ) -> ParticleCloud:
     """n draws from scale * N(0, I_dim), one Philox stream per particle."""
-    n = _check_count(n)
-    dim = _check_count(dim, "dim")
+    n = _int_param("n", n, "[1, inf)")
+    dim = _int_param("dim", dim, "[1, inf)")
     _, z = _philox_draw(seed, _SOURCE_DOMAIN, n, dim, 0)
     z *= scale
     return ParticleCloud(points=z, seed=seed, label=label)
@@ -240,7 +231,7 @@ def sample_gaussian(
 def sample_target(target: Target, n: int, seed: int, label: str = "target") -> ParticleCloud:
     """n draws from the mixture; particle i selects its component from the
     first uniform of stream (seed, i), then draws its noise."""
-    n = _check_count(n)
+    n = _int_param("n", n, "[1, inf)")
     u, z = _philox_draw(seed, _TARGET_DOMAIN, n, target.dim, 1)
     cumw = np.cumsum(target.weights)
     comp = np.minimum(np.searchsorted(cumw, u[:, 0], side="right"),
@@ -321,9 +312,8 @@ def _w2_1d_sq(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _w2_sliced(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> float:
-    if not isinstance(n_projections, (int, np.integer)) or n_projections < 1:
-        raise InvalidParamError(f"n_projections must be >= 1, got {n_projections!r}")
-    _, dirs = _philox_draw(seed, _PROJ_DOMAIN, int(n_projections), pa.shape[1], 0)
+    n_projections = _int_param("n_projections", n_projections, "[1, inf)")
+    _, dirs = _philox_draw(seed, _PROJ_DOMAIN, n_projections, pa.shape[1], 0)
     total = 0.0
     for u in dirs:
         u /= max(float(np.linalg.norm(u)), 1e-300)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParamError, OutOfRangeError
+from .errors import InvalidParamError, OutOfRangeError, _int_param, _real_param
 
 __all__ = [
     "SchedulePoint",
@@ -165,9 +165,8 @@ class Schedule:
         signs da <= 0 and db >= 0 wherever finite, finiteness of the
         product a*da on all of [0, 1], and strict growth of the SNR.
         """
-        if not isinstance(grid_n, (int, np.integer)) or grid_n < 8:
-            raise InvalidParamError(f"grid_n must be an integer >= 8, got {grid_n!r}")
-        grid = np.linspace(0.0, 1.0, int(grid_n))
+        grid_n = _int_param("grid_n", grid_n, "[8, inf)")
+        grid = np.linspace(0.0, 1.0, grid_n)
         bad: list[tuple[str, float]] = []
         with np.errstate(divide="ignore", invalid="ignore"):
             a = self._a(grid)
@@ -199,35 +198,10 @@ class Schedule:
             growth = np.diff(snr) > 0.0
         for i in np.nonzero(~growth)[0]:
             bad.append(("snr strictly increasing", float(grid[i + 1])))
-        return ValidationReport(family=self.family, grid_n=int(grid_n), violations=bad)
+        return ValidationReport(family=self.family, grid_n=grid_n, violations=bad)
 
     def describe(self) -> str:
         return self.family
-
-
-@dataclasses.dataclass(frozen=True)
-class LinearSchedule(Schedule):
-    """a_t = 1 - t, b_t = t."""
-
-    family = "linear"
-
-    def _a(self, t):
-        return 1.0 - t
-
-    def _b(self, t):
-        return np.asarray(t, dtype=float) + 0.0
-
-    def _da(self, t):
-        return np.full_like(np.asarray(t, dtype=float), -1.0)
-
-    def _db(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def _d2a(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def _d2b(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,10 +216,7 @@ class ShiftedLinearSchedule(Schedule):
     family = "shifted-linear"
 
     def __post_init__(self):
-        if not (isinstance(self.zeta, (int, float)) and math.isfinite(self.zeta)):
-            raise InvalidParamError(f"zeta must be a finite number, got {self.zeta!r}")
-        if self.zeta < 0.0:
-            raise InvalidParamError(f"zeta must be >= 0, got {self.zeta}")
+        object.__setattr__(self, "zeta", _real_param("zeta", self.zeta, "[0, inf)"))
 
     def _a(self, t):
         return (1.0 - t) / (1.0 + self.zeta)
@@ -267,6 +238,18 @@ class ShiftedLinearSchedule(Schedule):
 
     def describe(self) -> str:
         return f"shifted-linear({self.zeta:g})"
+
+
+@dataclasses.dataclass(frozen=True)
+class LinearSchedule(ShiftedLinearSchedule):
+    """a_t = 1 - t, b_t = t: the shifted-linear family at zeta = 0, whose
+    closed forms give exactly these weights and derivatives."""
+
+    zeta: float = dataclasses.field(default=0.0, init=False, repr=False)
+    family = "linear"
+
+    def describe(self) -> str:
+        return self.family
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,10 +331,8 @@ class VESchedule(Schedule):
     family = "ve"
 
     def __post_init__(self):
-        if not (isinstance(self.sigma_max, (int, float)) and math.isfinite(self.sigma_max)):
-            raise InvalidParamError(f"sigma_max must be finite, got {self.sigma_max!r}")
-        if self.sigma_max <= 0.0:
-            raise InvalidParamError(f"sigma_max must be > 0, got {self.sigma_max}")
+        object.__setattr__(self, "sigma_max",
+                           _real_param("sigma_max", self.sigma_max, "(0, inf)"))
 
     def _a(self, t):
         return self.sigma_max * (1.0 - np.asarray(t, dtype=float))
@@ -389,10 +370,8 @@ class VPSchedule(Schedule):
     _W = math.pi / 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.alpha0, (int, float)) and 0.0 < self.alpha0 < 1.0):
-            raise InvalidParamError(f"alpha0 must lie in (0, 1), got {self.alpha0!r}")
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p >= 1.0):
-            raise InvalidParamError(f"p must be >= 1, got {self.p!r}")
+        object.__setattr__(self, "alpha0", _real_param("alpha0", self.alpha0, "(0, 1)"))
+        object.__setattr__(self, "p", _real_param("p", self.p, "[1, inf)"))
 
     def _a(self, t):
         return self.alpha0 * np.cos(self._W * np.asarray(t, dtype=float)) ** self.p

@@ -54,6 +54,7 @@ from .errors import (
     NonFiniteError,
     SizeMismatchError,
     TooLargeError,
+    _real_param,
 )
 from .schedules import Schedule
 
@@ -101,15 +102,12 @@ class Target:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-8:
             raise InvalidParamError(f"weights must sum to 1, got {total}")
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma)
-                and self.sigma > 0.0):
-            raise InvalidParamError(f"sigma must be > 0, got {self.sigma!r}")
         w = w / total
         w.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _real_param("sigma", self.sigma, "(0, inf)"))
 
     @property
     def dim(self) -> int:
@@ -178,15 +176,14 @@ class Target:
 def gaussian_target(mean, var: float) -> Target:
     """Single Gaussian N(mean, var*I) as a one-component mixture."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not (isinstance(var, (int, float)) and math.isfinite(var) and var > 0.0):
-        raise InvalidParamError(f"var must be > 0, got {var!r}")
+    var = _real_param("var", var, "(0, inf)")
     return Target(weights=np.array([1.0]), means=mean[None, :], sigma=math.sqrt(var))
 
 
 def mixture_target(weights, means, sigma: float) -> Target:
     """Isotropic Gaussian mixture with shared component deviation sigma."""
     return Target(weights=np.asarray(weights, dtype=float),
-                  means=np.asarray(means, dtype=float), sigma=float(sigma))
+                  means=np.asarray(means, dtype=float), sigma=sigma)
 
 
 def point_cloud_target(points, sigma: float, weights=None) -> Target:
@@ -196,7 +193,7 @@ def point_cloud_target(points, sigma: float, weights=None) -> Target:
         raise InvalidParamError("points must be a (k, d) array")
     if weights is None:
         weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    return Target(weights=np.asarray(weights, dtype=float), means=pts, sigma=float(sigma))
+    return Target(weights=np.asarray(weights, dtype=float), means=pts, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +251,16 @@ def min_enclosing_ball(points: np.ndarray, seed: int = 0):
     dimensions returns the centroid-based upper bound.  Caps the point
     count at 10_000.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    n, d = pts.shape
-    if np.asarray(points).shape[0] > _BALL_POINT_CAP:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise SizeMismatchError(f"points must be a (k, d) array with k, d >= 1, "
+                                f"got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteError("points contain non-finite coordinates")
+    if pts.shape[0] > _BALL_POINT_CAP:
         raise TooLargeError(f"enclosing ball supports at most {_BALL_POINT_CAP} points")
+    pts = np.unique(pts, axis=0)
+    n, d = pts.shape
     if n == 1:
         return pts[0].copy(), 0.0
     if d == 1:

@@ -270,12 +270,11 @@ class TestConfigValues:
         ("stability-source", "n", _GAUSS_SWEEP + "n = abc\n"),
         ("stability-source", "zeta_grid", _GAUSS_SWEEP + "zeta_grid = abc\n"),
         ("stability-source", "delta", _GAUSS_SWEEP + "delta = 0.1\n"),
-        ("stability-source", "check_bound", _GAUSS_SWEEP + "check_bound = false\n"),
         ("stability-source", "steps", _GAUSS_SWEEP + "steps = 2.5\n"),
         ("sample", "n", _GAUSS_SWEEP + "n = 2.5\n"),
         ("sample", "mean", _GAUSS_SWEEP + "mean = (1e999, 0.0)\n"),
         ("flow", "early_stop", _GAUSS_SWEEP + "early_stop = abc\n"),
-    ], ids=["mean", "var", "means", "n", "zeta_grid", "delta", "check_bound",
+    ], ids=["mean", "var", "means", "n", "zeta_grid", "delta",
             "steps", "sample-n", "sample-inf-mean", "flow-early_stop"])
     def test_wrong_kind_is_validation_error(self, tmp_path, capsys, command, key, text):
         cfg = tmp_path / "bad.cfg"

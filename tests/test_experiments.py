@@ -131,6 +131,16 @@ class TestSourcePerturbation:
         w = res.rows[:, res.columns.index("w2")]
         assert np.all(w <= rhs)
 
+    def test_overflowing_exponent_gives_infinite_bound(self):
+        # var = 1e-6 puts the envelope's sup times d far above 700
+        target = gaussian_target(mean=[0.0, 0.0], var=1e-6)
+        cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=128, steps=64,
+                               zeta_grid=(0.0, 0.2))
+        res = run_source_perturbation(cfg)
+        assert res.meta["bound_checked"]
+        assert np.all(res.column("bound_rhs") == math.inf)
+        assert np.all(np.isfinite(res.column("w2")))
+
     def test_bit_reproducible(self, small_gauss):
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
                                n=128, steps=48, seed=7, zeta_grid=(0.0, 0.15))
@@ -191,6 +201,23 @@ class TestVelocityPerturbation:
     def test_gronwall_bound_holds(self, result):
         res, _ = result
         assert np.all(res.rows[:, 2] <= res.rows[:, 4])
+
+    def test_zero_jacobian_bound_is_delta_v(self):
+        # Follmer carries N(0, I) onto itself with v = 0, so c3 = 0 and the
+        # Gronwall factor (e^{2 c3} - 1) / (2 c3) takes its limit 1
+        cfg = ExperimentConfig(target=gaussian_target(mean=[0.0, 0.0], var=1.0),
+                               sched=FollmerSchedule(), n=128, steps=32,
+                               eps_grid=(0.5, 1.5))
+        res = run_velocity_perturbation(cfg)
+        assert np.all(res.column("c3") == 0.0)
+        assert np.array_equal(res.column("bound_rhs"), res.column("delta_v"))
+
+    def test_overflowing_gronwall_factor_gives_infinite_bound(self):
+        cfg = ExperimentConfig(target=paper_gmm8(), sched=FollmerSchedule(), n=256,
+                               steps=64, eps_grid=(0.5, 1.5))
+        res = run_velocity_perturbation(cfg)
+        assert np.all(2.0 * res.column("c3") > 700.0)
+        assert np.all(res.column("bound_rhs") == math.inf)
 
     def test_bit_reproducible(self, gmm4):
         cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(),

@@ -1,0 +1,129 @@
+"""Scalar parameters: one rule everywhere, checked by errors._real_param and
+errors._int_param.
+
+A real parameter is a numbers.Real other than a bool, finite unless its
+interval says otherwise (only RegularityProfile.D admits +inf), and is
+stored as a Python float; an integer parameter is a numbers.Integral other
+than a bool, stored as a Python int.  Every scalar parameter of the package
+is one row of the tables below.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from gif_lab.bounds import RegularityProfile, functional_constant
+from gif_lab.errors import InvalidParamError
+from gif_lab.experiments import ExperimentConfig
+from gif_lab.flow import FlowContext, integrate
+from gif_lab.metrics import keyed_generator, sample_gaussian, sample_target, w2
+from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
+                               VPSchedule)
+from gif_lab.targets import Target, gaussian_target, mixture_target, point_cloud_target
+
+_GAUSS = gaussian_target(mean=[0.0], var=1.0)
+_CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
+_CLOUD = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+
+
+def _stores_nothing(result) -> None:
+    return None
+
+
+# name, a call taking the value and returning what it stored (None when it
+# stores nothing), and a valid value that float32 holds exactly
+REAL_PARAMS = [
+    ("sigma", lambda v: Target(weights=[1.0], means=[[0.0]], sigma=v).sigma, 0.5),
+    ("var", lambda v: gaussian_target(mean=[0.0], var=v).sigma ** 2, 0.25),
+    ("sigma", lambda v: mixture_target([0.5, 0.5], [[0.0], [1.0]], sigma=v).sigma, 0.5),
+    ("sigma", lambda v: point_cloud_target(_CLOUD, sigma=v).sigma, 0.5),
+    ("zeta", lambda v: ShiftedLinearSchedule(zeta=v).zeta, 0.25),
+    ("sigma_max", lambda v: VESchedule(sigma_max=v).sigma_max, 2.0),
+    ("alpha0", lambda v: VPSchedule(alpha0=v).alpha0, 0.5),
+    ("p", lambda v: VPSchedule(p=v).p, 2.0),
+    ("early_stop", lambda v: FlowContext(LinearSchedule(), _GAUSS, early_stop=v).early_stop,
+     0.25),
+    ("kappa", lambda v: RegularityProfile(kappa=v).kappa, -0.5),
+    ("beta", lambda v: RegularityProfile(beta=v).beta, 0.5),
+    ("D", lambda v: RegularityProfile(D=v).D, 0.5),
+    ("R", lambda v: RegularityProfile(R=v).R, 0.5),
+    ("sigma", lambda v: RegularityProfile(sigma=v).sigma, 0.5),
+    ("L", lambda v: RegularityProfile(L=v).L, 0.5),
+    # at t = 1 the transported constant a^2 + b^2 c_nu is c_nu itself
+    ("c_nu", lambda v: functional_constant(v, LinearSchedule(), 1.0), 0.5),
+]
+REAL_IDS = ["Target.sigma", "var", "mixture.sigma", "point_cloud.sigma", "zeta",
+            "sigma_max", "alpha0", "p", "early_stop", "kappa", "beta", "D", "R",
+            "profile.sigma", "L", "c_nu"]
+
+INT_PARAMS = [
+    ("grid_n", lambda v: LinearSchedule().validate(grid_n=v).grid_n, 16),
+    ("steps", lambda v: len(integrate(_CTX, np.zeros(1), 0.0, 1.0, v).times) - 1, 4),
+    ("n", lambda v: sample_gaussian(1, v, 0).n, 4),
+    ("dim", lambda v: sample_gaussian(v, 4, 0).dim, 2),
+    ("n", lambda v: sample_target(_GAUSS, v, 0).n, 4),
+    ("seed", lambda v: _stores_nothing(keyed_generator(v, 1, 0)), 7),
+    ("domain", lambda v: _stores_nothing(keyed_generator(0, v, 0)), 1),
+    ("index", lambda v: _stores_nothing(keyed_generator(0, 1, v)), 3),
+    ("n_projections", lambda v: _stores_nothing(
+        w2(_CLOUD, _CLOUD + 1.0, method="sliced", n_projections=v)), 8),
+    ("n", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), n=v).n, 128),
+    ("steps", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), steps=v).steps, 16),
+    ("seed", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), seed=v).seed, 3),
+    ("threads", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), threads=v).threads, 2),
+]
+INT_IDS = ["grid_n", "integrate.steps", "sample_gaussian.n", "dim", "sample_target.n",
+           "seed", "domain", "index", "n_projections", "config.n", "config.steps",
+           "config.seed", "config.threads"]
+
+BAD = [True, False, "1.0", math.nan, math.inf]
+BAD_IDS = ["True", "False", "str", "nan", "inf"]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("name, call, valid", REAL_PARAMS + INT_PARAMS,
+                         ids=REAL_IDS + INT_IDS)
+def test_bad_value_names_the_parameter(name, call, valid, bad):
+    if name == "D" and bad == math.inf:
+        assert call(bad) == math.inf  # an unbounded support has D = +inf
+        return
+    with pytest.raises(InvalidParamError, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, valid", REAL_PARAMS, ids=REAL_IDS)
+def test_numpy_real_is_stored_as_float(name, call, valid):
+    for value in (np.float32(valid), np.float64(valid)):
+        out = call(value)
+        assert type(out) is float and out == valid
+
+
+@pytest.mark.parametrize("name, call, valid", INT_PARAMS, ids=INT_IDS)
+def test_numpy_integer_is_stored_as_int(name, call, valid):
+    for value in (np.int64(valid), np.uint32(valid)):
+        out = call(value)
+        assert out is None or (type(out) is int and out == valid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gaussian_target(mean=[0.0], var=np.int64(2)),
+    lambda: VESchedule(sigma_max=np.int64(2)),
+], ids=["var", "sigma_max"])
+def test_numpy_integers_pass_where_reals_belong(call):
+    call()
+
+
+def test_frozen_dataclass_keeps_the_checked_value():
+    assert repr(ShiftedLinearSchedule(zeta=1)) == "ShiftedLinearSchedule(zeta=1.0)"
+
+
+def test_out_of_interval_message_gives_the_interval():
+    with pytest.raises(InvalidParamError,
+                       match=r"^alpha0 must be a real number in \(0, 1\), got 1\.0$"):
+        VPSchedule(alpha0=1.0)
+    with pytest.raises(InvalidParamError,
+                       match=r"^steps must be an integer in \[1, inf\), got 0$"):
+        ExperimentConfig(_GAUSS, LinearSchedule(), steps=0)

@@ -77,9 +77,22 @@ class TestHandValues:
     def test_shifted_linear_zero_matches_linear(self):
         z = ShiftedLinearSchedule(zeta=0.0)
         lin = LinearSchedule()
+        ts = np.concatenate([np.random.default_rng(0).random(1000), np.linspace(0, 1, 65)])
+        for f in ("_a", "_b", "_da", "_db", "_d2a", "_d2b", "_da_a", "_db_b"):
+            np.testing.assert_array_equal(getattr(z, f)(ts), getattr(lin, f)(ts))
+        np.testing.assert_array_equal(lin._a(ts), 1.0 - ts)
+        np.testing.assert_array_equal(lin._b(ts), ts)
+        np.testing.assert_array_equal(lin._da_a(ts), ts - 1.0)
         for t in np.linspace(0, 1, 11):
-            pz, pl = z.eval(t), lin.eval(t)
-            assert pz.a == pytest.approx(pl.a) and pz.b == pytest.approx(pl.b)
+            assert z.eval(t) == lin.eval(t)
+
+    def test_linear_is_shifted_linear_with_zeta_fixed_at_zero(self):
+        lin = LinearSchedule()
+        assert isinstance(lin, ShiftedLinearSchedule) and lin.zeta == 0.0
+        assert repr(lin) == "LinearSchedule()"
+        assert lin.family == "linear" and lin.describe() == "linear"
+        with pytest.raises(TypeError):
+            LinearSchedule(zeta=0.0)
 
     def test_vp_start_values(self):
         sched = VPSchedule(alpha0=0.8, p=1.0)

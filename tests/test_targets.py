@@ -142,6 +142,23 @@ class TestEnclosingBallAndDiameter:
         with pytest.raises(TooLargeError):
             min_enclosing_ball(pts)
 
+    def test_size_cap_comes_before_deduplication(self, monkeypatch):
+        def unique(*args, **kwargs):
+            raise AssertionError("deduplicated a cloud over the cap")
+
+        monkeypatch.setattr(np, "unique", unique)
+        with pytest.raises(TooLargeError):
+            min_enclosing_ball(np.zeros((20_000, 2)))
+
+    @pytest.mark.parametrize("shape", [(5,), (0, 2), (3, 0)], ids=["1d", "empty", "zero-dim"])
+    def test_shape_is_checked(self, shape):
+        with pytest.raises(SizeMismatchError):
+            min_enclosing_ball(np.zeros(shape))
+
+    def test_non_finite_point(self):
+        with pytest.raises(NonFiniteError):
+            min_enclosing_ball(np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
+
     def test_target_radius_and_diameter(self, gmm2):
         assert gmm2.radius == pytest.approx(math.sqrt(17) / 2, abs=1e-9)
         assert gmm2.diam_over_sqrt2 == pytest.approx(math.sqrt(17.0 / 2.0), abs=1e-12)
