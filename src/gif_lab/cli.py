@@ -237,7 +237,8 @@ def _make_experiment_command(name: str, runner, svg_cols, help_text: str):
     @_SEED
     @_STEPS
     @click.option("--threads", type=int, default=None,
-                  help="Grid-point parallelism (no effect on ag-check, whose grid is one pass).")
+                  help="Worker threads for the grid points (default: every usable CPU; 1 runs "
+                       "them serially; no effect on ag-check, whose grid is one pass).")
     @_CONFIG
     @click.option("--n", type=int, default=None, help="Override particle count.")
     @click.option("--svg", is_flag=True, help="Also write <name>.svg (needs --out).")

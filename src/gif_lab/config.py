@@ -65,11 +65,13 @@ def _listed(name: str, v, item=_real_param) -> tuple:
 _INTEGER = ("an integer", _int_param)
 _NUMBER = ("a finite number", _real_param)
 _NUMBERS = ("a list of finite numbers", _listed)
+_INTEGERS = ("a list of integers", lambda k, v: _listed(k, v, _int_param))
 # What each key's value must be, and its parse(key, value), which raises InvalidParamError.
 _EXPERIMENT_KEYS = {
     **dict.fromkeys(("n", "steps", "seed", "threads"), _INTEGER),
     "early_stop": _NUMBER,
-    **dict.fromkeys(("zeta_grid", "eps_grid", "t_grid", "steps_grid", "delta"), _NUMBERS),
+    **dict.fromkeys(("zeta_grid", "eps_grid", "t_grid", "delta"), _NUMBERS),
+    "steps_grid": _INTEGERS,
 }
 _TARGET_KEYS = {
     "mean": ("a finite number or a list of them",

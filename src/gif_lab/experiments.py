@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from .artifacts import repr_lines, write_table, xy_plot
 from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError,
-                     _int_param)
+                     _int_param, _real_param)
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
 from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
@@ -85,20 +86,18 @@ def _sorted_grid(name: str, values, as_int: bool = False) -> tuple:
     vals = list(values)
     if len(vals) == 0:
         raise InvalidParamError(f"{name} must be nonempty")
-    out = []
-    for v in vals:
-        f = float(v)
-        if not math.isfinite(f):
-            raise InvalidParamError(f"{name} contains a non-finite entry")
-        if as_int:
-            if f != int(f) or f < 1:
-                raise InvalidParamError(f"{name} entries must be positive integers")
-            out.append(int(f))
-        else:
-            out.append(f)
+    out = [_int_param(name, v, "[1, inf)") if as_int else _real_param(name, v) for v in vals]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise InvalidParamError(f"{name} must be strictly increasing")
     return tuple(out)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,11 @@ class ExperimentConfig:
     delta: Optional[tuple] = None
     profile: Optional[RegularityProfile] = None
     bound_case: str = "mixture"
-    threads: int = 1
+    threads: Optional[int] = None  # None: one worker per usable CPU
 
     def __post_init__(self) -> None:
+        if self.threads is None:
+            object.__setattr__(self, "threads", _usable_cpus())
         for name, lo in (("n", 1), ("steps", 1), ("seed", 0), ("threads", 1)):
             object.__setattr__(self, name, _int_param(name, getattr(self, name), f"[{lo}, inf)"))
         for name in ("zeta_grid", "eps_grid", "t_grid"):
@@ -132,12 +133,10 @@ class ExperimentConfig:
             object.__setattr__(self, "steps_grid",
                                _sorted_grid("steps_grid", self.steps_grid, as_int=True))
         if self.delta is not None:
-            d = tuple(float(v) for v in self.delta)
+            d = tuple(_real_param("delta", v) for v in self.delta)
             if len(d) != self.target.dim:
                 raise SizeMismatchError(
                     f"delta has length {len(d)}, target dimension is {self.target.dim}")
-            if not all(math.isfinite(v) for v in d):
-                raise InvalidParamError("delta must be finite")
             object.__setattr__(self, "delta", d)
         if self.target2 is not None and self.target2.dim != self.target.dim:
             raise SizeMismatchError("target2 dimension differs from target")
@@ -224,9 +223,14 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _meta(cfg: ExperimentConfig, started: float, grid_size: int, **extra) -> dict:
+def _meta(cfg: ExperimentConfig, started: float, grid_size: int, pooled: bool = True,
+          **extra) -> dict:
+    """Run metadata.  A pooled runner maps its grid through _map_indexed, and
+    its "threads" is the number of workers that ran it."""
     out = {"n": cfg.n, "steps": cfg.steps, "seed": cfg.seed,
            "grid_size": grid_size, "runtime_s": time.perf_counter() - started}
+    if pooled:
+        out["threads"] = min(cfg.threads, grid_size)
     out.update(extra)
     return out
 
@@ -253,6 +257,9 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     target the transport constants are available in closed form and the
     measured W2 is checked against them (plus the floor between two fresh
     target clouds).
+
+    meta["integrate_s"] and meta["w2_s"] are sums over the grid points, so
+    with meta["threads"] > 1 they can exceed meta["runtime_s"].
     """
     started = time.perf_counter()
     grid = _require(cfg, "zeta_grid")
@@ -581,5 +588,5 @@ def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult("ag-check", ("steps", "max_residual", "rel_residual"),
                             rows, fit,
-                            _meta(cfg, started, len(steps_list), delta_norm=dnorm,
-                                  rate_calls=calls, row_stages=row_stages))
+                            _meta(cfg, started, len(steps_list), pooled=False,
+                                  delta_norm=dnorm, rate_calls=calls, row_stages=row_stages))

@@ -34,6 +34,7 @@ from .errors import (
     SizeMismatchError,
     TooLargeError,
     _int_param,
+    _real_param,
 )
 from .schedules import Schedule
 from .targets import Target
@@ -73,11 +74,15 @@ _U11 = np.uint64(11)
 _CHUNK = 4096
 
 
+def _check_seed(seed) -> int:
+    """seed as a Python int, or InvalidParamError if it would not fit its key
+    word and so alias another stream."""
+    return _int_param("seed", seed, f"[0, {1 << 64})")
+
+
 def _check_stream(seed, domain):
-    """(seed, domain) as Python ints, or InvalidParamError if either would not
-    fit its key bits and so alias another stream."""
-    return (_int_param("seed", seed, f"[0, {1 << 64})"),
-            _int_param("domain", domain, f"[0, {1 << _DOMAIN_BITS})"))
+    """(seed, domain) as Python ints, checked like _check_seed."""
+    return (_check_seed(seed), _int_param("domain", domain, f"[0, {1 << _DOMAIN_BITS})"))
 
 
 def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -223,6 +228,8 @@ def sample_gaussian(
     """n draws from scale * N(0, I_dim), one Philox stream per particle."""
     n = _int_param("n", n, "[1, inf)")
     dim = _int_param("dim", dim, "[1, inf)")
+    seed = _check_seed(seed)
+    scale = _real_param("scale", scale, "(0, inf)")
     _, z = _philox_draw(seed, _SOURCE_DOMAIN, n, dim, 0)
     z *= scale
     return ParticleCloud(points=z, seed=seed, label=label)
@@ -232,6 +239,7 @@ def sample_target(target: Target, n: int, seed: int, label: str = "target") -> P
     """n draws from the mixture; particle i selects its component from the
     first uniform of stream (seed, i), then draws its noise."""
     n = _int_param("n", n, "[1, inf)")
+    seed = _check_seed(seed)
     u, z = _philox_draw(seed, _TARGET_DOMAIN, n, target.dim, 1)
     cumw = np.cumsum(target.weights)
     comp = np.minimum(np.searchsorted(cumw, u[:, 0], side="right"),
@@ -254,7 +262,7 @@ def sample_interpolant(
     z = sample_gaussian(target.dim, n, seed)
     x1 = sample_target(target, n, seed)
     pts = p.a * z.points + p.b * x1.points
-    return ParticleCloud(points=pts, seed=seed, label=label or f"interpolant@{t:g}")
+    return ParticleCloud(points=pts, seed=z.seed, label=label or f"interpolant@{t:g}")
 
 
 def sample_source(target: Target, sched: Schedule, n: int, seed: int) -> ParticleCloud:

@@ -274,8 +274,9 @@ class TestConfigValues:
         ("sample", "n", _GAUSS_SWEEP + "n = 2.5\n"),
         ("sample", "mean", _GAUSS_SWEEP + "mean = (1e999, 0.0)\n"),
         ("flow", "early_stop", _GAUSS_SWEEP + "early_stop = abc\n"),
+        ("autoencode", "steps_grid", _GAUSS_SWEEP + "steps_grid = (8.0, 16.0)\n"),
     ], ids=["mean", "var", "means", "n", "zeta_grid", "delta",
-            "steps", "sample-n", "sample-inf-mean", "flow-early_stop"])
+            "steps", "sample-n", "sample-inf-mean", "flow-early_stop", "steps_grid"])
     def test_wrong_kind_is_validation_error(self, tmp_path, capsys, command, key, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -7,6 +7,7 @@ acceptance suite.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -96,6 +97,78 @@ class TestConfigValidation:
         with pytest.raises(MissingFieldError):
             run_source_perturbation(cfg)
 
+    @pytest.mark.parametrize("key, values", [
+        ("zeta_grid", ("0.1", 0.2)), ("zeta_grid", (0.0, True)), ("eps_grid", (0.5, math.nan)),
+        ("t_grid", (0.0, math.inf)), ("steps_grid", (True, 4)), ("steps_grid", (2, "4")),
+        ("steps_grid", (8.0, 16)), ("steps_grid", (0, 8)), ("delta", ("0.1", 0.0)),
+        ("delta", (True, 0.0)), ("delta", (math.nan, 0.0)),
+    ])
+    def test_entry_outside_the_scalar_rule_names_the_key(self, small_gauss, key, values):
+        with pytest.raises(InvalidParamError, match=f"^{key} must be"):
+            ExperimentConfig(target=small_gauss, sched=LinearSchedule(), **{key: values})
+
+    def test_numpy_entries_are_stored_as_python_numbers(self, small_gauss):
+        cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
+                               zeta_grid=np.array([0.0, 0.25]), steps_grid=np.array([8, 16]),
+                               delta=np.array([0.5, -0.25], dtype=np.float32))
+        assert cfg.zeta_grid == (0.0, 0.25) and cfg.steps_grid == (8, 16)
+        assert cfg.delta == (0.5, -0.25)
+        for v in cfg.zeta_grid + cfg.delta:
+            assert type(v) is float
+        assert all(type(v) is int for v in cfg.steps_grid)
+
+
+class TestThreads:
+    """threads defaults to the CPUs this process may run on; rows never
+    depend on it."""
+
+    def test_default_is_the_usable_cpu_count(self, small_gauss):
+        usable = len(os.sched_getaffinity(0))
+        for cfg in (ExperimentConfig(target=small_gauss, sched=LinearSchedule()),
+                    ExperimentConfig(target=small_gauss, sched=LinearSchedule(), threads=None)):
+            assert type(cfg.threads) is int and cfg.threads == usable
+
+    def test_default_without_affinity_falls_back_to_cpu_count(self, small_gauss, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ExperimentConfig(target=small_gauss, sched=LinearSchedule()).threads == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ExperimentConfig(target=small_gauss, sched=LinearSchedule()).threads == 1
+
+    @pytest.mark.parametrize("bad", [0, True, "2"])
+    def test_explicit_bad_value_names_threads(self, small_gauss, bad):
+        with pytest.raises(InvalidParamError, match="^threads must be"):
+            ExperimentConfig(target=small_gauss, sched=LinearSchedule(), threads=bad)
+
+    def test_default_rows_match_serial_on_exact_w2(self):
+        base = dict(target=paper_gmm8(), sched=LinearSchedule(), n=128, steps=16, seed=4,
+                    zeta_grid=(0.0, 0.1, 0.2, 0.3))
+        default = run_source_perturbation(ExperimentConfig(**base))
+        serial = run_source_perturbation(ExperimentConfig(**base, threads=1))
+        assert default.meta["w2_method"] == "exact"
+        assert default.meta["threads"] == min(len(os.sched_getaffinity(0)), 4)
+        assert serial.meta["threads"] == 1
+        assert np.array_equal(default.rows, serial.rows)
+        assert default.fit == serial.fit
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_meta_reports_the_workers_used(self, gmm4, threads):
+        base = dict(target=gmm4, sched=LinearSchedule(), n=128, steps=8, seed=1,
+                    threads=threads)
+        runs = [
+            (run_source_perturbation(ExperimentConfig(**base, zeta_grid=(0.0, 0.1, 0.2))), 3),
+            (run_velocity_perturbation(ExperimentConfig(**base, eps_grid=(0.5, 1.5))), 2),
+            (run_autoencode(ExperimentConfig(**base, steps_grid=(4, 8))), 2),
+            (run_cycle(ExperimentConfig(**base, target2=gaussian_target([0.0, 0.0], 1.0))), 1),
+            (run_jacobian_envelope(ExperimentConfig(**base, t_grid=(0.2, 0.5, 0.8))), 3),
+        ]
+        for res, grid_size in runs:
+            assert res.meta["grid_size"] == grid_size
+            assert res.meta["threads"] == min(threads, grid_size), res.name
+        ag = run_ag_check(ExperimentConfig(**{**base, "n": 4}, delta=(0.1, 0.0),
+                                           steps_grid=(8, 16)))
+        assert "threads" not in ag.meta  # one engine pass, no pool
+
 
 class TestSourcePerturbation:
     @pytest.fixture
@@ -160,8 +233,10 @@ class TestSourcePerturbation:
         """meta names the W2 estimator and sums the integrate and W2 wall
         times over the grid; the rows are plain integrate-then-W2 values."""
         target = paper_gmm8() if method == "exact" else gaussian_target([1.0, 0.0], 0.25)
+        # serial: on a pool the per-point times overlap and their sums can
+        # exceed runtime_s
         cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=n, steps=8,
-                               seed=5, zeta_grid=(0.0, 0.2))
+                               seed=5, zeta_grid=(0.0, 0.2), threads=1)
         res = run_source_perturbation(cfg)
         meta = res.meta
         assert meta["w2_method"] == method

@@ -19,7 +19,8 @@ from gif_lab.bounds import RegularityProfile, functional_constant
 from gif_lab.errors import InvalidParamError
 from gif_lab.experiments import ExperimentConfig
 from gif_lab.flow import FlowContext, integrate
-from gif_lab.metrics import keyed_generator, sample_gaussian, sample_target, w2
+from gif_lab.metrics import (keyed_generator, sample_gaussian, sample_interpolant,
+                             sample_target, w2)
 from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
                                VPSchedule)
 from gif_lab.targets import Target, gaussian_target, mixture_target, point_cloud_target
@@ -27,6 +28,8 @@ from gif_lab.targets import Target, gaussian_target, mixture_target, point_cloud
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
 _CLOUD = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+# scaling by a power of two is exact, so a draw over this gives back the scale
+_Z0 = sample_gaussian(1, 1, 0).points[0, 0]
 
 
 def _stores_nothing(result) -> None:
@@ -54,10 +57,11 @@ REAL_PARAMS = [
     ("L", lambda v: RegularityProfile(L=v).L, 0.5),
     # at t = 1 the transported constant a^2 + b^2 c_nu is c_nu itself
     ("c_nu", lambda v: functional_constant(v, LinearSchedule(), 1.0), 0.5),
+    ("scale", lambda v: float(sample_gaussian(1, 1, 0, scale=v).points[0, 0] / _Z0), 0.5),
 ]
 REAL_IDS = ["Target.sigma", "var", "mixture.sigma", "point_cloud.sigma", "zeta",
             "sigma_max", "alpha0", "p", "early_stop", "kappa", "beta", "D", "R",
-            "profile.sigma", "L", "c_nu"]
+            "profile.sigma", "L", "c_nu", "scale"]
 
 INT_PARAMS = [
     ("grid_n", lambda v: LinearSchedule().validate(grid_n=v).grid_n, 16),
@@ -66,6 +70,8 @@ INT_PARAMS = [
     ("dim", lambda v: sample_gaussian(v, 4, 0).dim, 2),
     ("n", lambda v: sample_target(_GAUSS, v, 0).n, 4),
     ("seed", lambda v: _stores_nothing(keyed_generator(v, 1, 0)), 7),
+    ("seed", lambda v: sample_gaussian(1, 4, v).seed, 7),
+    ("seed", lambda v: sample_target(_GAUSS, 4, v).seed, 7),
     ("domain", lambda v: _stores_nothing(keyed_generator(0, v, 0)), 1),
     ("index", lambda v: _stores_nothing(keyed_generator(0, 1, v)), 3),
     ("n_projections", lambda v: _stores_nothing(
@@ -76,8 +82,8 @@ INT_PARAMS = [
     ("threads", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), threads=v).threads, 2),
 ]
 INT_IDS = ["grid_n", "integrate.steps", "sample_gaussian.n", "dim", "sample_target.n",
-           "seed", "domain", "index", "n_projections", "config.n", "config.steps",
-           "config.seed", "config.threads"]
+           "seed", "sample_gaussian.seed", "sample_target.seed", "domain", "index",
+           "n_projections", "config.n", "config.steps", "config.seed", "config.threads"]
 
 BAD = [True, False, "1.0", math.nan, math.inf]
 BAD_IDS = ["True", "False", "str", "nan", "inf"]
@@ -114,6 +120,18 @@ def test_numpy_integer_is_stored_as_int(name, call, valid):
 ], ids=["var", "sigma_max"])
 def test_numpy_integers_pass_where_reals_belong(call):
     call()
+
+
+@pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3)], ids=["uint64", "int64"])
+def test_cloud_stores_the_checked_seed(seed):
+    for cloud in (sample_gaussian(2, 2, seed), sample_target(_GAUSS, 2, seed),
+                  sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, seed)):
+        assert type(cloud.seed) is int and cloud.seed == 3
+
+
+def test_scale_zero_is_rejected():
+    with pytest.raises(InvalidParamError, match=r"^scale must be a real number in \(0, inf\)"):
+        sample_gaussian(2, 2, 0, scale=0.0)
 
 
 def test_frozen_dataclass_keeps_the_checked_value():
