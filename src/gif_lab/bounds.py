@@ -7,7 +7,9 @@ constants of the target are available:
 * gaussian   (kappa a da + b db) / (kappa a^2 + b^2), exact for Gaussians
 * bounded-d  diameter-based growth bound, diverging at t = 1, usually
              handed over to the gaussian form at the crossover time t1
-* mixture    isotropic-mixture form driven by sigma and the mean radius R
+* mixture    isotropic-mixture form driven by sigma and the mean radius R:
+             grad v = alpha I + gamma spread (flow.py) and spread <= R^2 I,
+             so alpha + gamma R^2 bounds grad v at every point
 * log-lip    perturbation bound for log-Lipschitz densities, handed over
              to the gaussian form at t2
 
@@ -258,15 +260,9 @@ class ThetaProfile:
 
     def theta(self, t):
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < self.lo - 1e-12) or np.any(arr > 1.0 + 1e-12):
-            raise OutOfRangeError(
-                f"profile covers [{self.lo}, 1], asked for {t!r}")
-        out = np.empty_like(arr, dtype=float)
-        flat = arr.reshape(-1)
-        res = out.reshape(-1)
-        for i, ti in enumerate(flat):
-            res[i] = float(self.piece_at(ti).theta_raw(np.float64(ti)))
-        return float(out) if np.ndim(t) == 0 else out
+        out = np.array([float(self.piece_at(ti).theta_raw(np.float64(ti)))
+                        for ti in arr.reshape(-1)])
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def integral(self, s: float, t: float) -> float:
         """Integral of theta over [s, t] within the covered interval."""
@@ -434,8 +430,10 @@ def endpoint_lipschitz(profile: RegularityProfile, sched: Schedule,
     if direction == "forward":
         R = profile.require("R", "endpoint-mixture")
         c0sq = a0 ** 2 + sigma ** 2 * b0 ** 2
-        return sigma / math.sqrt(c0sq) * math.exp(a0 ** 2 / c0sq * R ** 2
-                                                  / (2.0 * sigma ** 2))
+        try:
+            return sigma / math.sqrt(c0sq) * math.exp(a0 ** 2 / c0sq * R ** 2 / (2.0 * sigma ** 2))
+        except OverflowError:
+            return math.inf
     return math.sqrt(a0 ** 2 / sigma ** 2 + b0 ** 2)
 
 

@@ -21,6 +21,8 @@ from gif_lab.errors import (
     NoRootError,
     OutOfRangeError,
 )
+from gif_lab.experiments import moderate_gmm4, paper_gmm8
+from gif_lab.flow import FlowContext, _table
 from gif_lab.schedules import (
     FollmerSchedule,
     LinearSchedule,
@@ -198,6 +200,20 @@ class TestMixtureCase:
         with pytest.raises(MissingFieldError):
             theta_profile(RegularityProfile(R=1.0), LinearSchedule(), case="mixture")
 
+    @pytest.mark.parametrize("target", [moderate_gmm4(), paper_gmm8()],
+                             ids=["moderate-gmm4", "paper-gmm8"])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
+                                       VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
+                             ids=lambda s: type(s).__name__)
+    def test_theta_is_the_velocity_jacobian_at_the_spread_ceiling(self, target, sched):
+        # grad v = alpha I + gamma spread(mu) and spread(mu) <= R^2 I, so the
+        # envelope is the table's alpha + gamma R^2, term for term
+        theta = theta_profile(RegularityProfile.from_target(target), sched, case="mixture")
+        ts = np.linspace(0.05, 0.95, 19)
+        tab = _table(FlowContext(sched=sched, target=target), ts)
+        want = tab.alpha + tab.gamma * target.radius ** 2
+        assert np.all(np.abs(theta.theta(ts) - want) <= 1e-15 * np.abs(want))
+
 
 class TestLogLipCase:
     def test_value_at_zero_linear(self):
@@ -281,6 +297,15 @@ class TestEndpointLipschitz:
         with pytest.raises(InvalidParamError):
             endpoint_lipschitz(prof, LinearSchedule(), direction="forward",
                                case="gaussian")
+
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(), FollmerSchedule()],
+                             ids=lambda s: type(s).__name__)
+    def test_forward_mixture_overflow_is_inf(self, sched):
+        # paper-gmm8's exponent R^2 / (2 sigma^2) = 8.0e4 is far beyond exp's range
+        prof = RegularityProfile.from_target(paper_gmm8())
+        assert endpoint_lipschitz(prof, sched, "forward", case="mixture") == math.inf
+        theta = theta_profile(prof, sched, case="mixture")
+        assert lipschitz_flow_map(theta, 0.0, 1.0) == math.inf
 
     def test_reverse_gaussian_needs_beta(self):
         prof = RegularityProfile(kappa=1.0)

@@ -188,7 +188,7 @@ class TestExperimentCommands:
                          "--no-timestamp"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "eps,delta_v,w2_sq,c3,bound_rhs"
+        assert out.splitlines()[0] == "eps,delta_v,w2_sq,bound_rhs"
 
     def test_autoencode_runs(self, gmm_cfg, capsys):
         assert dispatch(["autoencode", "--config", gmm_cfg, "--steps", "64",

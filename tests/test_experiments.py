@@ -12,13 +12,14 @@ import os
 import numpy as np
 import pytest
 
-from gif_lab.bounds import RegularityProfile
+from gif_lab.bounds import RegularityProfile, theta_profile
 from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
-                            NonFiniteStateError)
+                            NonFiniteStateError, OutOfRangeError)
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
     _cloud_w2,
+    _noise_growth,
     _subseed,
     moderate_gmm4,
     paper_gmm8,
@@ -29,7 +30,7 @@ from gif_lab.experiments import (
     run_source_perturbation,
     run_velocity_perturbation,
 )
-from gif_lab.flow import FlowContext, integrate, velocity
+from gif_lab.flow import FlowContext, _stage_times, integrate, velocity
 from gif_lab.metrics import (_W2_EXACT_CAP, NOISE_DOMAIN, sample_gaussian, sample_source,
                              sample_target, w2)
 from gif_lab.schedules import (FollmerSchedule, LinearSchedule, ShiftedLinearSchedule,
@@ -263,7 +264,7 @@ class TestVelocityPerturbation:
     def test_rows_and_columns(self, result):
         res, cfg = result
         assert res.rows.shape[0] == len(cfg.eps_grid)
-        assert res.columns == ("eps", "delta_v", "w2_sq", "c3", "bound_rhs")
+        assert res.columns == ("eps", "delta_v", "w2_sq", "bound_rhs")
         eps = res.rows[:, 0]
         assert res.rows[:, 1] == pytest.approx(2.0 * eps ** 2)  # d = 2
 
@@ -275,24 +276,83 @@ class TestVelocityPerturbation:
 
     def test_gronwall_bound_holds(self, result):
         res, _ = result
-        assert np.all(res.rows[:, 2] <= res.rows[:, 4])
+        assert np.all(res.column("w2_sq") <= res.column("bound_rhs"))
+        assert np.all(np.isfinite(res.column("bound_rhs")))
+
+    def test_meta_reports_the_envelope(self, result):
+        res, cfg = result
+        theta = theta_profile(RegularityProfile.from_target(cfg.target), cfg.sched, "mixture")
+        assert res.meta["bound_case"] == "mixture"
+        assert res.meta["theta_integral"] == pytest.approx(theta.integral(0.0, 1.0), rel=1e-12)
 
     def test_zero_jacobian_bound_is_delta_v(self):
-        # Follmer carries N(0, I) onto itself with v = 0, so c3 = 0 and the
-        # Gronwall factor (e^{2 c3} - 1) / (2 c3) takes its limit 1
+        # Follmer carries N(0, I) onto itself with v = 0: theta is 0, so the
+        # growth factor G is the run's length 1
         cfg = ExperimentConfig(target=gaussian_target(mean=[0.0, 0.0], var=1.0),
                                sched=FollmerSchedule(), n=128, steps=32,
                                eps_grid=(0.5, 1.5))
         res = run_velocity_perturbation(cfg)
-        assert np.all(res.column("c3") == 0.0)
-        assert np.array_equal(res.column("bound_rhs"), res.column("delta_v"))
+        assert res.meta["theta_integral"] == pytest.approx(0.0, abs=1e-12)
+        assert res.column("bound_rhs") == pytest.approx(res.column("delta_v"), rel=1e-12)
 
     def test_overflowing_gronwall_factor_gives_infinite_bound(self):
+        # the integral of paper-gmm8's theta is 8.0e4, far beyond exp's range
         cfg = ExperimentConfig(target=paper_gmm8(), sched=FollmerSchedule(), n=256,
                                steps=64, eps_grid=(0.5, 1.5))
         res = run_velocity_perturbation(cfg)
-        assert np.all(2.0 * res.column("c3") > 700.0)
+        assert res.meta["theta_integral"] > 7e4
         assert np.all(res.column("bound_rhs") == math.inf)
+
+    def test_zero_eps_bound_is_zero_where_the_factor_is_infinite(self):
+        cfg = ExperimentConfig(target=paper_gmm8(), sched=LinearSchedule(), n=128,
+                               steps=16, eps_grid=(0.0, 0.5))
+        res = run_velocity_perturbation(cfg)
+        assert res.column("bound_rhs")[0] == 0.0
+        assert res.column("bound_rhs")[1] == math.inf
+        assert res.column("w2_sq")[0] == 0.0
+
+    def test_envelope_must_cover_the_run(self, gmm4):
+        # kappa < 0 keeps the gaussian envelope off [0, t0]
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=128, steps=16,
+                               eps_grid=(0.5,), profile=RegularityProfile(kappa=-0.5),
+                               bound_case="gaussian")
+        assert theta_profile(cfg.profile, cfg.sched, "gaussian").lo > 0.0
+        with pytest.raises(OutOfRangeError):
+            run_velocity_perturbation(cfg)
+
+    @pytest.mark.parametrize("steps", [16, 100])
+    def test_stage_clock_sum_is_an_upper_sum(self, gmm4, steps):
+        # theta keeps one sign on each segment, so the stage-clock sum bounds
+        # the sum on a 16x finer clock from above, and the bound is delta_v G^2
+        theta = theta_profile(RegularityProfile.from_target(gmm4), LinearSchedule(), "mixture")
+        coarse, total = _noise_growth(theta, _stage_times(0.0, 1.0, steps))
+        fine, fine_total = _noise_growth(theta, _stage_times(0.0, 1.0, 16 * steps))
+        assert fine <= coarse <= 1.1 * fine
+        assert total == pytest.approx(fine_total, rel=1e-12)
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=128, steps=steps,
+                               eps_grid=(0.5,))
+        res = run_velocity_perturbation(cfg)
+        assert res.column("bound_rhs")[0] == 0.5 * (coarse * coarse)
+
+    @pytest.mark.parametrize("steps", [16, 128])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
+                                       VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("target", [moderate_gmm4(), gaussian_target([1.0, -0.5], 0.25)],
+                             ids=["moderate-gmm4", "gaussian"])
+    def test_bound_holds_for_every_particle(self, target, sched, steps):
+        # every coupled particle, not only the W2 average, stays within
+        # bound_rhs; the noisy paths are replayed on the public velocity
+        cfg = ExperimentConfig(target=target, sched=sched, n=256, steps=steps, seed=13,
+                               eps_grid=(0.0, 0.5, 2.0))
+        res = run_velocity_perturbation(cfg)
+        ctx = FlowContext(sched=sched, target=target)
+        x0 = sample_source(target, sched, cfg.n, _subseed(cfg.seed, 0)).points
+        clean = integrate(ctx, x0, 0.0, 1.0, steps, record="final").final_state
+        for eps, rhs in zip(cfg.eps_grid, res.column("bound_rhs")):
+            pert = noisy_rk4(lambda t, x: velocity(ctx, t, x), x0, 1.0, steps, eps,
+                             _subseed(cfg.seed, 1000), NOISE_DOMAIN)
+            assert np.max(np.sum((pert - clean) ** 2, axis=1)) <= rhs
 
     def test_bit_reproducible(self, gmm4):
         cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(),
@@ -326,14 +386,14 @@ class TestVelocityPerturbation:
                                        VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
                              ids=lambda s: s.family)
     def test_matches_per_eps_oracle(self, gmm4, sched, early_stop, threads):
-        # every column, c3 and bound_rhs included, equals one recorded pass
-        # per eps; at steps = 100 the c3 stride is 3, so the last step is an
-        # extra sample point
+        # eps, delta_v and w2_sq equal one engine pass per eps; bound_rhs is
+        # an upper sum, at most a few percent above the adaptive quadrature
         cfg = ExperimentConfig(target=gmm4, sched=sched, n=100, steps=100, seed=9,
                                eps_grid=(0.0, 0.5, 2.0), early_stop=early_stop,
                                threads=threads)
-        assert np.array_equal(run_velocity_perturbation(cfg).rows,
-                              velocity_perturbation_per_eps(cfg))
+        rows, want = run_velocity_perturbation(cfg).rows, velocity_perturbation_per_eps(cfg)
+        assert np.array_equal(rows[:, :3], want[:, :3])
+        assert np.all(want[:, 3] <= rows[:, 3]) and np.all(rows[:, 3] <= 1.05 * want[:, 3])
 
 
 class TestCloudW2:
