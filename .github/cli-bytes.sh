@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Runs every gif-lab subcommand under --no-timestamp into the directory $1
 # (default cli-out) and prints the SHA-256 digest of every file written
-# there, one "digest  ./path" line each, sorted by path.  The experiment
-# commands run on every usable CPU by default; the steps-grid runners, both
-# sweeps and the Jacobian-envelope scan run a second time with --threads 1,
-# the serial path, into "$1-threads1", and must write the same bytes.
+# there, one "digest  ./path" line each, sorted by path.  The two sweeps
+# overlap their exact-W2 solves on every usable CPU; each experiment command
+# runs a second time under "taskset -c 0", one usable CPU and so one W2
+# worker, into "$1-cpu0", and must write the same bytes.
 # A paper-gmm8 block runs the sweeps, autoencode and ag-check late into a
 # flow whose shifted posterior logits mostly sit far below -700, into
 # "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
@@ -32,8 +32,8 @@ for cmd in stability-source stability-velocity autoencode cycle jacobian-envelop
   gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"
 done
 for cmd in ag-check autoencode cycle stability-source stability-velocity jacobian-envelope; do
-  gif-lab "$cmd" --config cli-run.cfg --threads 1 --no-timestamp --svg --out "$out-threads1/$cmd"
-  diff -r "$out/$cmd" "$out-threads1/$cmd"
+  taskset -c 0 gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out-cpu0/$cmd"
+  diff -r "$out/$cmd" "$out-cpu0/$cmd"
 done
 
 printf '%s\n' 'target = paper-gmm8' 'schedule = linear' 'n = 256' 'steps = 64' \

@@ -380,6 +380,7 @@ def theta_profile(profile: RegularityProfile, sched: Schedule, case: str,
     t0_val = 0.0 if t0 is None else t0
     if t2 is None:
         t2 = 0.5 * (t0_val + 1.0)
+    t2 = _real_param("t2", t2)
     if not (t0_val < t2 < 1.0):
         raise InvalidParamError(f"t2 must lie in ({t0_val}, 1), got {t2}")
     pieces = [

@@ -236,18 +236,14 @@ def _make_experiment_command(name: str, runner, svg_cols, help_text: str):
     @_output
     @_SEED
     @_STEPS
-    @click.option("--threads", type=int, default=None,
-                  help="Worker threads for the grid points (default: every usable CPU; 1 runs "
-                       "them serially; no effect on ag-check, whose grid is one pass).")
     @_CONFIG
     @click.option("--n", type=int, default=None, help="Override particle count.")
     @click.option("--svg", is_flag=True, help="Also write <name>.svg (needs --out).")
-    def _cmd(out, no_timestamp, seed, steps, threads, config_path, n, svg) -> int:
+    def _cmd(out, no_timestamp, seed, steps, config_path, n, svg) -> int:
         if svg and out is None:
             raise click.UsageError("--svg requires --out")
         cfg = load_config(config_path)
-        ec = experiment_from_config(cfg, n=n, seed=seed, steps=steps,
-                                    threads=threads)
+        ec = experiment_from_config(cfg, n=n, seed=seed, steps=steps)
         result = runner(ec)
         stamp = _stamp(no_timestamp)
         if out is None:

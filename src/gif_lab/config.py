@@ -68,7 +68,7 @@ _NUMBERS = ("a list of finite numbers", _listed)
 _INTEGERS = ("a list of integers", lambda k, v: _listed(k, v, _int_param))
 # What each key's value must be, and its parse(key, value), which raises InvalidParamError.
 _EXPERIMENT_KEYS = {
-    **dict.fromkeys(("n", "steps", "seed", "threads"), _INTEGER),
+    **dict.fromkeys(("n", "steps", "seed"), _INTEGER),
     "early_stop": _NUMBER,
     **dict.fromkeys(("zeta_grid", "eps_grid", "t_grid", "delta"), _NUMBERS),
     "steps_grid": _INTEGERS,

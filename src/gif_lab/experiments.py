@@ -3,7 +3,7 @@
 Every runner maps an ExperimentConfig to an ExperimentResult with one row
 per grid point plus an optional least-squares fit.  All randomness is keyed
 off (seed, grid index) through per-particle Philox streams, so rows are
-bit-identical across reruns and across thread counts.
+bit-identical across reruns and across CPU counts.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs shared by all runners; grids are per-experiment."""
+    """Inputs shared by all runners; grids are per-experiment.  The worker
+    count is not an input: only the sweeps' W2 solves use threads (_map_indexed)."""
 
     target: Target
     sched: Schedule
@@ -118,12 +119,9 @@ class ExperimentConfig:
     delta: Optional[tuple] = None
     profile: Optional[RegularityProfile] = None
     bound_case: str = "mixture"
-    threads: Optional[int] = None  # None: one worker per usable CPU
 
     def __post_init__(self) -> None:
-        if self.threads is None:
-            object.__setattr__(self, "threads", _usable_cpus())
-        for name, lo in (("n", 1), ("steps", 1), ("seed", 0), ("threads", 1)):
+        for name, lo in (("n", 1), ("steps", 1), ("seed", 0)):
             object.__setattr__(self, name, _int_param(name, getattr(self, name), f"[{lo}, inf)"))
         for name in ("zeta_grid", "eps_grid", "t_grid"):
             g = getattr(self, name)
@@ -215,24 +213,22 @@ def _cloud_w2(a, b) -> float:
     return w2(a, b, method="sliced", n_projections=64, seed=0)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """Run fn(0..count-1), optionally on a thread pool, preserving order."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
-        return list(pool.map(fn, range(count)))
+def _map_indexed(fn, count: int) -> tuple:
+    """[fn(0), ..., fn(count - 1)] and the number of workers that ran them:
+    one thread per usable CPU, at most count.  Only exact-W2 solves go
+    here, since scipy's assignment releases the interpreter lock and the
+    numpy work of a grid point on small arrays runs slower on a pool."""
+    workers = min(_usable_cpus(), count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)], workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count))), workers
 
 
-def _meta(cfg: ExperimentConfig, started: float, grid_size: int, pooled: bool = True,
-          **extra) -> dict:
-    """Run metadata.  A pooled runner maps its grid through _map_indexed, and
-    its "threads" is the number of workers that ran it."""
-    out = {"n": cfg.n, "steps": cfg.steps, "seed": cfg.seed,
-           "grid_size": grid_size, "runtime_s": time.perf_counter() - started}
-    if pooled:
-        out["threads"] = min(cfg.threads, grid_size)
-    out.update(extra)
-    return out
+def _meta(cfg: ExperimentConfig, started: float, grid_size: int, **extra) -> dict:
+    """Run metadata; the two sweeps add "threads", the W2 workers used."""
+    return {"n": cfg.n, "steps": cfg.steps, "seed": cfg.seed,
+            "grid_size": grid_size, "runtime_s": time.perf_counter() - started, **extra}
 
 
 def _log_fit(xs, ys) -> Optional[FitReport]:
@@ -258,8 +254,9 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     measured W2 is checked against them (plus the floor between two fresh
     target clouds).
 
-    meta["integrate_s"] and meta["w2_s"] are sums over the grid points, so
-    with meta["threads"] > 1 they can exceed meta["runtime_s"].
+    The grid integrates serially; then its W2 solves overlap on
+    meta["threads"] workers (_map_indexed).  meta["integrate_s"] and
+    meta["w2_s"] are the wall times of those two stages.
     """
     started = time.perf_counter()
     grid = _require(cfg, "zeta_grid")
@@ -270,20 +267,19 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     z = sample_gaussian(target.dim, cfg.n, _subseed(cfg.seed, 1)).points
     ref = sample_target(target, cfg.n, _subseed(cfg.seed, 2)).points
 
-    def one(j: int):
-        sched = ShiftedLinearSchedule(zeta=grid[j])
+    t0 = time.perf_counter()
+    scheds = [ShiftedLinearSchedule(zeta=zeta) for zeta in grid]
+    finals = []
+    for sched in scheds:
         ctx = FlowContext(sched=sched, target=target, early_stop=cfg.early_stop)
-        t0 = time.perf_counter()
-        out = integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps, record="final")
-        t1 = time.perf_counter()
-        dist = _cloud_w2(out.final_state, ref)
-        return grid[j], sched.b0, dist, sched, t1 - t0, time.perf_counter() - t1
-
-    measured = _map_indexed(one, len(grid), cfg.threads)
+        finals.append(integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps,
+                                record="final").final_state)
+    t1 = time.perf_counter()
+    dist, workers = _map_indexed(lambda j: _cloud_w2(finals[j], ref), len(grid))
     columns = ["zeta", "b0", "w2"]
-    data = [np.array([m[k] for m in measured]) for k in range(3)]
-    timings = {"integrate_s": sum(m[4] for m in measured),
-               "w2_s": sum(m[5] for m in measured), "w2_method": _w2_method(cfg.n)}
+    data = [np.array(grid), np.array([s.b0 for s in scheds]), np.array(dist)]
+    timings = {"integrate_s": t1 - t0, "w2_s": time.perf_counter() - t1,
+               "w2_method": _w2_method(cfg.n), "threads": workers}
     extra = {"bound_checked": False}
 
     if target.is_gaussian:
@@ -292,14 +288,14 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
         prof = RegularityProfile.from_target(target)
         dense = np.linspace(0.0, 1.0, 2001)
         rhs = []
-        for _, b0, _, sched, _, _ in measured:
+        for sched in scheds:
             c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
             c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
             expo = c2 * target.dim
             if expo > 700.0:
                 rhs.append(math.inf)
             else:
-                rhs.append(c1 * b0 * math.sqrt(target.second_moment)
+                rhs.append(c1 * sched.b0 * math.sqrt(target.second_moment)
                            * math.exp(expo) + floor)
         columns.append("bound_rhs")
         data.append(np.array(rhs))
@@ -341,6 +337,8 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     at every point, so each particle's gap u obeys u' <= theta u + sqrt(d)
     eps from u(0) = 0 and stays within bound_rhs = delta_v G^2
     (_noise_growth); meta["theta_integral"] = I_0 shows why G is inf.
+    The W2 solves against the clean block overlap on meta["threads"]
+    workers (_map_indexed).
     """
     started = time.perf_counter()
     grid = _require(cfg, "eps_grid")
@@ -373,15 +371,15 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     x = np.tile(src.points, (len(grid) + 1, 1))
     (x,) = _rk4(rate, (x,), clock, range(steps))[-1]
 
-    w2_sq = _map_indexed(lambda j: _cloud_w2(x[(j + 1) * n:(j + 2) * n], x[:n]) ** 2,
-                         len(grid), cfg.threads)
+    w2_sq, workers = _map_indexed(
+        lambda j: _cloud_w2(x[(j + 1) * n:(j + 2) * n], x[:n]) ** 2, len(grid))
     # eps = 0 gives a bound of exactly 0, also where G is inf
     bound = np.where(delta_v > 0.0, growth * growth, 0.0) * delta_v
     fit = linear_fit(delta_v, w2_sq) if len(grid) >= 2 else None
     return ExperimentResult("stability-velocity", ("eps", "delta_v", "w2_sq", "bound_rhs"),
                             np.column_stack([eps, delta_v, w2_sq, bound]), fit,
-                            _meta(cfg, started, len(grid), theta_integral=theta_integral,
-                                  bound_case=envelope.case))
+                            _meta(cfg, started, len(grid), threads=workers,
+                                  theta_integral=theta_integral, bound_case=envelope.case))
 
 
 def _round_trip_rows(cfg: ExperimentConfig, trip) -> ExperimentResult:
@@ -390,19 +388,16 @@ def _round_trip_rows(cfg: ExperimentConfig, trip) -> ExperimentResult:
     steps_list = cfg.steps_grid if cfg.steps_grid is not None else (cfg.steps,)
     x = sample_target(cfg.target, cfg.n, _subseed(cfg.seed, 0)).points
 
-    def one(j: int):
-        errors = np.linalg.norm(trip(x, int(steps_list[j])) - x, axis=1)
-        row = (float(steps_list[j]), float(np.median(errors)),
-               float(np.quantile(errors, 0.9)), float(np.max(errors)))
-        return row, errors
-
-    measured = _map_indexed(one, len(steps_list), cfg.threads)
-    rows = np.array([m[0] for m in measured])
+    rows = []
+    for s in steps_list:
+        errors = np.linalg.norm(trip(x, int(s)) - x, axis=1)
+        rows.append((float(s), float(np.median(errors)),
+                     float(np.quantile(errors, 0.9)), float(np.max(errors))))
+    rows = np.array(rows)
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult(trip.__name__.strip("_"),
                             ("steps", "median_err", "p90_err", "max_err"),
-                            rows, fit,
-                            _meta(cfg, started, len(steps_list), errors=measured[-1][1]))
+                            rows, fit, _meta(cfg, started, len(steps_list), errors=errors))
 
 
 def run_autoencode(cfg: ExperimentConfig) -> ExperimentResult:
@@ -451,8 +446,8 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
     ctx = FlowContext(sched=cfg.sched, target=target, early_stop=cfg.early_stop)
     envelope = _envelope(cfg)
 
-    def one(j: int):
-        t = grid[j]
+    rows = []
+    for j, t in enumerate(grid):
         pts = sample_interpolant(target, cfg.sched, t, cfg.n,
                                  _subseed(cfg.seed, j)).points
         eigs = np.linalg.eigvalsh(velocity_jacobian(ctx, t, pts))
@@ -460,10 +455,9 @@ def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
         lam_max = float(eigs[..., -1].max())
         lower = float(_table(ctx, np.array([t])).alpha[0])
         upper = float(envelope.theta(t))
-        violation = max(0.0, lam_max - upper, lower - lam_min)
-        return t, lam_min, lam_max, lower, upper, violation
-
-    rows = np.array(_map_indexed(one, len(grid), cfg.threads))
+        rows.append((t, lam_min, lam_max, lower, upper,
+                     max(0.0, lam_max - upper, lower - lam_min)))
+    rows = np.array(rows)
     return ExperimentResult("jacobian-envelope",
                             ("t", "lam_min", "lam_max", "lower", "upper", "violation"),
                             rows, None,
@@ -571,11 +565,8 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
 
 
 def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
-    """Flow-difference identity residual, with optional step refinement.
-
-    The whole steps grid is one engine pass (_ag_residual), so cfg.threads
-    has nothing to spread and does not apply.
-    """
+    """Flow-difference identity residual, with optional step refinement;
+    the whole steps grid is one engine pass (_ag_residual)."""
     started = time.perf_counter()
     delta = np.asarray(_require(cfg, "delta"), dtype=float)
     steps_list = cfg.steps_grid if cfg.steps_grid is not None else (cfg.steps,)
@@ -588,5 +579,5 @@ def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:
     fit = _log_fit(rows[:, 0], rows[:, 1])
     return ExperimentResult("ag-check", ("steps", "max_residual", "rel_residual"),
                             rows, fit,
-                            _meta(cfg, started, len(steps_list), pooled=False,
-                                  delta_norm=dnorm, rate_calls=calls, row_stages=row_stages))
+                            _meta(cfg, started, len(steps_list), delta_norm=dnorm,
+                                  rate_calls=calls, row_stages=row_stages))

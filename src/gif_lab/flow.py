@@ -285,7 +285,8 @@ class Trajectory:
         t is physical time (decreasing for reverse runs).  Optional columns
         are logdens and the row-major Jacobian entries jac_ij.
         """
-        d = self.states.shape[2]
+        n, d = self.states.shape[1:]
+        particle = _int_param("particle", particle, f"[0, {n - 1}]")
         header = ["t"] + [f"x_{i + 1}" for i in range(d)]
         cols = [self.physical_times[:, None], self.states[:, particle]]
         if self.logdens is not None:

@@ -54,6 +54,7 @@ from .errors import (
     NonFiniteError,
     SizeMismatchError,
     TooLargeError,
+    _int_param,
     _real_param,
 )
 from .schedules import Schedule
@@ -251,6 +252,7 @@ def min_enclosing_ball(points: np.ndarray, seed: int = 0):
     dimensions returns the centroid-based upper bound.  Caps the point
     count at 10_000.
     """
+    seed = _int_param("seed", seed, "[0, inf)")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
         raise SizeMismatchError(f"points must be a (k, d) array with k, d >= 1, "

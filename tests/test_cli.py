@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gif_lab.cli import dispatch
+from gif_lab.cli import _EXPERIMENTS, dispatch
 
 
 @pytest.fixture
@@ -296,17 +296,25 @@ class TestConfigValues:
         assert captured.out == ""
         assert "unknown config keys: stpes" in captured.err
 
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text(_GAUSS_SWEEP + "threads = 2\n")
+        assert dispatch(["stability-source", "--config", str(cfg), "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config keys: threads" in captured.err
+
 
 class TestOptions:
     @pytest.mark.parametrize("command, option", [
         ("bounds", "--seed"), ("bounds", "--steps"), ("bounds", "--threads"),
         ("sample", "--steps"), ("sample", "--threads"),
         ("flow", "--seed"), ("flow", "--threads"),
-    ])
+    ] + [(command, "--threads") for command in sorted(_EXPERIMENTS)])
     def test_unread_option_is_usage_error(self, gauss_cfg, capsys, command, option):
         args = {"bounds": ["--schedule", "linear", "--case", "gaussian", "--kappa", "1"],
-                "sample": ["--config", gauss_cfg],
-                "flow": ["--config", gauss_cfg, "--x", "0.0,0.0"]}[command]
+                "flow": ["--config", gauss_cfg, "--x", "0.0,0.0"]}.get(
+                    command, ["--config", gauss_cfg])
         assert dispatch([command] + args + [option, "2", "--no-timestamp"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from gif_lab import experiments
 from gif_lab.bounds import RegularityProfile, theta_profile
 from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
                             NonFiniteStateError, OutOfRangeError)
@@ -119,56 +120,71 @@ class TestConfigValidation:
         assert all(type(v) is int for v in cfg.steps_grid)
 
 
+def _cpus(monkeypatch, k: int) -> None:
+    """Let the runners see k usable CPUs, as an affinity mask of k would."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: k)
+
+
 class TestThreads:
-    """threads defaults to the CPUs this process may run on; rows never
-    depend on it."""
+    """Runners integrate serially; only the two sweeps' exact-W2 solves
+    overlap, one thread per usable CPU.  Rows never depend on the count."""
 
-    def test_default_is_the_usable_cpu_count(self, small_gauss):
-        usable = len(os.sched_getaffinity(0))
-        for cfg in (ExperimentConfig(target=small_gauss, sched=LinearSchedule()),
-                    ExperimentConfig(target=small_gauss, sched=LinearSchedule(), threads=None)):
-            assert type(cfg.threads) is int and cfg.threads == usable
+    def test_usable_cpus_is_the_affinity_mask(self):
+        assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
 
-    def test_default_without_affinity_falls_back_to_cpu_count(self, small_gauss, monkeypatch):
+    def test_usable_cpus_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert ExperimentConfig(target=small_gauss, sched=LinearSchedule()).threads == 3
+        assert experiments._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert ExperimentConfig(target=small_gauss, sched=LinearSchedule()).threads == 1
+        assert experiments._usable_cpus() == 1
 
-    @pytest.mark.parametrize("bad", [0, True, "2"])
-    def test_explicit_bad_value_names_threads(self, small_gauss, bad):
-        with pytest.raises(InvalidParamError, match="^threads must be"):
-            ExperimentConfig(target=small_gauss, sched=LinearSchedule(), threads=bad)
+    def test_config_takes_no_worker_count(self, small_gauss):
+        with pytest.raises(TypeError, match="threads"):
+            ExperimentConfig(target=small_gauss, sched=LinearSchedule(), threads=2)
 
-    def test_default_rows_match_serial_on_exact_w2(self):
+    def test_default_rows_match_serial_on_exact_w2(self, monkeypatch):
         base = dict(target=paper_gmm8(), sched=LinearSchedule(), n=128, steps=16, seed=4,
                     zeta_grid=(0.0, 0.1, 0.2, 0.3))
-        default = run_source_perturbation(ExperimentConfig(**base))
-        serial = run_source_perturbation(ExperimentConfig(**base, threads=1))
-        assert default.meta["w2_method"] == "exact"
-        assert default.meta["threads"] == min(len(os.sched_getaffinity(0)), 4)
-        assert serial.meta["threads"] == 1
-        assert np.array_equal(default.rows, serial.rows)
-        assert default.fit == serial.fit
+        _cpus(monkeypatch, 1)
+        serial = run_source_perturbation(ExperimentConfig(**base))
+        _cpus(monkeypatch, 3)
+        pooled = run_source_perturbation(ExperimentConfig(**base))
+        assert pooled.meta["w2_method"] == "exact"
+        assert serial.meta["threads"] == 1 and pooled.meta["threads"] == 3
+        assert np.array_equal(pooled.rows, serial.rows)
+        assert pooled.fit == serial.fit
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_meta_reports_the_workers_used(self, gmm4, threads):
-        base = dict(target=gmm4, sched=LinearSchedule(), n=128, steps=8, seed=1,
-                    threads=threads)
-        runs = [
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_meta_reports_the_workers_used(self, gmm4, monkeypatch, k):
+        _cpus(monkeypatch, k)
+        base = dict(target=gmm4, sched=LinearSchedule(), n=128, steps=8, seed=1)
+        for res, grid_size in [
             (run_source_perturbation(ExperimentConfig(**base, zeta_grid=(0.0, 0.1, 0.2))), 3),
+            (run_source_perturbation(ExperimentConfig(**base, zeta_grid=(0.1,))), 1),
             (run_velocity_perturbation(ExperimentConfig(**base, eps_grid=(0.5, 1.5))), 2),
-            (run_autoencode(ExperimentConfig(**base, steps_grid=(4, 8))), 2),
-            (run_cycle(ExperimentConfig(**base, target2=gaussian_target([0.0, 0.0], 1.0))), 1),
-            (run_jacobian_envelope(ExperimentConfig(**base, t_grid=(0.2, 0.5, 0.8))), 3),
-        ]
-        for res, grid_size in runs:
+            (run_velocity_perturbation(ExperimentConfig(**base, eps_grid=(0.5,))), 1),
+        ]:
             assert res.meta["grid_size"] == grid_size
-            assert res.meta["threads"] == min(threads, grid_size), res.name
-        ag = run_ag_check(ExperimentConfig(**{**base, "n": 4}, delta=(0.1, 0.0),
-                                           steps_grid=(8, 16)))
-        assert "threads" not in ag.meta  # one engine pass, no pool
+            assert res.meta["threads"] == min(k, grid_size), res.name
+
+    def test_other_runners_use_no_pool(self, gmm4, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a runner other than the sweeps built a thread pool")
+
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        base = dict(target=gmm4, sched=LinearSchedule(), n=32, steps=8, seed=1)
+        runs = [
+            run_autoencode(ExperimentConfig(**base, steps_grid=(4, 8))),
+            run_cycle(ExperimentConfig(**base, steps_grid=(4, 8),
+                                       target2=gaussian_target([0.0, 0.0], 1.0))),
+            run_jacobian_envelope(ExperimentConfig(**base, t_grid=(0.2, 0.5, 0.8))),
+            run_ag_check(ExperimentConfig(**{**base, "n": 4}, delta=(0.1, 0.0),
+                                          steps_grid=(8, 16))),
+        ]
+        for res in runs:
+            assert res.meta["grid_size"] > 1 and "threads" not in res.meta, res.name
 
 
 class TestSourcePerturbation:
@@ -222,22 +238,25 @@ class TestSourcePerturbation:
         r2 = run_source_perturbation(cfg)
         assert np.array_equal(r1.rows, r2.rows)
 
-    def test_thread_count_invariant(self, small_gauss):
-        base = dict(target=small_gauss, sched=LinearSchedule(), n=128,
-                    steps=48, seed=7, zeta_grid=(0.0, 0.1, 0.2))
-        r1 = run_source_perturbation(ExperimentConfig(**base, threads=1))
-        r2 = run_source_perturbation(ExperimentConfig(**base, threads=3))
+    def test_thread_count_invariant(self, small_gauss, monkeypatch):
+        cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(), n=128,
+                               steps=48, seed=7, zeta_grid=(0.0, 0.1, 0.2))
+        _cpus(monkeypatch, 1)
+        r1 = run_source_perturbation(cfg)
+        _cpus(monkeypatch, 3)
+        r2 = run_source_perturbation(cfg)
         assert np.array_equal(r1.rows, r2.rows)
 
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n, method", [(128, "exact"), (_W2_EXACT_CAP + 1, "sliced")])
-    def test_meta_splits_integrate_and_w2_time(self, n, method):
-        """meta names the W2 estimator and sums the integrate and W2 wall
-        times over the grid; the rows are plain integrate-then-W2 values."""
+    def test_meta_splits_integrate_and_w2_time(self, monkeypatch, n, method, k):
+        """meta names the W2 estimator and the wall times of the integrate
+        and W2 stages, which never sum past runtime_s, on a pool or not;
+        the rows are plain integrate-then-W2 values."""
         target = paper_gmm8() if method == "exact" else gaussian_target([1.0, 0.0], 0.25)
-        # serial: on a pool the per-point times overlap and their sums can
-        # exceed runtime_s
+        _cpus(monkeypatch, k)
         cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=n, steps=8,
-                               seed=5, zeta_grid=(0.0, 0.2), threads=1)
+                               seed=5, zeta_grid=(0.0, 0.2))
         res = run_source_perturbation(cfg)
         meta = res.meta
         assert meta["w2_method"] == method
@@ -354,23 +373,24 @@ class TestVelocityPerturbation:
                              _subseed(cfg.seed, 1000), NOISE_DOMAIN)
             assert np.max(np.sum((pert - clean) ** 2, axis=1)) <= rhs
 
-    def test_bit_reproducible(self, gmm4):
+    def test_bit_reproducible(self, gmm4, monkeypatch):
+        _cpus(monkeypatch, 2)
         cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(),
-                               n=100, steps=32, seed=5, eps_grid=(1.0, 2.0),
-                               threads=2)
+                               n=100, steps=32, seed=5, eps_grid=(1.0, 2.0))
         r1 = run_velocity_perturbation(cfg)
         r2 = run_velocity_perturbation(cfg)
         assert np.array_equal(r1.rows, r2.rows)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
                                        VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
                              ids=lambda s: s.family)
-    def test_matches_public_velocity_oracle(self, gmm4, sched, threads):
+    def test_matches_public_velocity_oracle(self, gmm4, monkeypatch, sched, k):
         # the sweep's noisy run, replayed by a plain RK4 loop on the public
         # velocity with the same per-evaluation keyed noise
+        _cpus(monkeypatch, k)
         cfg = ExperimentConfig(target=gmm4, sched=sched, n=128, steps=16, seed=7,
-                               eps_grid=(0.5, 2.0), threads=threads)
+                               eps_grid=(0.5, 2.0))
         res = run_velocity_perturbation(cfg)
         ctx = FlowContext(sched=sched, target=gmm4)
         x0 = sample_source(gmm4, sched, cfg.n, _subseed(cfg.seed, 0)).points
@@ -380,17 +400,17 @@ class TestVelocityPerturbation:
                              _subseed(cfg.seed, 1000), NOISE_DOMAIN)
             assert w2_sq == w2(pert, clean) ** 2
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("early_stop", [0.0, 0.05])
     @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(),
                                        VPSchedule(alpha0=0.8, p=2.0), FollmerSchedule()],
                              ids=lambda s: s.family)
-    def test_matches_per_eps_oracle(self, gmm4, sched, early_stop, threads):
+    def test_matches_per_eps_oracle(self, gmm4, monkeypatch, sched, early_stop, k):
         # eps, delta_v and w2_sq equal one engine pass per eps; bound_rhs is
         # an upper sum, at most a few percent above the adaptive quadrature
+        _cpus(monkeypatch, k)
         cfg = ExperimentConfig(target=gmm4, sched=sched, n=100, steps=100, seed=9,
-                               eps_grid=(0.0, 0.5, 2.0), early_stop=early_stop,
-                               threads=threads)
+                               eps_grid=(0.0, 0.5, 2.0), early_stop=early_stop)
         rows, want = run_velocity_perturbation(cfg).rows, velocity_perturbation_per_eps(cfg)
         assert np.array_equal(rows[:, :3], want[:, :3])
         assert np.all(want[:, 3] <= rows[:, 3]) and np.all(rows[:, 3] <= 1.05 * want[:, 3])
@@ -435,11 +455,13 @@ class TestAutoencode:
         assert errs.shape == (32,)
         assert np.median(errs) == pytest.approx(res.rows[0, 1])
 
-    def test_thread_count_invariant(self, gmm4):
-        base = dict(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=2,
-                    steps_grid=(8, 16, 32))
-        r1 = run_autoencode(ExperimentConfig(**base, threads=1))
-        r2 = run_autoencode(ExperimentConfig(**base, threads=2))
+    def test_thread_count_invariant(self, gmm4, monkeypatch):
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=2,
+                               steps_grid=(8, 16, 32))
+        _cpus(monkeypatch, 1)
+        r1 = run_autoencode(cfg)
+        _cpus(monkeypatch, 2)
+        r2 = run_autoencode(cfg)
         assert np.array_equal(r1.rows, r2.rows)
         assert np.array_equal(r1.meta["errors"], r2.meta["errors"])
 
@@ -474,11 +496,14 @@ class TestCycle:
         with pytest.raises(MissingFieldError):
             run_cycle(cfg)
 
-    def test_thread_count_invariant(self, gmm4):
-        base = dict(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=3,
-                    steps_grid=(8, 16), target2=gaussian_target(mean=[0.0, 0.0], var=1.0))
-        r1 = run_cycle(ExperimentConfig(**base, threads=1))
-        r2 = run_cycle(ExperimentConfig(**base, threads=2))
+    def test_thread_count_invariant(self, gmm4, monkeypatch):
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=32, steps=16, seed=3,
+                               steps_grid=(8, 16),
+                               target2=gaussian_target(mean=[0.0, 0.0], var=1.0))
+        _cpus(monkeypatch, 1)
+        r1 = run_cycle(cfg)
+        _cpus(monkeypatch, 2)
+        r2 = run_cycle(cfg)
         assert np.array_equal(r1.rows, r2.rows)
         assert np.array_equal(r1.meta["errors"], r2.meta["errors"])
 
@@ -694,11 +719,13 @@ class TestAgCheck:
         assert meta["row_stages"] == sum(4 * 4 * 3 * sum(range(2, 2 * panels + 2))
                                          for panels in (8, 16))
 
-    def test_thread_count_invariant(self):
-        base = dict(target=moderate_gmm4(), sched=LinearSchedule(), n=4, seed=5,
-                    delta=(0.05, -0.02), steps_grid=(32, 64, 128))
-        r1 = run_ag_check(ExperimentConfig(**base, threads=1))
-        r2 = run_ag_check(ExperimentConfig(**base, threads=2))
+    def test_thread_count_invariant(self, monkeypatch):
+        cfg = ExperimentConfig(target=moderate_gmm4(), sched=LinearSchedule(), n=4, seed=5,
+                               delta=(0.05, -0.02), steps_grid=(32, 64, 128))
+        _cpus(monkeypatch, 1)
+        r1 = run_ag_check(cfg)
+        _cpus(monkeypatch, 2)
+        r2 = run_ag_check(cfg)
         assert np.array_equal(r1.rows, r2.rows)
         for key in ("rate_calls", "row_stages"):
             assert r1.meta[key] == r2.meta[key]

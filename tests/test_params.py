@@ -10,12 +10,13 @@ is one row of the tables below.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from gif_lab.bounds import RegularityProfile, functional_constant
+from gif_lab.bounds import RegularityProfile, functional_constant, theta_profile
 from gif_lab.errors import InvalidParamError
 from gif_lab.experiments import ExperimentConfig
 from gif_lab.flow import FlowContext, integrate
@@ -23,13 +24,17 @@ from gif_lab.metrics import (keyed_generator, sample_gaussian, sample_interpolan
                              sample_target, w2)
 from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
                                VPSchedule)
-from gif_lab.targets import Target, gaussian_target, mixture_target, point_cloud_target
+from gif_lab.targets import (Target, gaussian_target, min_enclosing_ball, mixture_target,
+                              point_cloud_target)
 
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
 _CLOUD = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
 # scaling by a power of two is exact, so a draw over this gives back the scale
 _Z0 = sample_gaussian(1, 1, 0).points[0, 0]
+# three particles, so particle indices lie in [0, 2]
+_TRAJ = integrate(_CTX, np.zeros((3, 1)), 0.0, 1.0, 2)
+_LOG_LIP = RegularityProfile(kappa=0.0, L=1.0)
 
 
 def _stores_nothing(result) -> None:
@@ -58,10 +63,11 @@ REAL_PARAMS = [
     # at t = 1 the transported constant a^2 + b^2 c_nu is c_nu itself
     ("c_nu", lambda v: functional_constant(v, LinearSchedule(), 1.0), 0.5),
     ("scale", lambda v: float(sample_gaussian(1, 1, 0, scale=v).points[0, 0] / _Z0), 0.5),
+    ("t2", lambda v: theta_profile(_LOG_LIP, LinearSchedule(), "log-lip", t2=v).t2, 0.5),
 ]
 REAL_IDS = ["Target.sigma", "var", "mixture.sigma", "point_cloud.sigma", "zeta",
             "sigma_max", "alpha0", "p", "early_stop", "kappa", "beta", "D", "R",
-            "profile.sigma", "L", "c_nu", "scale"]
+            "profile.sigma", "L", "c_nu", "scale", "t2"]
 
 INT_PARAMS = [
     ("grid_n", lambda v: LinearSchedule().validate(grid_n=v).grid_n, 16),
@@ -79,11 +85,13 @@ INT_PARAMS = [
     ("n", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), n=v).n, 128),
     ("steps", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), steps=v).steps, 16),
     ("seed", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), seed=v).seed, 3),
-    ("threads", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), threads=v).threads, 2),
+    ("particle", lambda v: _stores_nothing(_TRAJ.write_csv(io.StringIO(), particle=v)), 2),
+    ("seed", lambda v: _stores_nothing(min_enclosing_ball(_CLOUD, seed=v)), 7),
 ]
 INT_IDS = ["grid_n", "integrate.steps", "sample_gaussian.n", "dim", "sample_target.n",
            "seed", "sample_gaussian.seed", "sample_target.seed", "domain", "index",
-           "n_projections", "config.n", "config.steps", "config.seed", "config.threads"]
+           "n_projections", "config.n", "config.steps", "config.seed", "particle",
+           "min_enclosing_ball.seed"]
 
 BAD = [True, False, "1.0", math.nan, math.inf]
 BAD_IDS = ["True", "False", "str", "nan", "inf"]
@@ -136,6 +144,18 @@ def test_scale_zero_is_rejected():
 
 def test_frozen_dataclass_keeps_the_checked_value():
     assert repr(ShiftedLinearSchedule(zeta=1)) == "ShiftedLinearSchedule(zeta=1.0)"
+
+
+@pytest.mark.parametrize("particle", [-1, 3], ids=["-1", "n"])
+def test_particle_outside_the_trajectory_is_rejected(particle):
+    with pytest.raises(InvalidParamError,
+                       match=rf"^particle must be an integer in \[0, 2\], got {particle}$"):
+        _TRAJ.write_csv(io.StringIO(), particle=particle)
+
+
+def test_min_enclosing_ball_rejects_a_negative_seed():
+    with pytest.raises(InvalidParamError, match=r"^seed must be an integer in \[0, inf\)"):
+        min_enclosing_ball(_CLOUD, seed=-1)
 
 
 def test_out_of_interval_message_gives_the_interval():
