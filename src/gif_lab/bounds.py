@@ -32,6 +32,7 @@ from .errors import (
     NoRootError,
     OutOfRangeError,
     _real_param,
+    _time_param,
 )
 from .schedules import Schedule
 from .targets import Target
@@ -249,8 +250,8 @@ class ThetaProfile:
         return self.pieces[0].lo
 
     def piece_at(self, t: float) -> _Piece:
-        t = float(t)
-        if t < self.lo - 1e-12 or t > 1.0 + 1e-12:
+        t = float(_time_param("t", t))
+        if not self.lo - 1e-12 <= t <= 1.0 + 1e-12:  # NaN included
             raise OutOfRangeError(
                 f"profile covers [{self.lo}, 1], asked for t={t}")
         for piece in reversed(self.pieces):
@@ -259,17 +260,17 @@ class ThetaProfile:
         return self.pieces[0]
 
     def theta(self, t):
-        arr = np.asarray(t, dtype=float)
+        arr = _time_param("t", t)
         out = np.array([float(self.piece_at(ti).theta_raw(np.float64(ti)))
                         for ti in arr.reshape(-1)])
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def integral(self, s: float, t: float) -> float:
         """Integral of theta over [s, t] within the covered interval."""
-        s, t = float(s), float(t)
+        s, t = float(_time_param("s", s)), float(_time_param("t", t))
         if t < s:
             raise OutOfRangeError(f"need s <= t, got {s} > {t}")
-        if s < self.lo - 1e-12 or t > 1.0 + 1e-12:
+        if not (self.lo - 1e-12 <= s and t <= 1.0 + 1e-12):  # NaN included
             raise OutOfRangeError(
                 f"profile covers [{self.lo}, 1], asked for [{s}, {t}]")
         total = 0.0

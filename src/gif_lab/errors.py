@@ -11,6 +11,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class GifLabError(Exception):
     """Base class for all gif_lab errors."""
@@ -99,3 +101,19 @@ def _int_param(name: str, value, interval: str = "(-inf, inf)") -> int:
         if _interval(interval)(v):
             return v
     raise InvalidParamError(f"{name} must be an integer in {interval}, got {value!r}")
+
+
+def _time_param(name: str, value) -> np.ndarray:
+    """``value`` as a float array if it is a ``numbers.Real`` other than a
+    bool, or an array of integers or floats; else InvalidParamError.  Only
+    the kind is checked here: each caller checks its own range and raises
+    OutOfRangeError outside it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            return np.asarray(math.nan)
+    arr = np.asarray(value)
+    if arr.dtype.kind in "iuf":
+        return arr.astype(float, copy=False)
+    raise InvalidParamError(f"{name} must be a real time or an array of them, got {value!r}")

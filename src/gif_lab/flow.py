@@ -70,6 +70,7 @@ from .errors import (
     SizeMismatchError,
     _int_param,
     _real_param,
+    _time_param,
 )
 from .schedules import Schedule
 from .targets import (Target, _as_batch, _logit_terms, _spread, _spread_apply, _stats,
@@ -109,7 +110,7 @@ class FlowContext:
 
 
 def _check_flow_time(ctx: FlowContext, t: float) -> float:
-    t = float(t)
+    t = float(_time_param("t", t))
     if not (math.isfinite(t) and 0.0 <= t <= 1.0):
         raise OutOfRangeError(f"time must lie in [0, 1], got {t!r}")
     if t > ctx.t_max:
@@ -305,7 +306,7 @@ def _validate_span(ctx: FlowContext, t_from: float, t_to: float, steps: int,
     if record not in ("all", "final"):
         raise InvalidParamError(f"record must be all or final, got {record!r}")
     steps = _int_param("steps", steps, "[1, inf)")
-    t_from, t_to = float(t_from), float(t_to)
+    t_from, t_to = float(_time_param("t_from", t_from)), float(_time_param("t_to", t_to))
     if not (math.isfinite(t_from) and math.isfinite(t_to) and t_from < t_to):
         raise OutOfRangeError(f"need from < to, got {t_from!r} .. {t_to!r}")
     if direction == "forward":

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParamError, OutOfRangeError, _int_param, _real_param
+from .errors import InvalidParamError, OutOfRangeError, _int_param, _real_param, _time_param
 
 __all__ = [
     "SchedulePoint",
@@ -96,7 +96,7 @@ class Schedule:
         return self._db(t) * self._b(t)
 
     def _check_time(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
+        arr = _time_param("t", t)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
             raise OutOfRangeError(f"time must lie in [0, 1], got {t!r}")
         return arr

@@ -474,7 +474,7 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     comp_var = target.sigma ** 2 * p.a ** 2 / c2
     if single:
         resp, comp_means = resp[0], comp_means[0]
-    return Posterior(t=float(t), resp=resp, comp_means=comp_means, comp_var=comp_var)
+    return Posterior(t=p.t, resp=resp, comp_means=comp_means, comp_var=comp_var)
 
 
 def marginal_log_density(target: Target, sched: Schedule, t: float, x):

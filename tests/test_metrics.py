@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.machinery
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from gif_lab.errors import (
     DegenerateInputError,
@@ -266,6 +274,101 @@ class TestExactW2:
         big = np.zeros((4097, 1))
         with pytest.raises(TooLargeError):
             w2(big, big)
+
+    @pytest.mark.parametrize("method", ["exact", "sliced"])
+    def test_zero_width_clouds_rejected(self, method):
+        with pytest.raises(SizeMismatchError, match="expected an \\(n, d\\) cloud"):
+            w2(np.zeros((3, 0)), np.zeros((3, 0)), method=method)
+
+
+def _public_w2(a, b) -> float:
+    """W2 through scipy's public cdist and linear_sum_assignment."""
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(math.sqrt(cost[rows, cols].mean()))
+
+
+def _fresh(code: str) -> list:
+    """stdout words of ``code`` run in a fresh interpreter on this checkout."""
+    src = pathlib.Path(metrics.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+class TestExactW2Kernel:
+    """The compiled assignment kernel, loaded without scipy.optimize, on a
+    cost matrix built in numpy."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    @pytest.mark.parametrize("n", [1, 65, 200])
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e3, 5.0), (1e-3, -7.0)])
+    def test_equals_cdist_and_public_solver(self, d, n, scale, offset):
+        # 65 and 200 are not multiples of the row block
+        rng = np.random.default_rng(d * 1000 + n)
+        a = rng.normal(size=(n, d)) * scale + offset
+        b = rng.normal(size=(n, d)) * 1.3 * scale
+        assert np.array_equal(metrics._sq_cost(a, b), cdist(a, b, "sqeuclidean"))
+        assert w2(a, b) == _public_w2(a, b)
+
+    def test_fresh_interpreter_never_imports_scipy_optimize(self):
+        code = ("import sys, numpy as np, gif_lab; from gif_lab import metrics; "
+                "x = np.arange(12.0).reshape(6, 2); metrics.w2(x, x[::-1] + 1.0); "
+                "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules); "
+                "import scipy.optimize; "
+                "print(scipy.optimize.linear_sum_assignment is metrics._linear_sum_assignment)")
+        assert _fresh(code) == ["False", "False", "True"]
+
+    def test_already_imported_module_is_reused(self):
+        code = ("import scipy.optimize, gif_lab; from gif_lab import metrics; "
+                "print(metrics._linear_sum_assignment is scipy.optimize.linear_sum_assignment)")
+        assert _fresh(code) == ["True"]
+
+    def test_without_a_matching_file_the_public_import_runs(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 0.5
+        want = w2(a, b)
+        monkeypatch.delitem(sys.modules, metrics._LSAP_MODULE)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        assert metrics._load_lsap() is None
+        import scipy.optimize
+        calls = []
+
+        def spy(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(metrics, "_linear_sum_assignment", None)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+        assert w2(a, b) == want
+        assert calls == [(40, 40)]
+
+    def test_fallback_in_a_fresh_interpreter(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+        code = ("import importlib.machinery, sys; "
+                "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']; "
+                "import numpy as np; from gif_lab import metrics; "
+                "print(metrics._linear_sum_assignment is None, 'scipy.optimize' in sys.modules); "
+                f"a = np.array({a.tolist()!r}); b = np.array({b.tolist()!r}); "
+                "print(repr(metrics.w2(a, b)), 'scipy.optimize' in sys.modules)")
+        assert _fresh(code) == ["True", "False", repr(_public_w2(a, b)), "True"]
+
+    def test_module_without_the_function_falls_back(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, metrics._LSAP_MODULE,
+                            types.ModuleType(metrics._LSAP_MODULE))
+        assert metrics._load_lsap() is None
+
+    def test_missing_scipy_fails_only_at_exact_w2(self):
+        # a None entry in sys.modules makes scipy unimportable
+        code = ("import sys; sys.modules['scipy'] = None; import numpy as np, gif_lab; "
+                "from gif_lab import metrics; x = np.arange(8.0).reshape(4, 2); "
+                "print(metrics._linear_sum_assignment is None, "
+                "metrics.w2(x, x, method='sliced') == 0.0)\n"
+                "try:\n    metrics.w2(x, x)\n"
+                "except ImportError as exc:\n    print(type(exc).__name__)")
+        assert _fresh(code) == ["True", "True", "ModuleNotFoundError"]
 
 
 class TestSlicedW2:

@@ -18,8 +18,9 @@ def test_all_lists_every_public_name():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # exact W2 imports scipy's assignment solver when it first runs, so
-    # commands that never compute W2 do not pay its import time and memory
+    # exact W2 loads only scipy's compiled assignment kernel, and that
+    # without scipy.optimize's package import, whose time and memory no
+    # command then pays (tests/test_metrics.py::TestExactW2Kernel)
     src = pathlib.Path(gif_lab.__file__).resolve().parents[1]
     code = "import sys, gif_lab; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}

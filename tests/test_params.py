@@ -6,6 +6,11 @@ interval says otherwise (only RegularityProfile.D admits +inf), and is
 stored as a Python float; an integer parameter is a numbers.Integral other
 than a bool, stored as a Python int.  Every scalar parameter of the package
 is one row of the tables below.
+
+A time argument is a real number other than a bool, or an array of integers
+or floats where the call takes arrays; a bool, a string or an array of
+either is an InvalidParamError naming the argument, checked before the
+range, whose violations (NaN included) stay OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -16,16 +21,18 @@ import math
 import numpy as np
 import pytest
 
-from gif_lab.bounds import RegularityProfile, functional_constant, theta_profile
-from gif_lab.errors import InvalidParamError
+from gif_lab.bounds import (RegularityProfile, functional_constant, lipschitz_flow_map,
+                            theta_profile)
+from gif_lab.errors import InvalidParamError, OutOfRangeError
 from gif_lab.experiments import ExperimentConfig
-from gif_lab.flow import FlowContext, integrate
+from gif_lab.flow import (FlowContext, integrate, integrate_augmented, velocity, velocity_dt,
+                          velocity_jacobian)
 from gif_lab.metrics import (keyed_generator, sample_gaussian, sample_interpolant,
                              sample_target, w2)
 from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
                                VPSchedule)
-from gif_lab.targets import (Target, gaussian_target, min_enclosing_ball, mixture_target,
-                              point_cloud_target)
+from gif_lab.targets import (Target, denoiser, gaussian_target, min_enclosing_ball,
+                              mixture_target, point_cloud_target, posterior)
 
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
@@ -35,6 +42,8 @@ _Z0 = sample_gaussian(1, 1, 0).points[0, 0]
 # three particles, so particle indices lie in [0, 2]
 _TRAJ = integrate(_CTX, np.zeros((3, 1)), 0.0, 1.0, 2)
 _LOG_LIP = RegularityProfile(kappa=0.0, L=1.0)
+_THETA = theta_profile(_LOG_LIP, LinearSchedule(), "log-lip", t2=0.5)
+_X = np.zeros((2, 1))
 
 
 def _stores_nothing(result) -> None:
@@ -165,3 +174,65 @@ def test_out_of_interval_message_gives_the_interval():
     with pytest.raises(InvalidParamError,
                        match=r"^steps must be an integer in \[1, inf\), got 0$"):
         ExperimentConfig(_GAUSS, LinearSchedule(), steps=0)
+
+
+# name and a call taking the time; every call accepts 0.5
+TIME_ARGS = [
+    ("t", lambda v: LinearSchedule().eval(v)),
+    ("t", lambda v: LinearSchedule().a(v)),
+    ("t", lambda v: LinearSchedule().b(v)),
+    ("t", lambda v: LinearSchedule().snr(v)),
+    ("t", lambda v: velocity(_CTX, v, _X)),
+    ("t", lambda v: velocity_jacobian(_CTX, v, _X)),
+    ("t", lambda v: velocity_dt(_CTX, v, _X)),
+    ("t_from", lambda v: integrate(_CTX, _X, v, 1.0, 4)),
+    ("t_to", lambda v: integrate(_CTX, _X, 0.0, v, 4)),
+    ("t_from", lambda v: integrate_augmented(_CTX, _X, v, 1.0, 2)),
+    ("t", lambda v: posterior(_GAUSS, LinearSchedule(), v, _X)),
+    ("t", lambda v: denoiser(_GAUSS, LinearSchedule(), v, _X)),
+    ("t", lambda v: _THETA.theta(v)),
+    ("t", lambda v: _THETA.piece_at(v)),
+    ("s", lambda v: _THETA.integral(v, 0.5)),
+    ("t", lambda v: _THETA.integral(0.0, v)),
+    ("s", lambda v: lipschitz_flow_map(_THETA, v, 0.5)),
+    ("t", lambda v: sample_interpolant(_GAUSS, LinearSchedule(), v, 2, 0)),
+    ("t", lambda v: functional_constant(0.5, LinearSchedule(), v)),
+]
+TIME_IDS = ["eval", "a", "b", "snr", "velocity", "velocity_jacobian", "velocity_dt",
+            "integrate.t_from", "integrate.t_to", "integrate_augmented.t_from", "posterior",
+            "denoiser", "theta", "piece_at", "integral.s", "integral.t",
+            "lipschitz_flow_map.s", "sample_interpolant", "functional_constant"]
+
+BAD_TIMES = [True, np.True_, "0.5", np.array([True, False]), np.array(["0.5"])]
+BAD_TIME_IDS = ["True", "np.True_", "str", "bool-array", "str-array"]
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES, ids=BAD_TIME_IDS)
+@pytest.mark.parametrize("name, call", TIME_ARGS, ids=TIME_IDS)
+def test_time_of_the_wrong_kind_names_the_argument(name, call, bad):
+    with pytest.raises(InvalidParamError, match=f"^{name} must be a real time"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan], ids=["above", "below", "nan"])
+@pytest.mark.parametrize("name, call", TIME_ARGS, ids=TIME_IDS)
+def test_time_out_of_range_stays_out_of_range(name, call, bad):
+    with pytest.raises(OutOfRangeError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", TIME_ARGS, ids=TIME_IDS)
+def test_numpy_real_time_passes(name, call):
+    for value in (np.float32(0.5), np.float64(0.5)):
+        call(value)
+
+
+def test_time_range_message_is_unchanged():
+    with pytest.raises(OutOfRangeError, match=r"^time must lie in \[0, 1\], got 1\.5$"):
+        LinearSchedule().a(1.5)
+    with pytest.raises(OutOfRangeError, match=r"^time must lie in \[0, 1\], got nan$"):
+        velocity(_CTX, math.nan, _X)
+
+
+def test_integer_time_arrays_pass():
+    assert LinearSchedule().a(np.array([0, 1])).tolist() == [1.0, 0.0]
