@@ -43,5 +43,26 @@ for cmd in stability-source stability-velocity autoencode ag-check; do
   gif-lab "$cmd" --config cli-run-gmm8.cfg --no-timestamp --svg --out "$out/paper-gmm8/$cmd"
 done
 
+# Two gmm blocks whose dimension differs from the component count (and from
+# 2), so a cloud stored with its axes swapped inside the engine cannot
+# pass: d = 1 with k = 3 into "$out/gmm-d1", d = 3 with k = 5 into
+# "$out/gmm-d3".
+printf '%s\n' 'target = gmm' 'means = [(-2.0,), (0.5,), (3.0,)]' 'weights = (0.5, 0.3, 0.2)' \
+  'sigma = 0.4' 'schedule = linear' 'n = 128' 'steps = 16' 'zeta_grid = (0.0, 0.2)' \
+  'eps_grid = (0.5, 1.5)' 'steps_grid = (16, 32)' 'delta = (0.1,)' > cli-run-gmm-d1.cfg
+printf '%s\n' 'target = gmm' \
+  'means = [(1.0, 0.0, 0.0), (0.0, 1.5, 0.0), (0.0, 0.0, -1.0), (-1.0, -1.0, 1.0), (0.5, 0.5, 0.5)]' \
+  'sigma = 0.3' 'schedule = linear' 'n = 128' 'steps = 16' 'zeta_grid = (0.0, 0.2)' \
+  'eps_grid = (0.5, 1.5)' 'steps_grid = (16, 32)' 'delta = (0.1, 0.0, -0.05)' > cli-run-gmm-d3.cfg
+gif-lab flow --config cli-run-gmm-d1.cfg --x 0.3 --jacobian --logdensity --no-timestamp \
+  --out "$out/gmm-d1/flow"
+gif-lab flow --config cli-run-gmm-d3.cfg --x 0.3,-0.2,0.1 --jacobian --logdensity --no-timestamp \
+  --out "$out/gmm-d3/flow"
+for d in d1 d3; do
+  for cmd in stability-source stability-velocity autoencode ag-check; do
+    gif-lab "$cmd" --config "cli-run-gmm-$d.cfg" --no-timestamp --svg --out "$out/gmm-$d/$cmd"
+  done
+done
+
 cd "$out"
 find . -type f | LC_ALL=C sort | xargs sha256sum >&3

@@ -40,7 +40,7 @@ from .metrics import (
     w2,
 )
 from .schedules import Schedule, ShiftedLinearSchedule
-from .targets import Target, mixture_target
+from .targets import Target, _rows, mixture_target
 
 __all__ = [
     "ExperimentConfig",
@@ -328,9 +328,9 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     """Sweep Bernoulli +-eps velocity noise against the clean generation.
 
     One engine run on one coefficient table advances the clean cloud and
-    one copy per eps as row blocks.  The noise is redrawn per coordinate at
-    every RK4 rate evaluation from a stream keyed by the evaluation
-    counter, so a rerun replays it; block j adds eps_j times the signs to
+    one copy per eps as blocks of particles.  The noise is redrawn per
+    coordinate at every RK4 rate evaluation from a stream keyed by the
+    evaluation counter, so a rerun replays it; block j adds eps_j times the signs to
     the table rate, as _ag_residual adds delta.  Only the amplitude differs
     between blocks, so the sweep measures the eps scaling rather than
     pattern-to-pattern scatter.  The config's theta envelope bounds grad v
@@ -356,20 +356,22 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     noise_seed = _subseed(cfg.seed, 1000)
     tab = _table(ctx, clock)
     eps = np.array(grid)
-    amp, delta_v = eps[:, None, None], dim * eps * eps
+    amp, delta_v = eps[:, None], dim * eps * eps
     stage = itertools.count()
 
     def rate(k, state):
         (v,) = _rates(target, tab, k, state)
         gen = keyed_generator(noise_seed, NOISE_DOMAIN, next(stage))
         signs = np.where(gen.random(size=(n, dim)) < 0.5, -1.0, 1.0)
-        noisy = v[n:].reshape(len(grid), n, dim)
-        noisy += amp * signs
+        noisy = v.reshape(dim, len(grid) + 1, n)[:, 1:]
+        noisy += amp * signs.T[:, None, :]
         return (v,)
 
-    # block 0 (rows [0, n)) is the clean cloud, block j + 1 the one at grid[j]
-    x = np.tile(src.points, (len(grid) + 1, 1))
+    # the engine's cloud is particles-last, (dim, (len(grid) + 1) n):
+    # block 0 (columns [0, n)) is the clean cloud, block j + 1 the one at grid[j]
+    x = np.tile(src.points.T, (1, len(grid) + 1))
     (x,) = _rk4(rate, (x,), clock, range(steps))[-1]
+    x = np.ascontiguousarray(x.T)
 
     w2_sq, workers = _map_indexed(
         lambda j: _cloud_w2(x[(j + 1) * n:(j + 2) * n], x[:n]) ** 2, len(grid))
@@ -435,15 +437,16 @@ def run_cycle(cfg: ExperimentConfig) -> ExperimentResult:
 def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:
     """Eigenvalue range of the velocity Jacobian against its envelopes.
 
-    x is drawn from the time-t interpolation marginal at each grid time; the
+    x is drawn from the time-t interpolation marginal at each grid time
+    (default: 20 times on [0, ctx.t_max], the early-stop horizon); the
     upper envelope comes from the requested theta profile, the lower from
     the isotropic part of the Jacobian, which the spread term can only
     increase.
     """
     started = time.perf_counter()
-    grid = cfg.t_grid if cfg.t_grid is not None else tuple(np.linspace(0.0, 1.0, 20))
     target = cfg.target
     ctx = FlowContext(sched=cfg.sched, target=target, early_stop=cfg.early_stop)
+    grid = cfg.t_grid if cfg.t_grid is not None else tuple(np.linspace(0.0, ctx.t_max, 20))
     envelope = _envelope(cfg)
 
     rows = []
@@ -490,8 +493,9 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     Y_0 = x0, so its final state is the clean flow's.
 
     Every entry of steps_grid is one group of that run, on its own stage
-    clock and table column, with the path in its rows [0, n) and block j in
-    rows [(j + 1) n, (j + 2) n).  The groups run longest first, so those
+    clock and table column.  The engine's state is particles-last, (G, d,
+    rows): a group holds the path in its rows [0, n) and block j in rows
+    [(j + 1) n, (j + 2) n).  The groups run longest first, so those
     with steps left are a prefix and only they advance, and each joins its
     blocks at its own nodes.  Between two joins every advancing group has
     as many rows as the one with the most joined blocks; rows past a
@@ -514,18 +518,19 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     names = [f"steps={s} entry" for s in steps]
     dnorm = math.hypot(*delta)
     u = -delta / dnorm if dnorm > 0.0 else np.zeros(d)
+    push = delta[:, None]
     work = [0, 0]  # rate calls, rows advanced
 
     def rate(k, state):
         work[0] += 1
         work[1] += state[0].size // d
         v, dw = _rates(target, live_tab, k, state)
-        v[..., :n, :] += delta
+        v[..., :n] += push
         return v, dw
 
-    xs = np.empty((len(steps), nodes[0] * n, d))
+    xs = np.empty((len(steps), d, nodes[0] * n))
     ws = np.empty_like(xs)
-    xs[:, :n], ws[:, :n] = x0, u
+    xs[..., :n], ws[..., :n] = x0.T, u[:, None]
     joins = {j * gap for s, gap in zip(steps, spacing) for j in range(s // gap)}
     events = sorted(joins | set(steps))
     for lo, hi in zip(events, events[1:]):
@@ -536,19 +541,20 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             # the block joining at lo, if lo is a node of this group, and
             # the rows past the group's own blocks start from Y and u
             first = own[g] - (n if lo % spacing[g] == 0 else 0)
-            xs[g, first:m].reshape(-1, n, d)[:] = xs[g, :n]
-            ws[g, first:m] = u
+            xs[g, :, first:m].reshape(d, -1, n)[:] = xs[g, :, None, :n]
+            ws[g, :, first:m] = u[:, None]
         live_tab = tab.groups(live)
-        xs[:live, :m], ws[:live, :m] = _rk4(rate, (xs[:live, :m], ws[:live, :m]),
-                                            clock[:, :live, None, None], range(lo, hi),
-                                            names=names)[-1]
+        xs[:live, :, :m], ws[:live, :, :m] = _rk4(
+            rate, (xs[:live, :, :m], ws[:live, :, :m]), clock[:, :live, None, None],
+            range(lo, hi), names=names)[-1]
 
     resid = {}
     for g, s in enumerate(steps):
         size = nodes[g]
-        lhs = xs[g, n:2 * n] - xs[g, :n]
+        x, w = _rows(xs[g, :, :size * n]), _rows(ws[g, :, :size * n])
+        lhs = x[n:2 * n] - x[:n]
         # the last node's tangent is u itself, so its integrand is -delta
-        integrand = (dnorm * ws[g, n:size * n]).reshape(size - 1, n * d)
+        integrand = (dnorm * w[n:]).reshape(size - 1, n * d)
         weights = np.ones(size)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0

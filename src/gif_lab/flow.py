@@ -31,8 +31,11 @@ together with the posterior kernel's logit terms at each stage; reverse
 runs store the coefficients sign-flipped.  This table is the only source of
 rates: no integrator takes a user-supplied field.  One RK4 loop, _rk4, then
 advances a tuple state and checks every component for finiteness after
-every step.  The state is the particles, optionally with either one
-tangent per particle or their flow-map Jacobian (and log-density):
+every step.  Its stage arithmetic runs in place on the rate outputs, in
+the same float operations and order as s + h/6 (r1 + 2 r2 + 2 r3 + r4),
+and never writes into the state it was handed.  The state is the
+particles, optionally with either one tangent per particle or their
+flow-map Jacobian (and log-density):
 
     d(J u)/dt = grad v . (J u),   dJ/dt = grad v . J,   dl/dt = -tr grad v.
 
@@ -42,12 +45,17 @@ that (n, d) product instead of J.  Callers that perturb the flow, such as
 the flow-difference check and the velocity-noise sweep, wrap _rates on a
 table of their own.
 
-States are batched: a point is (d,), a cloud is (n, d); all integrators
-advance whole clouds per step.  Reverse-time transport solves
+States are batched: the public functions take a point (d,) or a cloud
+(n, d) and return C-ordered (n, d) arrays, but inside the engine a cloud
+and its tangents are particles-last, (d, n), the layout of the posterior
+kernel (targets), so every elementwise operation runs over rows of n
+particles.  Each public function transposes once at its boundary; only
+the Jacobian state keeps its point-major (n, d, d) layout.  All
+integrators advance whole clouds per step.  Reverse-time transport solves
 dX*/dtau = -v(1 - tau, X*) on the integrator clock tau in [0, 1].
 
 The table, the rates and _rk4 also take a leading group axis: G clouds of
-one size, (G, n, d), each on its own stage clock, advance together, and
+one size, (G, d, n), each on its own stage clock, advance together, and
 each group's numbers are those of its own 2-D run.  The flow-difference
 check runs its whole steps grid this way.
 """
@@ -56,6 +64,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -73,8 +82,8 @@ from .errors import (
     _time_param,
 )
 from .schedules import Schedule
-from .targets import (Target, _as_batch, _logit_terms, _spread, _spread_apply, _stats,
-                      _third_moment)
+from .targets import (Target, _as_batch, _logit_terms, _rows, _spread, _spread_apply,
+                      _stats, _third_moment)
 
 __all__ = [
     "FlowContext",
@@ -140,8 +149,9 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
 
     t is (K,), one time per stage, or (K, G), one stage clock per group.
     With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
-    over a (G, n, d) state, and the logit terms carry the G axis in front
-    of their own.  A one-component target has no logit terms (None).
+    over a (G, d, n) state, and the logit terms carry the G axis in front
+    of their own; bm0 is a (d, 1) column per entry.  A one-component
+    target has no logit terms (None).
     """
     sched, s2 = ctx.sched, ctx.target.sigma ** 2
     t = sched._check_time(t)
@@ -166,26 +176,32 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
 def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
     """Rates of the state (x,), (x, w), (x, J) or (x, J, logdens) at entry k.
 
-    A tangent w has the shape of x, a Jacobian J is (n, d, d): dw = grad
-    v . w, dJ = grad v . J and dl = -tr grad v, without forming grad v.  A
-    one-component target has zero spread, so there grad v = alpha I.  With
-    a grouped table, x and w are (G, n, d).
+    x and a tangent w are particles-last (d, n), a Jacobian J is (n, d, d):
+    dw = grad v . w, dJ = grad v . J and dl = -tr grad v, without forming
+    grad v.  A one-component target has zero spread, so there grad v =
+    alpha I and the log-density rate is a scalar, or (G, 1, 1).  With a
+    grouped table, x and w are (G, d, n).  Every other rate is a new array
+    of its component's shape, which _rk4 may overwrite.
     """
     x, alpha = state[0], tab.alpha[k]
     if target.n_components == 1:
-        rates = (alpha * x + tab.beta[k] * target.means[0],)
+        rates = (alpha * x + tab.beta[k] * target.means.T,)
         if len(state) > 1:
             rates += (alpha * state[1],)
         if len(state) > 2:
             rates += (-(target.dim * alpha),)
         return rates
     resp, mu_bar = _stats(target, tab.logits(k), x)
-    v = alpha * x + tab.beta[k] * mu_bar
+    v = tab.beta[k] * mu_bar
+    v += alpha * x
     if len(state) == 1:
         return (v,)
     gamma = tab.gamma[k]
     if state[1].ndim == x.ndim:
-        return v, alpha * state[1] + gamma * _spread_apply(target, resp, mu_bar, state[1])
+        dw = _spread_apply(target, resp, mu_bar, state[1])
+        dw *= gamma
+        dw += alpha * state[1]
+        return v, dw
     spread = _spread(target, resp, mu_bar)
     rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
     if len(state) == 2:
@@ -198,8 +214,8 @@ def velocity(ctx: FlowContext, t: float, x):
     """Transport velocity v(t, x); accepts a point (d,) or a cloud (n, d)."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    (out,) = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb,))
-    return out[0] if single else out
+    (out,) = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb.T,))
+    return out[:, 0] if single else _rows(out)
 
 
 def velocity_jacobian(ctx: FlowContext, t: float, x):
@@ -208,7 +224,7 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
     xb, single = _as_batch(ctx.target, x)
     n, d = xb.shape
     eye = np.broadcast_to(np.eye(d), (n, d, d))
-    _, out = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb, eye))
+    _, out = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb.T, eye))
     return out[0] if single else out
 
 
@@ -230,11 +246,12 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     d_ada = p.da ** 2 + p.a * p.d2a  # d(a da)
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
-    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xb)
-    pull = ((beta - b * alpha) / c2) * xb - (2.0 * gamma) * mu_bar
+    xt = xb.T
+    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xt)
+    pull = ((beta - b * alpha) / c2) * xt - (2.0 * gamma) * mu_bar
     dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
-    out = dalpha * xb + dbeta * mu_bar + beta * dmu
-    return out[0] if single else out
+    out = dalpha * xt + dbeta * mu_bar + beta * dmu
+    return out[:, 0] if single else _rows(out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +355,63 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
     clock holds the stage times from _stage_times, or (K, G, 1, 1) stage
     clocks for a state with a group axis in front, with names labelling
     its groups; rate(k, state) returns the tuple of time derivatives at
-    stage k.  steps is the range of step indices to take.  Returns the states
-    after every step with the initial one first (keep_all), or just the
-    initial and final states.  A non-finite state raises
+    stage k.  steps is the range of step indices to take, with step 1.
+    Returns the states after every step with the initial one first
+    (keep_all), or just the initial and final states.  A non-finite state raises
     NonFiniteStateError with the step, counted from the first stage, and,
     with groups, the name and time of the first group it reached.
+
+    The stage arithmetic writes only into arrays the loop owns: the three
+    stage inputs of a step share buffers, and the step's sum is built in
+    the second stage's rates, so neither the state handed in nor a
+    recorded state is ever written.  The rates must therefore be new
+    arrays that do not alias their input (a scalar or broadcast rate is
+    combined out of place).  A state whose sum is finite has no non-finite
+    entry; only a sum that is not finite costs the entrywise test.
     """
     path = [state]
-    for i in steps:
+    span = clock[2 * steps.start:2 * steps.stop + 1]
+    hs = span[2::2] - span[:-2:2]
+    for i, h, half, sixth in zip(steps, hs, 0.5 * hs, hs / 6.0):
         k = 2 * i
-        h = clock[k + 2] - clock[k]
-        half, sixth = 0.5 * h, h / 6.0
         k1 = rate(k, state)
-        k2 = rate(k + 1, tuple(s + half * r for s, r in zip(state, k1)))
-        k3 = rate(k + 1, tuple(s + half * r for s, r in zip(state, k2)))
-        k4 = rate(k + 2, tuple(s + h * r for s, r in zip(state, k3)))
-        state = tuple(s + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                      for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4))
-        if not all(np.isfinite(s).all() for s in state):
+        t = tuple(map(_stage, state, k1, itertools.repeat(half)))
+        k2 = rate(k + 1, t)
+        t = tuple(map(_stage, state, k2, itertools.repeat(half), t))
+        k3 = rate(k + 1, t)
+        k4 = rate(k + 2, tuple(map(_stage, state, k3, itertools.repeat(h), t)))
+        state = tuple(map(_step, state, k1, k2, k3, k4, itertools.repeat(sixth)))
+        if not all(math.isfinite(np.add.reduce(s, axis=None)) or np.isfinite(s).all()
+                   for s in state):
             raise _blowup(state, clock[k + 2], i, names)
         if keep_all:
             path.append(state)
     return path if keep_all else [path[0], state]
+
+
+def _stage(s, r, c, out=None):
+    """s + c r, the RK4 stage input, in out when given, else a new array."""
+    if r.shape != s.shape:
+        return r * c + s
+    t = np.multiply(r, c, out=out)
+    t += s
+    return t
+
+
+def _step(s, r1, r2, r3, r4, sixth):
+    """s + sixth (r1 + 2 r2 + 2 r3 + r4), in r2 and r3 when they have the
+    state's shape; IEEE addition and multiplication commute, so the in-place
+    order rounds exactly as the expression does."""
+    if r2.shape != s.shape or r3.shape != s.shape:
+        return s + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    r2 *= 2.0
+    r2 += r1
+    r3 *= 2.0
+    r2 += r3
+    r2 += r4
+    r2 *= sixth
+    r2 += s
+    return r2
 
 
 def _blowup(state: tuple, t_end, i: int, names) -> NonFiniteStateError:
@@ -382,17 +434,23 @@ def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,
          direction: str, record: str):
     """Shared driver of integrate and integrate_augmented.
 
+    state starts with the (n, d) cloud; the engine carries it as (d, n).
     Rates come only from the coefficient table of the span's stage times.
-    Returns the recorded times and the stacked path of each state component.
+    Returns the recorded times and the stacked path of each state
+    component, the cloud's as C-ordered (T, n, d).
     """
     clock = _stage_times(t_from, t_to, steps)
     sign = -1.0 if direction == "reverse" else 1.0
     t_phys = 1.0 - clock if direction == "reverse" else clock
     tab, target = _table(ctx, t_phys, sign), ctx.target
     keep_all = record == "all"
+    state = (np.ascontiguousarray(state[0].T),) + state[1:]
     path = _rk4(lambda k, s: _rates(target, tab, k, s), state, clock, range(steps), keep_all)
+    xs, *rest = zip(*path)
     times = clock[0::2] if keep_all else np.array([t_from, t_to])
-    return times, [np.stack(c) for c in zip(*path)]
+    states = np.empty((len(xs),) + xs[0].shape[::-1])
+    np.stack([x.T for x in xs], out=states)
+    return times, [states] + [np.stack(c) for c in rest]
 
 
 def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,

@@ -24,19 +24,22 @@ their one (b, c^2).  Only the marginal log density needs the dropped term;
 it keeps the full-distance normaliser, because adding |x|^2 / (2 c^2) back
 would cancel badly far from the means.
 
-Inside the module the responsibilities are component-major, (k, n): the
-max and the sum of the softmax run over the component axis, numpy's fast
-stride, and every layer below the kernel reads that layout.  Shifted logits at or
+Inside the module every array is particles-last: a cloud is (d, n), the
+responsibilities are component-major (k, n), the posterior mean mu_bar is
+(d, n) and the centred means are (d, k, n), so each elementwise operation
+runs over whole rows of n particles and no layer swaps axes.  The max and
+the sum of the softmax run over the component axis.  Shifted logits at or
 below -700 are set to exactly 0 instead of exponentiated (_softmax0): each
 such term is below e^-700 < 1e-304 of the largest, so no normalising sum
 changes, and exp never reaches the subnormal range where it runs 10-100x
-slower.  The public functions keep the point-major (n, k) shapes.
+slower.
 
-Operations accept a single point of shape (d,) or a batch (n, d) and
-return matching shapes.  Time arguments are scalars in [0, 1].  The
-kernel below the public functions also takes a leading group axis: a
-(G, n, d) batch with G sets of logit terms, one per group, gives the
-same numbers as G separate (n, d) calls.
+The public functions accept a single point of shape (d,) or a batch (n, d)
+and return matching C-ordered shapes, point-major ((n, k), (n, d)); each
+transposes once at its boundary.  Time arguments are scalars in [0, 1].
+The kernel below the public functions also takes a leading group axis: a
+(G, d, n) batch with G sets of logit terms, one per group, gives the same
+numbers as G separate (d, n) calls.
 """
 
 from __future__ import annotations
@@ -147,11 +150,11 @@ class Target:
 
     @functools.cached_property
     def _centred_means(self):
-        """Centre m0 = sum_j w_j mu_j, centred means mu_j - m0 as (k, d)
-        and their squared norms (k,), read by _logit_terms."""
+        """Centre m0 = sum_j w_j mu_j as a (d, 1) column, centred means
+        mu_j - m0 as (k, d) and their squared norms (k,), read by _logit_terms."""
         m0 = self.weights @ self.means
         mc = self.means - m0
-        terms = (m0, mc, np.sum(mc * mc, axis=1))
+        terms = (m0[:, None], mc, np.sum(mc * mc, axis=1))
         for arr in terms:
             arr.setflags(write=False)
         return terms
@@ -346,9 +349,14 @@ def _softmax0(lg: np.ndarray) -> np.ndarray:
 
     A dropped term is below e^-700 of the column's largest term, which is
     1, so no column sum changes.  Clamping before exp keeps every input of
-    exp at or above -700, and the mask then zeroes the clamped entries.
+    exp at or above -700, and the mask then zeroes the clamped entries;
+    when no entry is that low, one reduce shows it and both are skipped.
     """
-    lg -= lg.max(axis=-2, keepdims=True)
+    # the kernel's reductions call the ufuncs' reduce directly: the ndarray
+    # methods add a Python wrapper per call, a visible share at small n
+    lg -= np.maximum.reduce(lg, axis=-2, keepdims=True)
+    if np.minimum.reduce(lg, axis=None) > _EXP_FLOOR:
+        return np.exp(lg, out=lg)
     live = lg > _EXP_FLOOR
     np.maximum(lg, _EXP_FLOOR, out=lg)
     np.exp(lg, out=lg)
@@ -357,7 +365,8 @@ def _softmax0(lg: np.ndarray) -> np.ndarray:
 
 
 def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over components of log w_j - |x - b mu_j|^2 / (2 c^2), (n,).
+    """Log-sum-exp over components of log w_j - |x - b mu_j|^2 / (2 c^2), (n,),
+    at the points of a point-major (n, d) batch xb.
 
     The full-distance normaliser of the marginal log density: adding
     |x|^2 / (2 c^2) back to _resp's GEMM logits would cancel badly far from
@@ -373,20 +382,22 @@ def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray
 def _logit_terms(target: Target, b, c2) -> tuple:
     """The kernel's factors at schedule values b, c^2: (s mc, b m0, const).
 
-    With s = b / c^2, mc the centred means (k, d) and m0 the centre (d,),
-    const = log w_j - (s b / 2) |mc_j|^2 as a (k, 1) column.  b and c2 are
-    scalars, or arrays of one shape (..., 1, 1) whose leading axes the
-    terms keep: s mc is then (..., k, d), b m0 (..., 1, d), const (..., k, 1).
+    With s = b / c^2, mc the centred means (k, d) and m0 the centre, a
+    (d, 1) column, const = log w_j - (s b / 2) |mc_j|^2 as a (k, 1) column.
+    b and c2 are scalars, or arrays of one shape (..., 1, 1) whose leading
+    axes the terms keep: s mc is then (..., k, d), b m0 (..., d, 1), const
+    (..., k, 1).
     """
     m0, mc, mc_sq = target._centred_means
     s = b / c2
     return s * mc, b * m0, target.log_weights[:, None] - (0.5 * s * b) * mc_sq[:, None]
 
 
-def _resp(target: Target, terms: tuple, xb: np.ndarray) -> np.ndarray:
-    """Responsibilities (k, n), component-major, from _logit_terms' terms.
+def _resp(target: Target, terms: tuple, x: np.ndarray) -> np.ndarray:
+    """Responsibilities (k, n), component-major, of a (d, n) cloud x from
+    _logit_terms' terms.
 
-    The logits are one (k, d) @ (d, n) GEMM, (s mc) @ (x - b m0)^T with
+    The logits are one (k, d) @ (d, n) GEMM, (s mc) @ (x - b m0) with
     s = b / c^2 and mc the centred means, plus the per-component constant
     log w_j - (s b / 2) |mc_j|^2.  With means measured from the target's
     centre m0 and x from b m0, they differ from the full-distance logits
@@ -399,44 +410,60 @@ def _resp(target: Target, terms: tuple, xb: np.ndarray) -> np.ndarray:
     no column sum changes.  Every nonzero exponential is a normal double;
     divided by a column sum of at most k it stays normal for k < 4000.
 
-    With a group axis, xb is (G, n, d), the terms carry a leading G and
+    With a group axis, x is (G, d, n), the terms carry a leading G and
     the result is (G, k, n): one batched GEMM, which numpy runs as one
     BLAS call per group, so each group's numbers are those of a 2-D call.
     """
     smc, bm0, const = terms
-    lg = smc @ (xb - bm0).swapaxes(-1, -2)
+    # x - b m0 goes into point-major memory, (..., n, d) seen as (..., d, n),
+    # so the GEMM rounds as the point-major product (s mc) @ (x - b m0)^T of
+    # the public functions does: with a C-ordered (d, n) operand OpenBLAS
+    # takes another kernel for some shapes (k >= 12 at n = 300, d = 16)
+    xc = np.empty(x.shape[:-2] + x.shape[:-3:-1]).swapaxes(-1, -2)
+    np.subtract(x, bm0, out=xc)
+    lg = smc @ xc
     lg += const
     _softmax0(lg)
-    lg /= lg.sum(axis=-2, keepdims=True)
+    lg /= np.add.reduce(lg, axis=-2, keepdims=True)
     return lg
 
 
-def _stats(target: Target, terms: tuple, xb: np.ndarray):
-    """Shared hot path: (resp, mu_bar) from the logit terms of one time.
+def _stats(target: Target, terms: tuple, x: np.ndarray):
+    """Shared hot path: (resp, mu_bar) of a (d, n) cloud x from the logit
+    terms of one time.
 
     Callers build the terms from b_t and c_t^2 = a_t^2 + sigma^2 b_t^2
     already checked, so an integrator can read them from a table built once
     per call.  resp is _resp's component-major (k, n) array and mu_bar is
-    (n, d), each with the group axis of xb in front when it has one.  For
+    (d, n), each with the group axis of x in front when it has one.  For
     one component the logits are all zero, so resp is exactly 1 and mu_bar
-    the component mean.
+    the component mean.  mu_bar's GEMM reads the means through the
+    transposed view means.T, so a one-point cloud takes the same BLAS
+    matrix-vector kernel as the point-major product resp^T @ means.
     """
-    resp = _resp(target, terms, xb)
-    return resp, resp.swapaxes(-1, -2) @ target.means
+    resp = _resp(target, terms, x)
+    return resp, target.means.T @ resp
+
+
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """A particles-last (..., d, n) array as C-ordered point-major (..., n, d)."""
+    return np.ascontiguousarray(arr.swapaxes(-1, -2))
 
 
 def _centred(target: Target, mu_bar: np.ndarray) -> np.ndarray:
-    """c_j = mu_j - mu_bar as (..., d, k, n): one component-major (k, n)
-    slab per coordinate, so the sums below run over whole slabs."""
-    return target._means_t[:, :, None] - mu_bar.swapaxes(-1, -2)[..., :, None, :]
+    """c_j = mu_j - mu_bar as (..., d, k, n) from mu_bar (..., d, n): one
+    component-major (k, n) slab per coordinate, so the sums below run over
+    whole slabs."""
+    return target._means_t[:, :, None] - mu_bar[..., :, None, :]
 
 
 def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     """Responsibility-weighted covariance of the component means, (n, d, d).
 
-    resp is component-major (k, n).  Centred form: each summand is PSD, so
-    roundoff cannot push the spread's eigenvalues materially below zero
-    even for far-out means.
+    resp is component-major (k, n), mu_bar (d, n).  Centred form: each
+    summand is PSD, so roundoff cannot push the spread's eigenvalues
+    materially below zero even for far-out means.  The output stays
+    point-major: the engine's Jacobian state is (n, d, d).
     """
     centred = _centred(target, mu_bar)
     return np.einsum("ikn,jkn->nij", centred * resp, centred)
@@ -444,30 +471,34 @@ def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
 
 def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
-    """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (n, d).
+    """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (d, n).
 
     The product of _spread with one vector per point, without forming the
-    (n, d, d) spread; centred like it, resp component-major (k, n).  The
-    sums run over negative axes, so a leading group axis passes through.
+    (n, d, d) spread; centred like it, resp component-major (k, n), mu_bar
+    and w (d, n).  The sums run over negative axes, so a leading group axis
+    passes through.
     """
     centred = _centred(target, mu_bar)
-    rc = resp * (centred * w.swapaxes(-1, -2)[..., :, None, :]).sum(axis=-3)
-    return (centred * rc[..., None, :, :]).sum(axis=-2).swapaxes(-1, -2)
+    terms = centred * w[..., :, None, :]
+    rc = np.add.reduce(terms, axis=-3)
+    rc *= resp
+    np.multiply(centred, rc[..., None, :, :], out=terms)
+    return np.add.reduce(terms, axis=-2)
 
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     """Third central moment of the component means, sum_j r_j c_j |c_j|^2
-    with c_j = mu_j - mu_bar, (n, d); centred like _spread, resp (k, n)."""
+    with c_j = mu_j - mu_bar, (d, n); centred like _spread, resp (k, n)."""
     centred = _centred(target, mu_bar)
     rq = resp * (centred * centred).sum(axis=0)
-    return (centred * rq).sum(axis=1).T
+    return (centred * rq).sum(axis=1)
 
 
 def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp = _resp(target, _logit_terms(target, p.b, c2), xb).T
+    resp = _resp(target, _logit_terms(target, p.b, c2), xb.T).T
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
@@ -490,8 +521,8 @@ def denoiser(target: Target, sched: Schedule, t: float, x):
     """Posterior mean E[X1 | X_t = x]."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
-    out = (p.a ** 2 / c2) * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
+    out = (p.a ** 2 / c2) * _rows(mu_bar) + (target.sigma ** 2 * p.b / c2) * xb
     return out[0] if single else out
 
 
@@ -499,8 +530,8 @@ def score(target: Target, sched: Schedule, t: float, x):
     """Gradient of the marginal log density, -(x - b_t mu_bar)/c_t^2."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
-    out = -(xb - p.b * mu_bar) / c2
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
+    out = -(xb - p.b * _rows(mu_bar)) / c2
     return out[0] if single else out
 
 
@@ -513,18 +544,18 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
     mu_spread = _spread(target, resp, mu_bar)
     if single:
-        return resp[:, 0], mu_bar[0], mu_spread[0]
-    return resp.T, mu_bar, mu_spread
+        return resp[:, 0], mu_bar[:, 0], mu_spread[0]
+    return resp.T, _rows(mu_bar), mu_spread
 
 
 def cond_cov(target: Target, sched: Schedule, t: float, x):
     """Posterior covariance Cov(X1 | X_t = x), a (d, d) matrix per point."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    spread = _spread(target, *_stats(target, _logit_terms(target, p.b, c2), xb))
+    spread = _spread(target, *_stats(target, _logit_terms(target, p.b, c2), xb.T))
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     out = shrink ** 2 * spread + s2 * np.eye(target.dim)[None, :, :]
@@ -542,16 +573,16 @@ def posterior_moments(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
     spread = _spread(target, resp, mu_bar)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
-    M1 = shrink * mu_bar + (target.sigma ** 2 * p.b / c2) * xb
+    M1 = shrink * _rows(mu_bar) + (target.sigma ** 2 * p.b / c2) * xb
     C = shrink ** 2 * spread
     M2c = C + s2 * np.eye(target.dim)[None, :, :]
     M2 = np.sum(M1 * M1, axis=1) + np.trace(M2c, axis1=1, axis2=2)
     M3 = ((M2 + 2.0 * s2)[:, None] * M1 + 2.0 * np.einsum("nij,nj->ni", C, M1)
-          + shrink ** 3 * _third_moment(target, resp, mu_bar))
+          + shrink ** 3 * _third_moment(target, resp, mu_bar).T)
     if single:
         return M1[0], float(M2[0]), M2c[0], M3[0]
     return M1, M2, M2c, M3

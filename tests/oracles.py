@@ -309,20 +309,22 @@ def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) ->
 
     def rate(k, state):
         work[0] += 1
-        work[1] += state[0].shape[0]
+        work[1] += state[0].shape[-1]
         v, dw = _rates(target, tab, k, state)
-        v[:n] += delta
+        v[:, :n] += delta[:, None]
         return v, dw
 
-    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
-    xs = np.empty((n_nodes * n, d))
-    ws = np.tile(-delta / dnorm if dnorm > 0.0 else np.zeros(d), (n_nodes * n, 1))
-    xs[:n] = x0
+    # the engine's state is particles-last: columns [0, n) hold Y; block j
+    # holds columns [(j + 1) n, (j + 2) n)
+    xs = np.empty((d, n_nodes * n))
+    ws = np.tile((-delta / dnorm if dnorm > 0.0 else np.zeros(d))[:, None], (1, n_nodes * n))
+    xs[:, :n] = x0.T
     for j in range(n_nodes - 1):
         m = (j + 2) * n
-        xs[m - n:m] = xs[:n]
-        xs[:m], ws[:m] = _rk4(rate, (xs[:m], ws[:m]), clock,
-                              range(j * spacing, (j + 1) * spacing))[-1]
+        xs[:, m - n:m] = xs[:, :n]
+        xs[:, :m], ws[:, :m] = _rk4(rate, (xs[:, :m], ws[:, :m]), clock,
+                                    range(j * spacing, (j + 1) * spacing))[-1]
+    xs, ws = np.ascontiguousarray(xs.T), np.ascontiguousarray(ws.T)
     lhs = xs[n:2 * n] - xs[:n]
     integrand = (dnorm * ws[n:]).reshape(n_nodes - 1, n * d)
     weights = np.ones(n_nodes)
@@ -357,18 +359,20 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
 
     def rate(k, state):
         v, dJ = _rates(target, tab, k, state)
-        v[:n] += delta
+        v[:, :n] += delta[:, None]
         return v, dJ
 
-    # rows [0, n) hold Y; block j holds rows [(j + 1) n, (j + 2) n)
-    xs = np.empty((n_nodes * n, d))
+    # particles-last cloud: columns [0, n) hold Y; block j holds columns
+    # [(j + 1) n, (j + 2) n); the Jacobians stay point-major (rows, d, d)
+    xs = np.empty((d, n_nodes * n))
     js = np.tile(np.eye(d), (n_nodes * n, 1, 1))
-    xs[:n] = x0
+    xs[:, :n] = x0.T
     for j in range(n_nodes - 1):
         m = (j + 2) * n
-        xs[m - n:m] = xs[:n]
-        xs[:m], js[:m] = _rk4(rate, (xs[:m], js[:m]), clock,
-                              range(j * spacing, (j + 1) * spacing))[-1]
+        xs[:, m - n:m] = xs[:, :n]
+        xs[:, :m], js[:m] = _rk4(rate, (xs[:, :m], js[:m]), clock,
+                                 range(j * spacing, (j + 1) * spacing))[-1]
+    xs = np.ascontiguousarray(xs.T)
     lhs = xs[n:2 * n] - xs[:n]
 
     # the last node's Jacobian is the identity, so its integrand is -delta
@@ -407,11 +411,13 @@ def velocity_perturbation_per_eps(cfg) -> np.ndarray:
         calls = itertools.count()
 
         def rate(k, state):
-            (v,) = _rates(target, tab, k, state)
+            (v,) = _rates(target, tab, k, state)  # particles-last (d, n)
             gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, next(calls))
-            return (v + eps * np.where(gen.random(size=v.shape) < 0.5, -1.0, 1.0),)
+            signs = np.where(gen.random(size=v.shape[::-1]) < 0.5, -1.0, 1.0)
+            return (v + eps * signs.T,)
 
-        (pert,) = _rk4(rate, (src,), clock, range(steps))[-1]
+        (pert,) = _rk4(rate, (src.T,), clock, range(steps))[-1]
+        pert = np.ascontiguousarray(pert.T)
         delta_v = target.dim * eps * eps
         rows.append((eps, delta_v, _cloud_w2(pert, clean) ** 2, delta_v * growth ** 2))
     return np.array(rows)

@@ -42,6 +42,14 @@ from oracles import (ag_residual_jacobian, ag_residual_per_entry, gaussian_cloud
                      velocity_perturbation_per_eps)
 
 
+def _gmm_d3k5():
+    """Three dimensions, five components: a cloud whose axes were swapped
+    inside the engine cannot pass for the right one."""
+    means = [[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, -1.0], [-1.0, -1.0, 1.0],
+             [0.5, 0.5, 0.5]]
+    return mixture_target(weights=[0.3, 0.2, 0.2, 0.15, 0.15], means=means, sigma=0.3)
+
+
 @pytest.fixture
 def small_gauss():
     return gaussian_target(mean=[0.0, 0.0], var=0.25)
@@ -534,6 +542,14 @@ class TestJacobianEnvelope:
         assert res.rows.shape[0] == 12
         assert res.meta["max_violation"] <= 1e-8
 
+    def test_default_grid_ends_at_the_early_stop_horizon(self, gmm4):
+        # with no t_grid the 20 times span [0, t_max], not [0, 1]
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=20, seed=3,
+                               early_stop=0.1)
+        res = run_jacobian_envelope(cfg)
+        assert np.array_equal(res.column("t"), np.linspace(0.0, 0.9, 20))
+        assert res.meta["max_violation"] <= 1e-8
+
     def test_lower_column_is_public_alpha(self, gmm4):
         sched = TrigSchedule()
         cfg = ExperimentConfig(target=gmm4, sched=sched, n=20, seed=3,
@@ -686,13 +702,13 @@ class TestAgCheck:
     @pytest.mark.parametrize("target", [
         gaussian_target(mean=(0.2, -0.1), var=1.0),
         mixture_target(weights=(0.5, 0.5), means=((-1.0, 0.0), (1.0, 0.5)), sigma=0.6),
-        paper_gmm8()], ids=["gaussian", "gmm2", "gmm8"])
+        paper_gmm8(), _gmm_d3k5()], ids=["gaussian", "gmm2", "gmm8", "d3k5"])
     def test_grid_pass_matches_per_entry_oracle(self, target, sched, grid, early_stop):
         # the grid's entries are groups of one engine pass; every row must be
         # the bits of the entry's own 2-D pass, also where the node spacings
         # differ (1, 2 and 4 steps for 8, 16 and 64) and groups carry rows
         # past their own blocks
-        delta = np.array([0.05, -0.02])
+        delta = np.array([0.05, -0.02, 0.03])[:target.dim]
         cfg = ExperimentConfig(target=target, sched=sched, n=4, seed=7, delta=tuple(delta),
                                steps_grid=grid, early_stop=early_stop)
         res = run_ag_check(cfg)
@@ -706,6 +722,20 @@ class TestAgCheck:
         assert res.meta["rate_calls"] == 4 * max(grid)
         if grid == (128, 256):  # one node spacing: no group carries spare rows
             assert res.meta["row_stages"] == sum(m for _, _, m in per_entry)
+
+    def test_criterion_09_work_counts(self):
+        # criterion 09's two runs do a fixed amount of work: a gain on them
+        # can only come from the cost per row
+        lin = LinearSchedule()
+        gauss = run_ag_check(ExperimentConfig(
+            target=gaussian_target(mean=(0.2, -0.1), var=1.0), sched=lin, n=4, steps=1024,
+            seed=900, delta=(0.1, 0.0)))
+        assert (gauss.meta["rate_calls"], gauss.meta["row_stages"]) == (4096, 2_121_728)
+        gmm2 = mixture_target(weights=(0.5, 0.5), means=((-1.0, 0.0), (1.0, 0.5)), sigma=0.6)
+        mix = run_ag_check(ExperimentConfig(
+            target=gmm2, sched=lin, n=4, seed=901, delta=(0.05, -0.02),
+            steps_grid=(128, 256, 512, 1024)))
+        assert (mix.meta["rate_calls"], mix.meta["row_stages"]) == (4096, 2_831_360)
 
     def test_meta_counts_rate_work(self, small_gauss):
         # the grid is one engine pass: 4 rate calls per step of its longest
@@ -729,6 +759,31 @@ class TestAgCheck:
         assert np.array_equal(r1.rows, r2.rows)
         for key in ("rate_calls", "row_stages"):
             assert r1.meta[key] == r2.meta[key]
+
+
+class TestRunnersLeaveInputs:
+    """The engine's in-place stage arithmetic never writes into the source
+    cloud a runner drew, whether that cloud is writable or read-only (as a
+    ParticleCloud's points are)."""
+
+    @pytest.mark.parametrize("runner, grid", [
+        (run_ag_check, {"n": 4, "delta": (0.05, -0.02, 0.03), "steps_grid": (16, 32)}),
+        (run_velocity_perturbation, {"n": 100, "steps": 16, "eps_grid": (0.0, 0.5, 1.5)}),
+    ], ids=["ag-check", "velocity"])
+    def test_source_cloud_untouched(self, monkeypatch, runner, grid):
+        cfg = ExperimentConfig(target=_gmm_d3k5(), sched=LinearSchedule(), seed=4, **grid)
+        want = runner(cfg).rows  # the drawn cloud is read-only
+        drawn = []
+
+        def writable(*args):
+            points = np.array(sample_source(*args).points)
+            drawn.append((points, points.copy()))
+            return type("Cloud", (), {"points": points})
+
+        monkeypatch.setattr(experiments, "sample_source", writable)
+        assert np.array_equal(runner(cfg).rows, want)
+        assert len(drawn) == 1 and drawn[0][0].flags.writeable
+        assert np.array_equal(*drawn[0])
 
 
 class TestResultArtifacts:

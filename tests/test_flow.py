@@ -143,6 +143,14 @@ def _gmm4():
     return mixture_target(weights=[0.25] * 4, means=means, sigma=0.5)
 
 
+def _gmm_d3k5():
+    """Three dimensions, five components: a cloud whose axes were swapped
+    inside the engine cannot pass for the right one."""
+    means = [[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, -1.0], [-1.0, -1.0, 1.0],
+             [0.5, 0.5, 0.5]]
+    return mixture_target(weights=[0.3, 0.2, 0.2, 0.15, 0.15], means=means, sigma=0.3)
+
+
 def _close(got, want, rel):
     return float(np.max(np.abs(got - want))) <= rel * max(1.0, float(np.max(np.abs(want))))
 
@@ -152,23 +160,25 @@ class TestEngineTable:
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
-                                        _gmm4()], ids=["gaussian", "gmm4"])
+                                        _gmm4(), _gmm_d3k5()], ids=["gaussian", "gmm4", "d3k5"])
     @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
     def test_stage_rates_match_public_velocity(self, sched, target, direction):
         ctx = FlowContext(sched=sched, target=target)
-        x = np.random.default_rng(4).normal(size=(6, 2)) * 2.0
+        d = target.dim
+        x = np.random.default_rng(4).normal(size=(6, d)) * 2.0
         clock = _stage_times(0.0, 1.0, 8)
         sign = -1.0 if direction == "reverse" else 1.0
         t_phys = 1.0 - clock if direction == "reverse" else clock
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
-        eye = np.broadcast_to(np.eye(2), (6, 2, 2))
+        eye = np.broadcast_to(np.eye(d), (6, d, d))
         for k, t in enumerate(t_phys):
             want_v = sign * velocity(ctx, t, x)
             want_g = sign * velocity_jacobian(ctx, t, x)
-            v, dj, dl = _rates(target, tab, k, (x, eye, np.zeros(6)))
-            assert _close(_rates(target, tab, k, (x,))[0], want_v, 1e-12), t
-            assert _close(v, want_v, 1e-12), t
+            # the engine's cloud is particles-last, (d, n)
+            v, dj, dl = _rates(target, tab, k, (x.T, eye, np.zeros(6)))
+            assert _close(_rates(target, tab, k, (x.T,))[0].T, want_v, 1e-12), t
+            assert _close(v.T, want_v, 1e-12), t
             assert _close(dj, want_g, 1e-12), t
             assert _close(dl, -np.trace(want_g, axis1=1, axis2=2), 1e-12), t
 
@@ -176,14 +186,14 @@ class TestEngineTable:
     @pytest.mark.parametrize("target", [
         gaussian_target(mean=[0.3, -0.2], var=0.64),
         mixture_target(weights=[0.3, 0.7], means=[[-2.0, 0.0], [2.0, 1.0]], sigma=0.5),
-        _gmm8()], ids=["k1", "k2", "k8"])
+        _gmm8(), _gmm_d3k5()], ids=["k1", "k2", "k8", "d3k5"])
     @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
     def test_tangent_rate_is_jacobian_times_tangent(self, sched, target, direction):
         # the (x, w) kind never forms grad v; it must still give grad v . w,
         # and the same velocity as the (x,) kind bit for bit
         ctx = FlowContext(sched=sched, target=target)
         rng = np.random.default_rng(8)
-        x = np.concatenate([2.0 * rng.normal(size=(4, 2)), target.means[:2] + 0.1])
+        x = np.concatenate([2.0 * rng.normal(size=(4, target.dim)), target.means[:2] + 0.1])
         w = rng.normal(size=x.shape)
         clock = _stage_times(0.0, 1.0, 8)
         sign = -1.0 if direction == "reverse" else 1.0
@@ -191,27 +201,28 @@ class TestEngineTable:
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
         for k, t in enumerate(t_phys):
-            v, dw = _rates(target, tab, k, (x, w))
+            v, dw = _rates(target, tab, k, (x.T, w.T))
             want = sign * np.einsum("nij,nj->ni", velocity_jacobian(ctx, t, x), w)
-            assert np.array_equal(v, _rates(target, tab, k, (x,))[0]), t
-            assert np.all(np.abs(dw - want) <= 1e-12 * np.max(np.abs(want))), t
+            assert np.array_equal(v, _rates(target, tab, k, (x.T,))[0]), t
+            assert np.all(np.abs(dw.T - want) <= 1e-12 * np.max(np.abs(want))), t
 
     @pytest.mark.parametrize("kind", ["x", "xw"])
     @pytest.mark.parametrize("target", [
         gaussian_target(mean=[0.3, -0.2], var=0.64),
         mixture_target(weights=[0.3, 0.7], means=[[-2.0, 0.0], [2.0, 1.0]], sigma=0.5),
-        _gmm8()], ids=["k1", "k2", "k8"])
+        _gmm8(), _gmm_d3k5()], ids=["k1", "k2", "k8", "d3k5"])
     @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
     def test_grouped_rates_match_2d_calls(self, sched, target, kind):
         # a (K, G) table gives (G, 1, 1) coefficients at entry k; the rates
-        # of a (G, M, d) state are those of G 2-D calls, bit for bit, also
+        # of a (G, d, M) state are those of G 2-D calls, bit for bit, also
         # for points whose shifted logits fall below the masked-exp floor
         ctx = FlowContext(sched=sched, target=target)
         clocks = np.stack([_stage_times(0.0, end, 16) for end in (0.4, 0.9, 1.0)], axis=1)
         tab = _table(ctx, clocks)
         rng = np.random.default_rng(12)
-        x = 6.0 * rng.normal(size=(3, 7, 2))
+        x = 6.0 * rng.normal(size=(3, 7, target.dim))
         x[:, :2] = target.means[:2] + 0.05
+        x = np.ascontiguousarray(x.swapaxes(1, 2))  # particles-last (G, d, M)
         state = (x, rng.normal(size=x.shape)) if kind == "xw" else (x,)
         for k in range(clocks.shape[0]):
             assert tab.alpha[k].shape == (3, 1, 1)
@@ -240,6 +251,45 @@ class TestEngineTable:
                 rb = p.db / p.b
                 alt = rb * x + (rb * p.a ** 2 - sched.da_a(t)) * score(target, sched, t, x)
                 assert _close(got, alt, 1e-12), (t, "score")
+
+
+def _arrays(out):
+    """The arrays a public engine call returned, for bit comparisons."""
+    if isinstance(out, Trajectory):
+        return [a for a in (out.times, out.states, out.jac, out.logdens) if a is not None]
+    return [out]
+
+
+class TestEngineLeavesInputs:
+    """The in-place stage arithmetic never writes into a caller's array, and
+    a read-only input gives the same bits as a writable one."""
+
+    @pytest.mark.parametrize("single", [False, True], ids=["cloud", "point"])
+    def test_public_calls(self, single):
+        ctx = FlowContext(sched=TrigSchedule(), target=_gmm_d3k5())
+        x0 = np.random.default_rng(33).normal(size=(9, 3))
+        if single:
+            x0 = x0[0].copy()
+        ld0 = np.linspace(-1.0, 1.0, 1 if single else 9)
+        calls = [
+            lambda x, ld: integrate(ctx, x, 0.0, 1.0, 16),
+            lambda x, ld: integrate(ctx, x, 0.0, 1.0, 16, direction="reverse",
+                                    record="final"),
+            lambda x, ld: integrate_augmented(ctx, x, 0.0, 1.0, 16, with_logdensity=True,
+                                              init_logdens=ld),
+            lambda x, ld: velocity(ctx, 0.4, x),
+            lambda x, ld: velocity_jacobian(ctx, 0.4, x),
+            lambda x, ld: velocity_dt(ctx, 0.4, x),
+        ]
+        keep, keep_ld = x0.copy(), ld0.copy()
+        want = [_arrays(call(x0, ld0)) for call in calls]
+        assert np.array_equal(x0, keep) and np.array_equal(ld0, keep_ld)
+        x0.setflags(write=False)
+        ld0.setflags(write=False)
+        for call, arrays in zip(calls, want):
+            got = _arrays(call(x0, ld0))
+            assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
+            assert all(a.ndim < 2 or a.flags["C_CONTIGUOUS"] for a in got)
 
 
 class TestVelocityJacobian:
@@ -377,13 +427,15 @@ class TestIntegrateAugmented:
         expect_logdens = -gaussian_flow_logdet([0.5, 0.5], 0.49, ctx.sched, 0.0, 1.0, 2)
         assert traj.final_logdens == pytest.approx(expect_logdens, abs=1e-7)
 
-    def test_jacobian_matches_flow_map_fd(self, gmm2_ctx):
-        x0 = np.array([0.4, -0.1])
-        traj = integrate_augmented(gmm2_ctx, x0, 0.0, 0.8, steps=128)
+    @pytest.mark.parametrize("x0", [[0.4, -0.1], [0.4, -0.1, 0.3]], ids=["gmm2", "d3k5"])
+    def test_jacobian_matches_flow_map_fd(self, gmm2_ctx, x0):
+        ctx = gmm2_ctx if len(x0) == 2 else FlowContext(sched=LinearSchedule(),
+                                                         target=_gmm_d3k5())
+        x0 = np.array(x0)
+        traj = integrate_augmented(ctx, x0, 0.0, 0.8, steps=128)
 
         def flow_map(y):
-            return integrate(gmm2_ctx, y, 0.0, 0.8, steps=128,
-                             record="final").final_state
+            return integrate(ctx, y, 0.0, 0.8, steps=128, record="final").final_state
 
         J_fd = jacobian_fd(flow_map, x0, h=1e-6)
         assert traj.final_jacobian == pytest.approx(J_fd, abs=5e-6)

@@ -427,7 +427,7 @@ def test_spread_apply_is_spread_times_vector(case, t):
     _, target, x = case
     resp, mu_bar, spread = posterior_stats(target, TrigSchedule(), t, x)
     w = np.random.default_rng(607).normal(size=x.shape)
-    got = _spread_apply(target, resp.T, mu_bar, w)  # the kernel reads (k, n)
+    got = _spread_apply(target, resp.T, mu_bar.T, w.T).T  # the kernel reads (k, n), (d, n)
     ref = np.einsum("nij,nj->ni", spread, w)
     # 1-norms: squaring the tiny spreads of one-hot rows would underflow
     scale = np.abs(spread).sum(axis=(1, 2)) * np.abs(w).sum(axis=1)
@@ -539,7 +539,7 @@ class TestKernelFarTail:
         centred_o = target.means[None, :, :] - mu_o[:, None, :]
         spread_o = np.einsum("nk,nki,nkj->nij", resp_o, centred_o, centred_o)
 
-        kernel = _resp(target, _logit_terms(target, p.b, c2), x)
+        kernel = _resp(target, _logit_terms(target, p.b, c2), x.T)  # reads (d, n)
         resp, mu_bar, spread = posterior_stats(target, sched, t, x)
         assert kernel.shape == (target.n_components, x.shape[0])
         assert np.array_equal(resp, kernel.T)
