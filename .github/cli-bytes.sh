@@ -64,5 +64,15 @@ for d in d1 d3; do
   done
 done
 
+# An early-stop block: flow with its default span, which is the direction's
+# horizon, [0, 1 - early_stop] forward and [early_stop, 1] reverse, into
+# "$out/early-stop".
+printf '%s\n' 'target = moderate-gmm4' 'schedule = linear' 'steps = 16' 'early_stop = 0.1' \
+  > cli-run-early-stop.cfg
+gif-lab flow --config cli-run-early-stop.cfg --x 0.3,-0.2 --no-timestamp \
+  --out "$out/early-stop/flow-forward"
+gif-lab flow --config cli-run-early-stop.cfg --x 0.3,-0.2 --direction reverse --jacobian \
+  --logdensity --no-timestamp --out "$out/early-stop/flow-reverse"
+
 cd "$out"
 find . -type f | LC_ALL=C sort | xargs sha256sum >&3

@@ -184,8 +184,10 @@ def cmd_sample(out, no_timestamp, seed, config_path, n) -> int:
 @_CONFIG
 @click.option("--x", "x_text", required=True,
               help="Start point, comma-separated: --x 1.0,0.0")
-@click.option("--from", "t_from", type=float, default=0.0)
-@click.option("--to", "t_to", type=float, default=1.0)
+@click.option("--from", "t_from", type=float, default=None,
+              help="Span start; default 0, or early_stop in reverse.")
+@click.option("--to", "t_to", type=float, default=None,
+              help="Span end; default 1 - early_stop, or 1 in reverse.")
 @click.option("--direction", type=click.Choice(["forward", "reverse"]),
               default="forward")
 @click.option("--jacobian", is_flag=True, help="Carry the flow-map Jacobian.")
@@ -206,6 +208,9 @@ def cmd_flow(out, no_timestamp, steps, config_path, x_text,
     ctx = FlowContext(sched=sched, target=target,
                       early_stop=config_value(cfg, "early_stop", 0.0))
     n_steps = steps if steps is not None else config_value(cfg, "steps", 256)
+    # the default span is the direction's whole horizon
+    lo, hi = (0.0, ctx.t_max) if direction == "forward" else (ctx.early_stop, 1.0)
+    t_from, t_to = lo if t_from is None else t_from, hi if t_to is None else t_to
     if jacobian or logdensity:
         traj = integrate_augmented(ctx, x0, t_from, t_to, n_steps,
                                    direction=direction, with_logdensity=logdensity)

@@ -125,7 +125,8 @@ def target_from_config(cfg: dict, suffix: str = "") -> Target:
         return gaussian_target(mean=need("mean"), var=need("var"))
     if kind == "gmm":
         means = need("means")
-        weights = config_value(cfg, "weights", [1.0 / len(means)] * len(means), suffix)
+        uniform = [1.0 / len(means)] * len(means) if means else []
+        weights = config_value(cfg, "weights", uniform, suffix)
         return mixture_target(weights=weights, means=means, sigma=need("sigma"))
     if kind == "paper-gmm8":
         return paper_gmm8()

@@ -1,7 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the input rules.
 
 Every error raised by gif_lab derives from GifLabError so callers can
 catch domain failures without swallowing programming errors.
+
+A parameter is checked here by the rule of its kind: a scalar is a real or
+an integer, not a bool (_real_param, _int_param, _time_param); an array is
+a rectangular array of integers or floats (_array_param).  Anything else is
+an InvalidParamError, an array of the wrong shape a SizeMismatchError and
+one holding NaN or infinity a NonFiniteError.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ import functools
 import math
 import numbers
 import operator
+import re
+import reprlib
 
 import numpy as np
 
@@ -113,7 +121,41 @@ def _time_param(name: str, value) -> np.ndarray:
             return np.asarray(value, dtype=float)
         except OverflowError:  # an int beyond the float range
             return np.asarray(math.nan)
-    arr = np.asarray(value)
-    if arr.dtype.kind in "iuf":
-        return arr.astype(float, copy=False)
-    raise InvalidParamError(f"{name} must be a real time or an array of them, got {value!r}")
+    return _real_entries(name, value, "a real time or an array of them")
+
+
+# ---------------------------------------------------------------------------
+# array parameters: one rule for every array, so a ragged list, a string, a
+# bool, an empty axis or a NaN never reaches a formula
+
+
+def _real_entries(name: str, value, what: str) -> np.ndarray:
+    """``value`` as a float array (a float64 one as itself) if numpy reads it
+    as a rectangular array of integers or floats; else InvalidParamError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list; numpy < 1.24 makes it an object array
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidParamError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _shapes(spec: str) -> re.Pattern:
+    """str(shape) of each shape a spec like "a (3,) point or an (n, 3) cloud"
+    admits: one per bracketed group, a name any length >= 1, a numeral its own."""
+    groups = "|".join(map(re.escape, re.findall(r"\([^)]*\)", spec)))
+    return re.compile(re.sub(r"[A-Za-z]\w*", "[1-9][0-9]*", groups))
+
+
+def _array_param(name: str, value, spec: str | None = None) -> np.ndarray:
+    """_real_entries' array if ``spec`` admits its shape (any shape without a
+    spec; else SizeMismatchError) and its entries are finite (else
+    NonFiniteError).  A caller that keeps the array copies it."""
+    arr = _real_entries(name, value, "a rectangular array of integers or floats")
+    if spec is not None and not _shapes(spec).fullmatch(str(arr.shape)):
+        raise SizeMismatchError(f"{name}: expected {spec}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return arr

@@ -1,8 +1,10 @@
 """Scripted experiment runners: stability sweeps, round trips, envelope scans.
 
 Every runner maps an ExperimentConfig to an ExperimentResult with one row
-per grid point plus an optional least-squares fit.  All randomness is keyed
-off (seed, grid index) through per-particle Philox streams, so rows are
+per grid point plus an optional least-squares fit.  Every particle is drawn
+from its own Philox stream keyed off (seed, grid index).  The one other
+draw, the velocity-noise sweep's signs, comes from one stream per RK4 rate
+evaluation, keyed by the evaluation counter, not per particle.  So rows are
 bit-identical across reruns and across CPU counts.
 """
 

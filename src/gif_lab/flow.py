@@ -73,10 +73,10 @@ from .artifacts import repr_lines, write_table
 from .errors import (
     DegenerateTimeError,
     InvalidParamError,
-    NonFiniteError,
     NonFiniteStateError,
     OutOfRangeError,
     SizeMismatchError,
+    _array_param,
     _int_param,
     _real_param,
     _time_param,
@@ -141,7 +141,7 @@ class _Table(collections.namedtuple("_Table", "b c2 alpha beta gamma smc bm0 con
 
     def groups(self, count: int) -> "_Table":
         """The table of the first count groups of a grouped table."""
-        return _Table(*(None if col is None else col[:, :count] for col in self))
+        return _Table(*(col[:, :count] for col in self))
 
 
 def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
@@ -151,7 +151,7 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
     over a (G, d, n) state, and the logit terms carry the G axis in front
     of their own; bm0 is a (d, 1) column per entry.  A one-component
-    target has no logit terms (None).
+    target's logit terms are built too, though _rates never reads them.
     """
     sched, s2 = ctx.sched, ctx.target.sigma ** 2
     t = sched._check_time(t)
@@ -168,8 +168,6 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     cols = (b, c2, alpha, beta, beta * b / c2)
     if t.ndim == 2:
         cols = tuple(col[..., None, None] for col in cols)
-    if ctx.target.n_components == 1:  # _rates never reads the posterior
-        return _Table(*cols, None, None, None)
     return _Table(*cols, *_logit_terms(ctx.target, b[..., None, None], c2[..., None, None]))
 
 
@@ -179,9 +177,9 @@ def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
     x and a tangent w are particles-last (d, n), a Jacobian J is (n, d, d):
     dw = grad v . w, dJ = grad v . J and dl = -tr grad v, without forming
     grad v.  A one-component target has zero spread, so there grad v =
-    alpha I and the log-density rate is a scalar, or (G, 1, 1).  With a
-    grouped table, x and w are (G, d, n).  Every other rate is a new array
-    of its component's shape, which _rk4 may overwrite.
+    alpha I and every particle has the log-density rate -d alpha.  With a
+    grouped table, x and w are (G, d, n).  Every rate is a new array of its
+    component's shape, which _rk4 may overwrite.
     """
     x, alpha = state[0], tab.alpha[k]
     if target.n_components == 1:
@@ -189,7 +187,7 @@ def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
         if len(state) > 1:
             rates += (alpha * state[1],)
         if len(state) > 2:
-            rates += (-(target.dim * alpha),)
+            rates += (np.full(x.shape[-1], -(target.dim * alpha)),)
         return rates
     resp, mu_bar = _stats(target, tab.logits(k), x)
     v = tab.beta[k] * mu_bar
@@ -365,9 +363,9 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
     stage inputs of a step share buffers, and the step's sum is built in
     the second stage's rates, so neither the state handed in nor a
     recorded state is ever written.  The rates must therefore be new
-    arrays that do not alias their input (a scalar or broadcast rate is
-    combined out of place).  A state whose sum is finite has no non-finite
-    entry; only a sum that is not finite costs the entrywise test.
+    arrays of their state's shape that do not alias their input.  A state
+    whose sum is finite has no non-finite entry; only a sum that is not
+    finite costs the entrywise test.
     """
     path = [state]
     span = clock[2 * steps.start:2 * steps.stop + 1]
@@ -391,19 +389,15 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
 
 def _stage(s, r, c, out=None):
     """s + c r, the RK4 stage input, in out when given, else a new array."""
-    if r.shape != s.shape:
-        return r * c + s
     t = np.multiply(r, c, out=out)
     t += s
     return t
 
 
 def _step(s, r1, r2, r3, r4, sixth):
-    """s + sixth (r1 + 2 r2 + 2 r3 + r4), in r2 and r3 when they have the
-    state's shape; IEEE addition and multiplication commute, so the in-place
-    order rounds exactly as the expression does."""
-    if r2.shape != s.shape or r3.shape != s.shape:
-        return s + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    """s + sixth (r1 + 2 r2 + 2 r3 + r4), in r2 and r3; IEEE addition and
+    multiplication commute, so the in-place order rounds exactly as the
+    expression does."""
     r2 *= 2.0
     r2 += r1
     r3 *= 2.0
@@ -475,16 +469,11 @@ def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps:
     t_from, t_to, steps = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
     n, d = xb.shape
-    if init_logdens is None:
-        ld = np.zeros(n)
-    else:
-        ld = np.asarray(init_logdens, dtype=float)
-        if ld.ndim > 1 or ld.size not in (1, n):
-            raise SizeMismatchError(
-                f"init_logdens has {ld.size} entries, the batch has {n} points")
-        ld = np.broadcast_to(ld, (n,)).astype(float)
-        if not np.all(np.isfinite(ld)):
-            raise NonFiniteError("init_logdens contains non-finite entries")
+    ld = _array_param("init_logdens", 0.0 if init_logdens is None else init_logdens,
+                      "a () scalar or an (n,) array")
+    if ld.size not in (1, n):
+        raise SizeMismatchError(f"init_logdens has {ld.size} entries, the batch has {n} points")
+    ld = np.broadcast_to(ld, (n,)).astype(float)
     state = (xb, np.broadcast_to(np.eye(d), (n, d, d)))
     if with_logdensity:
         state += (ld,)

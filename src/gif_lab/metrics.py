@@ -42,9 +42,9 @@ from .artifacts import _read_rows, repr_lines, write_table
 from .errors import (
     DegenerateInputError,
     InvalidParamError,
-    NonFiniteError,
     SizeMismatchError,
     TooLargeError,
+    _array_param,
     _int_param,
     _real_param,
 )
@@ -200,12 +200,7 @@ class ParticleCloud:
     label: str = ""
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise SizeMismatchError(f"points must be (n, d), got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteError("cloud contains non-finite coordinates")
-        pts = pts.copy()
+        pts = _array_param("points", self.points, "an (n, d) cloud").copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -283,15 +278,6 @@ def sample_interpolant(
 def sample_source(target: Target, sched: Schedule, n: int, seed: int) -> ParticleCloud:
     """The time-0 marginal a_0 * Z + b_0 * X1 of the interpolation."""
     return sample_interpolant(target, sched, 0.0, n, seed, label="source")
-
-
-def _cloud_points(obj) -> np.ndarray:
-    pts = obj.points if isinstance(obj, ParticleCloud) else np.asarray(obj, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-        raise SizeMismatchError(f"expected an (n, d) cloud, got shape {np.shape(obj)}")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteError("cloud contains non-finite coordinates")
-    return pts
 
 
 def _load_lsap():
@@ -412,7 +398,8 @@ def w2(
     4096 particles). ``method="sliced"`` averages squared 1D distances over
     random directions and never exceeds the exact value.
     """
-    pa, pb = _cloud_points(a), _cloud_points(b)
+    pa, pb = (c.points if isinstance(c, ParticleCloud)
+              else _array_param(name, c, "an (n, d) cloud") for name, c in (("a", a), ("b", b)))
     if pa.shape[1] != pb.shape[1]:
         raise SizeMismatchError(
             f"clouds have different dimensions: {pa.shape[1]} vs {pb.shape[1]}"
@@ -440,14 +427,11 @@ def linear_fit(xs, ys) -> FitReport:
     Constant ys fit the flat line exactly, reported as slope 0 with
     r_squared 0 (no variance to explain). Constant xs are rejected.
     """
-    xa = np.asarray(xs, dtype=float).ravel()
-    ya = np.asarray(ys, dtype=float).ravel()
+    xa, ya = _array_param("xs", xs).ravel(), _array_param("ys", ys).ravel()
     if xa.shape != ya.shape:
         raise SizeMismatchError(f"xs and ys differ in length: {xa.size} vs {ya.size}")
     if xa.size < 2:
         raise DegenerateInputError("need at least two points to fit a line")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise NonFiniteError("fit inputs contain non-finite values")
     if np.ptp(xa) <= 1e-13 * max(1.0, float(np.max(np.abs(xa)))):
         raise DegenerateInputError("xs are (numerically) constant; slope undefined")
     ym = float(ya.mean())

@@ -54,9 +54,8 @@ import numpy as np
 from .errors import (
     DegenerateTimeError,
     InvalidParamError,
-    NonFiniteError,
-    SizeMismatchError,
     TooLargeError,
+    _array_param,
     _int_param,
     _real_param,
 )
@@ -83,24 +82,16 @@ _BALL_POINT_CAP = 10_000
 
 @dataclasses.dataclass(frozen=True)
 class Target:
-    """Isotropic Gaussian mixture: weights (k,), means (k, d), shared sigma."""
+    """Isotropic Gaussian mixture: weights (k,), means (k, d), shared sigma;
+    keeps read-only copies of the means and the normalised weights."""
 
     weights: np.ndarray
     means: np.ndarray
     sigma: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.means, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1:
-            raise InvalidParamError("means must be a (k, d) array with k >= 1")
-        if w.ndim != 1:
-            raise InvalidParamError("weights must be a 1d array")
-        if w.shape[0] != m.shape[0]:
-            raise SizeMismatchError(
-                f"{w.shape[0]} weights for {m.shape[0]} component means")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m))):
-            raise NonFiniteError("weights and means must be finite")
+        m = _array_param("means", self.means, "a (k, d) array").copy()
+        w = _array_param("weights", self.weights, f"one weight per mean, a ({len(m)},) array")
         if np.any(w < 0.0):
             raise InvalidParamError("weights must be nonnegative")
         total = float(w.sum())
@@ -179,25 +170,22 @@ class Target:
 
 def gaussian_target(mean, var: float) -> Target:
     """Single Gaussian N(mean, var*I) as a one-component mixture."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    mean = _array_param("mean", mean, "a () scalar or a (d,) vector")
     var = _real_param("var", var, "(0, inf)")
-    return Target(weights=np.array([1.0]), means=mean[None, :], sigma=math.sqrt(var))
+    return Target(weights=np.array([1.0]), means=mean.reshape(1, -1), sigma=math.sqrt(var))
 
 
 def mixture_target(weights, means, sigma: float) -> Target:
     """Isotropic Gaussian mixture with shared component deviation sigma."""
-    return Target(weights=np.asarray(weights, dtype=float),
-                  means=np.asarray(means, dtype=float), sigma=sigma)
+    return Target(weights=weights, means=means, sigma=sigma)
 
 
 def point_cloud_target(points, sigma: float, weights=None) -> Target:
     """Mixture centered on a point cloud, uniform weights by default."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidParamError("points must be a (k, d) array")
+    pts = _array_param("points", points, "a (k, d) array")
     if weights is None:
         weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    return Target(weights=np.asarray(weights, dtype=float), means=pts, sigma=sigma)
+    return Target(weights=weights, means=pts, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +244,7 @@ def min_enclosing_ball(points: np.ndarray, seed: int = 0):
     count at 10_000.
     """
     seed = _int_param("seed", seed, "[0, inf)")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-        raise SizeMismatchError(f"points must be a (k, d) array with k, d >= 1, "
-                                f"got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteError("points contain non-finite coordinates")
+    pts = _array_param("points", points, "a (k, d) array")
     if pts.shape[0] > _BALL_POINT_CAP:
         raise TooLargeError(f"enclosing ball supports at most {_BALL_POINT_CAP} points")
     pts = np.unique(pts, axis=0)
@@ -318,16 +301,8 @@ class Posterior:
 
 
 def _as_batch(target: Target, x):
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != target.dim:
-        raise SizeMismatchError(
-            f"x must have trailing dimension {target.dim}, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("x contains non-finite entries")
-    return arr, single
+    arr = _array_param("x", x, f"a ({target.dim},) point or an (n, {target.dim}) cloud")
+    return np.atleast_2d(arr), arr.ndim == 1
 
 
 def _coeffs(target: Target, sched: Schedule, t: float):

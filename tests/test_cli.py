@@ -163,6 +163,19 @@ class TestFlow:
         assert dispatch(["flow", "--config", gauss_cfg, "--x", "0.0,0.0",
                          "--from", "0.9", "--to", "0.1"]) == 1
 
+    @pytest.mark.parametrize("direction, first, last", [
+        ("forward", "0.0", "0.9"), ("reverse", "0.9", "0.0")])
+    def test_default_span_is_the_early_stop_horizon(self, tmp_path, capsys,
+                                                    direction, first, last):
+        cfg = tmp_path / "early.cfg"
+        cfg.write_text("target = moderate-gmm4\nschedule = linear\nearly_stop = 0.1\n")
+        code = dispatch(["flow", "--config", str(cfg), "--x", "0.3,-0.2", "--steps", "4",
+                         "--direction", direction, "--jacobian", "--logdensity",
+                         "--no-timestamp"])
+        assert code == 0
+        rows = _csv_body(capsys.readouterr().out)[1:]
+        assert [rows[0].split(",")[0], rows[-1].split(",")[0]] == [first, last]
+
 
 class TestExperimentCommands:
     def test_stability_source_files(self, tmp_path, capsys):
@@ -285,6 +298,21 @@ class TestConfigValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config key '{key}'" in captured.err
+
+    @pytest.mark.parametrize("command, key, text", [
+        ("sample", "means", "target = gmm\nmeans = [(0.0,), (1.0, 1.0)]\nsigma = 0.5\n"),
+        ("flow", "means", "target = gmm\nmeans = [(), ()]\nsigma = 0.5\n"),
+        ("sample", "mean", "target = gaussian\nmean = ()\nvar = 1.0\n"),
+        ("stability-source", "means", "target = gmm\nmeans = []\nsigma = 0.5\n"),
+    ], ids=["ragged-means", "zero-dim-means", "zero-dim-mean", "no-means"])
+    def test_malformed_array_is_validation_error(self, tmp_path, capsys, command, key, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        extra = ["--x", "0.0,0.0"] if command == "flow" else []
+        assert dispatch([command, "--config", str(cfg), "--no-timestamp"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {key}" in captured.err
 
     @pytest.mark.parametrize("command", ["sample", "flow", "stability-source"])
     def test_unknown_key_is_validation_error(self, tmp_path, capsys, command):

@@ -1,5 +1,5 @@
-"""Scalar parameters: one rule everywhere, checked by errors._real_param and
-errors._int_param.
+"""Scalar and array parameters: one rule for each kind everywhere, checked
+by errors._real_param and errors._int_param, and by errors._array_param.
 
 A real parameter is a numbers.Real other than a bool, finite unless its
 interval says otherwise (only RegularityProfile.D admits +inf), and is
@@ -11,6 +11,11 @@ A time argument is a real number other than a bool, or an array of integers
 or floats where the call takes arrays; a bool, a string or an array of
 either is an InvalidParamError naming the argument, checked before the
 range, whose violations (NaN included) stay OutOfRangeError.
+
+An array parameter is a rectangular array of integers or floats: a ragged
+list (or numpy < 1.24's object array of one), strings or bools are an
+InvalidParamError, a shape the call does not take (an empty axis included)
+a SizeMismatchError and NaN a NonFiniteError, each naming the parameter.
 """
 
 from __future__ import annotations
@@ -23,16 +28,19 @@ import pytest
 
 from gif_lab.bounds import (RegularityProfile, functional_constant, lipschitz_flow_map,
                             theta_profile)
-from gif_lab.errors import InvalidParamError, OutOfRangeError
+from gif_lab.errors import (GifLabError, InvalidParamError, NonFiniteError, OutOfRangeError,
+                             SizeMismatchError)
 from gif_lab.experiments import ExperimentConfig
 from gif_lab.flow import (FlowContext, integrate, integrate_augmented, velocity, velocity_dt,
                           velocity_jacobian)
-from gif_lab.metrics import (keyed_generator, sample_gaussian, sample_interpolant,
-                             sample_target, w2)
+from gif_lab.metrics import (ParticleCloud, keyed_generator, linear_fit, sample_gaussian,
+                             sample_interpolant, sample_target, w2)
 from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
                                VPSchedule)
-from gif_lab.targets import (Target, denoiser, gaussian_target, min_enclosing_ball,
-                              mixture_target, point_cloud_target, posterior)
+from gif_lab.targets import (Target, cond_cov, denoiser, gaussian_target,
+                              marginal_log_density, min_enclosing_ball, mixture_target,
+                              point_cloud_target, posterior, posterior_moments,
+                              posterior_stats, score)
 
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
@@ -203,8 +211,9 @@ TIME_IDS = ["eval", "a", "b", "snr", "velocity", "velocity_jacobian", "velocity_
             "denoiser", "theta", "piece_at", "integral.s", "integral.t",
             "lipschitz_flow_map.s", "sample_interpolant", "functional_constant"]
 
-BAD_TIMES = [True, np.True_, "0.5", np.array([True, False]), np.array(["0.5"])]
-BAD_TIME_IDS = ["True", "np.True_", "str", "bool-array", "str-array"]
+BAD_TIMES = [True, np.True_, "0.5", np.array([True, False]), np.array(["0.5"]),
+             [[0.5], [0.5, 0.5]]]
+BAD_TIME_IDS = ["True", "np.True_", "str", "bool-array", "str-array", "ragged"]
 
 
 @pytest.mark.parametrize("bad", BAD_TIMES, ids=BAD_TIME_IDS)
@@ -236,3 +245,86 @@ def test_time_range_message_is_unchanged():
 
 def test_integer_time_arrays_pass():
     assert LinearSchedule().a(np.array([0, 1])).tolist() == [1.0, 0.0]
+
+
+_GMM2 = mixture_target([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], 0.5)
+_CTX2 = FlowContext(sched=LinearSchedule(), target=_GMM2)
+_LIN = LinearSchedule()
+_X2 = np.zeros((3, 2))
+
+# name, whether the call takes a matrix (2) or a vector (1), and a call
+# taking the array; every matrix call takes a (1, 2) array, every vector
+# call a (1,) array
+ARRAY_PARAMS = [
+    ("means", 2, lambda v: Target(weights=[1.0], means=v, sigma=0.5)),
+    ("weights", 1, lambda v: Target(weights=v, means=[[0.0, 0.0]], sigma=0.5)),
+    ("mean", 1, lambda v: gaussian_target(mean=v, var=1.0)),
+    ("means", 2, lambda v: mixture_target([1.0], v, 0.5)),
+    ("points", 2, lambda v: point_cloud_target(v, 0.5)),
+    ("points", 2, lambda v: min_enclosing_ball(v)),
+    ("x", 2, lambda v: posterior(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: posterior_stats(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: posterior_moments(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: marginal_log_density(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: denoiser(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: score(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: cond_cov(_GMM2, _LIN, 0.5, v)),
+    ("x", 2, lambda v: velocity(_CTX2, 0.5, v)),
+    ("x", 2, lambda v: velocity_jacobian(_CTX2, 0.5, v)),
+    ("x", 2, lambda v: velocity_dt(_CTX2, 0.5, v)),
+    ("x", 2, lambda v: integrate(_CTX2, v, 0.0, 1.0, 2)),
+    ("x", 2, lambda v: integrate_augmented(_CTX2, v, 0.0, 1.0, 2)),
+    ("init_logdens", 1, lambda v: integrate_augmented(
+        _CTX2, _X2, 0.0, 1.0, 2, with_logdensity=True, init_logdens=v)),
+    ("points", 2, lambda v: ParticleCloud(points=v)),
+    ("a", 2, lambda v: w2(v, _CLOUD)),
+    ("b", 2, lambda v: w2(_CLOUD, v, method="sliced")),
+    ("xs", 1, lambda v: linear_fit(v, [0.0, 1.0, 2.0])),
+    ("ys", 1, lambda v: linear_fit([0.0, 1.0, 2.0], v)),
+]
+ARRAY_IDS = ["Target.means", "Target.weights", "gaussian.mean", "mixture.means",
+             "point_cloud.points", "min_enclosing_ball", "posterior", "posterior_stats",
+             "posterior_moments", "marginal_log_density", "denoiser", "score", "cond_cov",
+             "velocity", "velocity_jacobian", "velocity_dt", "integrate",
+             "integrate_augmented", "init_logdens", "ParticleCloud", "w2.a", "w2.b",
+             "linear_fit.xs", "linear_fit.ys"]
+
+# each bad array as (matrix form, vector form), and the error it raises
+BAD_ARRAYS = [
+    (([[0.0, 0.0], [1.0]], [[0.0], [1.0, 1.0]]), InvalidParamError),
+    ((np.array([[0.0, 0.0], [1.0]], dtype=object),
+      np.array([[0.0], [1.0, 1.0]], dtype=object)), InvalidParamError),
+    (([["0.5", "0.5"]], ["1.0"]), InvalidParamError),
+    (([[True, False]], [True]), InvalidParamError),
+    ((np.zeros((3, 0)), np.zeros(0)), SizeMismatchError),
+    (([[math.nan, 0.0]], [math.nan]), NonFiniteError),
+]
+BAD_ARRAY_IDS = ["ragged", "ragged-object", "str", "bool", "zero-width", "nan"]
+
+
+@pytest.mark.parametrize("forms, error", BAD_ARRAYS, ids=BAD_ARRAY_IDS)
+@pytest.mark.parametrize("name, ndim, call", ARRAY_PARAMS, ids=ARRAY_IDS)
+def test_bad_array_names_the_parameter(name, ndim, call, forms, error):
+    assert issubclass(error, GifLabError)
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        call(forms[2 - ndim])
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: Target(weights=[0.5, 0.5], means=m, sigma=0.5),
+    lambda m: mixture_target([0.5, 0.5], m, 0.5),
+    lambda m: point_cloud_target(m, 0.5),
+], ids=["Target", "mixture", "point_cloud"])
+def test_target_copies_the_callers_means(make):
+    m = np.array([[0.0, 0.0], [1.0, 1.0]])
+    target = make(m)
+    assert m.flags.writeable
+    m[0, 0] = 5.0
+    assert target.means[0, 0] == 0.0
+    assert not target.means.flags.writeable
+
+
+def test_integer_arrays_pass():
+    assert mixture_target([1, 0], [[0, 1], [2, 3]], 0.5).means.tolist() == [[0.0, 1.0],
+                                                                           [2.0, 3.0]]
+    assert ParticleCloud(points=np.array([[1, 2]], dtype=np.int32)).points.dtype == float
