@@ -8,7 +8,8 @@
 # A paper-gmm8 block runs the sweeps, autoencode and ag-check late into a
 # flow whose shifted posterior logits mostly sit far below -700, into
 # "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
-# engine pass.
+# engine pass.  That block and the d = 3 gmm block each sample a cloud of
+# several 4 096-particle chunks.
 # The digests are compared with the committed manifest:
 #
 #   bash .github/cli-bytes.sh cli-out > cli-bytes.actual
@@ -42,6 +43,9 @@ printf '%s\n' 'target = paper-gmm8' 'schedule = linear' 'n = 256' 'steps = 64' \
 for cmd in stability-source stability-velocity autoencode ag-check; do
   gif-lab "$cmd" --config cli-run-gmm8.cfg --no-timestamp --svg --out "$out/paper-gmm8/$cmd"
 done
+# a draw over three chunks of particles, each with rows that the first
+# block's words cannot finish
+gif-lab sample --config cli-run-gmm8.cfg --n 9000 --no-timestamp --out "$out/paper-gmm8/sample"
 
 # Two gmm blocks whose dimension differs from the component count (and from
 # 2), so a cloud stored with its axes swapped inside the engine cannot
@@ -58,6 +62,7 @@ gif-lab flow --config cli-run-gmm-d1.cfg --x 0.3 --jacobian --logdensity --no-ti
   --out "$out/gmm-d1/flow"
 gif-lab flow --config cli-run-gmm-d3.cfg --x 0.3,-0.2,0.1 --jacobian --logdensity --no-timestamp \
   --out "$out/gmm-d3/flow"
+gif-lab sample --config cli-run-gmm-d3.cfg --n 10000 --no-timestamp --out "$out/gmm-d3/sample"
 for d in d1 d3; do
   for cmd in stability-source stability-velocity autoencode ag-check; do
     gif-lab "$cmd" --config "cli-run-gmm-$d.cfg" --no-timestamp --svg --out "$out/gmm-$d/$cmd"

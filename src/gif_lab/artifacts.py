@@ -4,7 +4,9 @@ Every CSV goes through ``write_table``: an optional ``# generated:
 <timestamp>`` comment, the comma-joined header, then the body.  Floats are
 written with ``repr``, their shortest round-trip form, so a table reads
 back to the same numbers and a rerun without a timestamp gives the same
-bytes.  ``_read_rows`` reads a cloud table back.
+bytes.  ``repr_lines`` formats the body ``_CHUNK`` rows at a time, each
+chunk by one ``%`` call over a ``%r`` field per value.  ``_read_rows``
+reads a cloud table back.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ def write_table(dst, header: Iterable[str], body: Iterable[str],
 
 
 def repr_lines(rows: np.ndarray) -> Iterable[str]:
-    """CSV text of the 2-D array ``rows``, ``_CHUNK`` rows per chunk."""
+    """CSV text of the 2-D array ``rows``, ``_CHUNK`` rows per chunk, each
+    chunk formatted by one ``%`` call whose ``%r`` is each value's ``repr``."""
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
     for lo in range(0, len(rows), _CHUNK):
-        yield "".join(",".join(map(repr, row)) + "\n"
-                      for row in rows[lo:lo + _CHUNK].tolist())
+        chunk = rows[lo:lo + _CHUNK]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _read_rows(fh: IO[str]) -> np.ndarray:

@@ -51,7 +51,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read())
 
 

@@ -13,9 +13,14 @@ run Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
 ``np.random.Philox`` bit for bit: the same key, counter 1 for the first
 4-word block, the same ``(x >> 11) * 2**-53`` uniforms, and the polar
 rejection run as masked rounds over the particles that still need normals.
-The logarithm of the accepted ``s`` is taken with ``math.log`` (the C
-library), not ``np.log``: numpy's SIMD logarithm can differ from it in the
-last bit, and then the particle would not match its stream.
+Each chunk of particles draws its first block(s), takes the leading
+uniforms and runs the rounds those words allow; the rows that need another
+block are stashed, and after the last chunk one rejection loop over all of
+them draws the further blocks.  A particle's words depend only on its key
+and counter, not on which pass reads them.  The logarithm of the accepted
+``s`` is taken with ``math.log`` (the C library), not ``np.log``: numpy's
+SIMD logarithm can differ from it in the last bit, and then the particle
+would not match its stream.
 
 Exact W2 runs scipy's compiled assignment solver (Crouse 2016, the one
 ``scipy.optimize.linear_sum_assignment`` runs) on a squared-distance matrix
@@ -85,7 +90,9 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
-# Particles per pass of the vectorised draw; bounds its uint64 temporaries.
+# Particles per first-block pass of the vectorised draw; bounds its uint64
+# temporaries.  The rows the passes stash (about a fifth at d = 2) share one
+# rejection loop.
 _CHUNK = 4096
 
 
@@ -140,55 +147,80 @@ def _philox_block(key0: list, key1: np.ndarray, counter: int) -> np.ndarray:
     return (words >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
+def _polar_rounds(z: np.ndarray, rows: np.ndarray, done: np.ndarray, buf: np.ndarray,
+                  pairs: int, next_block=None):
+    """Marsaglia polar rounds for the particles ``rows`` of ``z``.
+
+    ``done`` counts each row's accepted pairs and ``buf`` holds its unread
+    uniforms; every row reads the same stream position.  Once fewer than two
+    words are unread, ``next_block(rows)`` supplies the rows' next 4-word
+    block; without it the rounds stop there.  Returns the rows still
+    drawing, their ``done`` counts and their unread words.
+    """
+    while rows.size:
+        if buf.shape[1] < 2:
+            if next_block is None:
+                break
+            buf = np.concatenate((buf, next_block(rows)), axis=1)
+        u = 2.0 * buf[:, 0] - 1.0
+        v = 2.0 * buf[:, 1] - 1.0
+        buf = buf[:, 2:]
+        s = u * u + v * v
+        ok = (s < 1.0) & (s != 0.0)
+        s = s[ok]
+        # libm's log, as the scalar stream uses; np.log may differ in the last bit
+        log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
+        f = np.sqrt(-2.0 * log_s / s)
+        at, col = rows[ok], 2 * done[ok]
+        z[at, col] = u[ok] * f
+        z[at, col + 1] = v[ok] * f
+        done[ok] += 1
+        more = done < pairs
+        rows, done, buf = rows[more], done[more], buf[more]
+    return rows, done, buf
+
+
 def _philox_draw(seed: int, domain: int, n: int, d: int, lead: int):
     """Leading uniforms (n, lead) and polar normals (n, d) of particles 0..n-1.
 
     Row i equals ``lead`` calls of ``keyed_generator(seed, domain, i).random()``
     followed by d Marsaglia polar normals from the same stream, bit for bit.
+    Each chunk of particles draws its first block(s) and runs the polar rounds
+    those words allow; the rows that need more blocks are stashed, and one
+    rejection loop finishes all of them.
     """
     seed, domain = _check_stream(seed, domain)
     if n > (1 << _INDEX_BITS):
         raise InvalidParamError(f"stream index out of range: {n - 1}")
     key0 = [np.uint64((seed + r * _PHILOX_W[0]) & _MASK64) for r in range(_PHILOX_ROUNDS)]
+    key1 = np.arange(n, dtype=np.uint64) | np.uint64(domain << _INDEX_BITS)
     pairs = (d + 1) // 2
     first_blocks = -(-(lead + 2 * pairs) // 4)
     uniforms = np.empty((n, lead))
-    normals = np.empty((n, d))
+    z = np.empty((n, 2 * pairs))
+    stash = []
     for start in range(0, n, _CHUNK):
         stop = min(n, start + _CHUNK)
-        key1 = np.arange(start, stop, dtype=np.uint64) | np.uint64(domain << _INDEX_BITS)
         buf = np.concatenate(
-            [_philox_block(key0, key1, c) for c in range(1, first_blocks + 1)], axis=1)
+            [_philox_block(key0, key1[start:stop], c) for c in range(1, first_blocks + 1)],
+            axis=1)
         uniforms[start:stop] = buf[:, :lead]
-        buf = buf[:, lead:]
+        rest = _polar_rounds(z, np.arange(start, stop), np.zeros(stop - start, dtype=np.intp),
+                             buf[:, lead:], pairs)
+        if rest[0].size:
+            stash.append(rest)
+    if stash:
+        # every stashed chunk stopped at the same counter with the same
+        # unread width; a chunk whose rows all finished is not stashed
         counter = first_blocks
-        z = np.empty((stop - start, 2 * pairs))
-        # rows still drawing (chunk-relative), their accepted pairs and their
-        # unread uniforms; all of them read the same stream position
-        rows = np.arange(stop - start)
-        done = np.zeros(rows.size, dtype=np.intp)
-        while rows.size:
-            if buf.shape[1] < 2:
-                counter += 1
-                buf = np.concatenate((buf, _philox_block(key0, key1[rows], counter)),
-                                     axis=1)
-            u = 2.0 * buf[:, 0] - 1.0
-            v = 2.0 * buf[:, 1] - 1.0
-            buf = buf[:, 2:]
-            s = u * u + v * v
-            ok = (s < 1.0) & (s != 0.0)
-            s = s[ok]
-            # libm's log, as the scalar stream uses; np.log may differ in the last bit
-            log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
-            f = np.sqrt(-2.0 * log_s / s)
-            at, col = rows[ok], 2 * done[ok]
-            z[at, col] = u[ok] * f
-            z[at, col + 1] = v[ok] * f
-            done[ok] += 1
-            more = done < pairs
-            rows, done, buf = rows[more], done[more], buf[more]
-        normals[start:stop] = z[:, :d]
-    return uniforms, normals
+
+        def next_block(rows):
+            nonlocal counter
+            counter += 1
+            return _philox_block(key0, key1[rows], counter)
+
+        _polar_rounds(z, *(np.concatenate(part) for part in zip(*stash)), pairs, next_block)
+    return uniforms, np.ascontiguousarray(z[:, :d])
 
 
 @dataclass(frozen=True)
@@ -228,7 +260,7 @@ class ParticleCloud:
         """
         if hasattr(path_or_buf, "read"):
             return cls(points=_read_rows(path_or_buf), label=label)
-        with open(path_or_buf) as fh:
+        with open(path_or_buf, encoding="utf-8") as fh:
             return cls(points=_read_rows(fh), label=label)
 
 

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from gif_lab import artifacts
 from gif_lab.artifacts import repr_lines, write_table
 from gif_lab.cli import dispatch
 from gif_lab.experiments import ExperimentResult
@@ -96,3 +97,20 @@ def test_write_table_uses_only_write():
     write_table(sink, ("a", "b"), repr_lines(np.array([[1.0, -0.0], [0.1, 2e-308]])))
     assert "".join(sink.parts) == "a,b\n1.0,-0.0\n0.1,2e-308\n"
 
+
+# signed zero, the least subnormal, the shortest reprs that switch to an
+# exponent, and the non-finite values (bound_rhs rows carry inf)
+_EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("m", [artifacts._CHUNK - 1, artifacts._CHUNK, artifacts._CHUNK + 1])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_repr_lines_writes_each_rows_reprs(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    rows = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-20, 20, size=(m, d))
+    rows.flat[rng.choice(m * d, size=10 * len(_EDGE_VALUES), replace=False)] = (
+        _EDGE_VALUES * 10)
+    chunks = list(repr_lines(rows))
+    assert len(chunks) == -(-m // artifacts._CHUNK)
+    assert "".join(chunks) == "".join(",".join(map(repr, row)) + "\n"
+                                      for row in rows.tolist())

@@ -120,6 +120,17 @@ def _mixture(k: int, d: int):
                           sigma=0.7)
 
 
+class _Counting:
+    """A generator's ``random()``, counting the calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self):
+        self.calls += 1
+        return self.gen.random()
+
+
 class TestDrawMatchesPerParticleOracle:
     """The vectorised Philox4x64-10 draw against one numpy generator per particle,
     compared bit for bit."""
@@ -149,23 +160,39 @@ class TestDrawMatchesPerParticleOracle:
     @pytest.mark.parametrize("seed, domain, d, lead, index", [
         (12345, oracles.TARGET_DOMAIN, 2, 1, 2370),
         (12345, oracles.SOURCE_DOMAIN, 1, 0, 165),
+        # the last, partial chunk of a four-chunk draw
+        (2 ** 63 - 1, oracles.TARGET_DOMAIN, 2, 1, 3 * CHUNK + 4),
     ])
     def test_long_rejection_run(self, seed, domain, d, lead, index):
-        class Counting:
-            def __init__(self, gen):
-                self.gen, self.calls = gen, 0
-
-            def random(self):
-                self.calls += 1
-                return self.gen.random()
-
-        gen = Counting(keyed_generator(seed, domain, index))
+        gen = _Counting(keyed_generator(seed, domain, index))
         expect_u = [gen.random() for _ in range(lead)]
         expect_z = oracles.polar_normals(gen, d)
         assert gen.calls > 8  # the particle needs more than two 4-word blocks
         u, z = metrics._philox_draw(seed, domain, index + 1, d, lead)
         assert np.array_equal(u[index], expect_u)
         assert np.array_equal(z[index], expect_z)
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_multi_chunk_draw(self, d, lead):
+        # every row against its own stream: the rows each chunk stashed for
+        # the one rejection loop, the rows at each chunk boundary and all
+        # others; each of the four chunks must have stashed rows
+        seed, n = 12345, 3 * CHUNK + 17
+        domain = oracles.TARGET_DOMAIN if lead else oracles.SOURCE_DOMAIN
+        u_ref, z_ref, calls = np.empty((n, lead)), np.empty((n, d)), np.empty(n, dtype=int)
+        for i in range(n):
+            gen = _Counting(keyed_generator(seed, domain, i))
+            u_ref[i] = [gen.random() for _ in range(lead)]
+            z_ref[i] = oracles.polar_normals(gen, d)
+            calls[i] = gen.calls
+        first_words = 4 * -(-(lead + d + d % 2) // 4)
+        stashed = np.flatnonzero(calls > first_words)
+        assert np.array_equal(np.unique(stashed // CHUNK), np.arange(4))
+        u, z = metrics._philox_draw(seed, domain, n, d, lead)
+        assert u.flags.c_contiguous and z.flags.c_contiguous
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(z, z_ref)
 
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("k", [1, 3, 8])
@@ -477,6 +504,25 @@ class TestParticleCloudCsv:
         assert buf.getvalue().startswith("# generated: ")
         back = ParticleCloud.read_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.points, cloud.points)
+
+    def test_reads_are_utf8_under_encoding_warnings(self, tmp_path, gmm2):
+        # every writer writes UTF-8; a read that took the locale's encoding
+        # would raise EncodingWarning here, and misread the config's comment
+        cfg, csv = tmp_path / "run.cfg", tmp_path / "cloud.csv"
+        cfg.write_text("# \u03b6 grid\ntarget = gaussian\n", encoding="utf-8")
+        cloud = sample_target(gmm2, n=5, seed=2)
+        cloud.write_csv(csv)
+        code = ("import sys; from gif_lab.config import load_config; "
+                "from gif_lab.metrics import ParticleCloud; "
+                "print(load_config(sys.argv[1])['target'], "
+                "ParticleCloud.read_csv(sys.argv[2]).points.tobytes().hex())")
+        src = pathlib.Path(metrics.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, str(cfg), str(csv)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["gaussian", cloud.points.tobytes().hex()]
 
     def test_round_trip_is_bit_exact_across_chunks(self, tmp_path):
         # more text than one read chunk, with extreme and subnormal values
