@@ -8,8 +8,8 @@
 # A paper-gmm8 block runs the sweeps, autoencode and ag-check late into a
 # flow whose shifted posterior logits mostly sit far below -700, into
 # "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
-# engine pass.  That block and the d = 3 gmm block each sample a cloud of
-# several 4 096-particle chunks.
+# engine pass; its two sweeps also run under "taskset -c 0".  That block and
+# the d = 3 gmm block each sample a cloud of several 4 096-particle chunks.
 # The digests are compared with the committed manifest:
 #
 #   bash .github/cli-bytes.sh cli-out > cli-bytes.actual
@@ -43,6 +43,11 @@ printf '%s\n' 'target = paper-gmm8' 'schedule = linear' 'n = 256' 'steps = 64' \
 for cmd in stability-source stability-velocity autoencode ag-check; do
   gif-lab "$cmd" --config cli-run-gmm8.cfg --no-timestamp --svg --out "$out/paper-gmm8/$cmd"
 done
+for cmd in stability-source stability-velocity; do
+  taskset -c 0 gif-lab "$cmd" --config cli-run-gmm8.cfg --no-timestamp --svg \
+    --out "$out-cpu0/paper-gmm8/$cmd"
+  diff -r "$out/paper-gmm8/$cmd" "$out-cpu0/paper-gmm8/$cmd"
+done
 # a draw over three chunks of particles, each with rows that the first
 # block's words cannot finish
 gif-lab sample --config cli-run-gmm8.cfg --n 9000 --no-timestamp --out "$out/paper-gmm8/sample"
@@ -68,6 +73,17 @@ for d in d1 d3; do
     gif-lab "$cmd" --config "cli-run-gmm-$d.cfg" --no-timestamp --svg --out "$out/gmm-$d/$cmd"
   done
 done
+
+# A Gaussian stability-source block, whose sweep also writes the bound
+# column (the closed-form constants plus the Monte Carlo floor), into
+# "$out/gaussian", rerun under "taskset -c 0".
+printf '%s\n' 'target = gaussian' 'mean = (0.8, -0.6)' 'var = 0.49' 'schedule = linear' \
+  'n = 128' 'steps = 16' 'zeta_grid = (0.02, 0.1, 0.2)' > cli-run-gaussian.cfg
+gif-lab stability-source --config cli-run-gaussian.cfg --no-timestamp --svg \
+  --out "$out/gaussian/stability-source"
+taskset -c 0 gif-lab stability-source --config cli-run-gaussian.cfg --no-timestamp --svg \
+  --out "$out-cpu0/gaussian/stability-source"
+diff -r "$out/gaussian/stability-source" "$out-cpu0/gaussian/stability-source"
 
 # An early-stop block: flow with its default span, which is the direction's
 # horizon, [0, 1 - early_stop] forward and [early_stop, 1] reverse, into

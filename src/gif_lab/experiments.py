@@ -105,7 +105,7 @@ def _usable_cpus() -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs shared by all runners; grids are per-experiment.  The worker
-    count is not an input: only the sweeps' W2 solves use threads (_map_indexed)."""
+    count is not an input: only the sweeps' W2 solves use threads (_w2_pool)."""
 
     target: Target
     sched: Schedule
@@ -215,20 +215,20 @@ def _cloud_w2(a, b) -> float:
     return w2(a, b, method="sliced", n_projections=64, seed=0)
 
 
-def _map_indexed(fn, count: int) -> tuple:
-    """[fn(0), ..., fn(count - 1)] and the number of workers that ran them:
-    one thread per usable CPU, at most count.  Only exact-W2 solves go
-    here, since scipy's assignment releases the interpreter lock and the
-    numpy work of a grid point on small arrays runs slower on a pool."""
+def _w2_pool(count: int) -> tuple:
+    """A thread pool for count exact-W2 solves and its worker count: one
+    thread per usable CPU, at most count, and one thread where only one CPU
+    is usable.  Only W2 solves go here, since scipy's assignment releases
+    the interpreter lock and the numpy work of a grid point on small arrays
+    runs slower on a pool."""
     workers = min(_usable_cpus(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)], workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count))), workers
+    return ThreadPoolExecutor(max_workers=workers), workers
 
 
 def _meta(cfg: ExperimentConfig, started: float, grid_size: int, **extra) -> dict:
-    """Run metadata; the two sweeps add "threads", the W2 workers used."""
+    """Run metadata; the two sweeps add "threads", the W2 workers used, and
+    the source sweep its stage wall times "integrate_s" and "w2_s" and the
+    per-point solve times "w2_solve_s"."""
     return {"n": cfg.n, "steps": cfg.steps, "seed": cfg.seed,
             "grid_size": grid_size, "runtime_s": time.perf_counter() - started, **extra}
 
@@ -256,9 +256,16 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     measured W2 is checked against them (plus the floor between two fresh
     target clouds).
 
-    The grid integrates serially; then its W2 solves overlap on
-    meta["threads"] workers (_map_indexed).  meta["integrate_s"] and
-    meta["w2_s"] are the wall times of those two stages.
+    The W2 pool (meta["threads"] workers, _w2_pool) opens first.  The grid
+    integrates from its last zeta to its first, so largest b0 first, whose
+    assignment takes longest, and each point's solve is queued as soon as
+    its flow ends: a queued solve holds only its cloud, a running one its
+    n x n cost matrix.  On a Gaussian target the floor's solve queues last,
+    and the bound's constants are computed while the solves run.  Results
+    are read in grid order, so rows do not depend on the schedule.
+    meta["integrate_s"] is the wall time of the integrate loop,
+    meta["w2_s"] that from its end to the last W2 result, and
+    meta["w2_solve_s"] each grid point's solve time, in grid order.
     """
     started = time.perf_counter()
     grid = _require(cfg, "zeta_grid")
@@ -268,39 +275,54 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     target = cfg.target
     z = sample_gaussian(target.dim, cfg.n, _subseed(cfg.seed, 1)).points
     ref = sample_target(target, cfg.n, _subseed(cfg.seed, 2)).points
-
-    t0 = time.perf_counter()
     scheds = [ShiftedLinearSchedule(zeta=zeta) for zeta in grid]
-    finals = []
-    for sched in scheds:
-        ctx = FlowContext(sched=sched, target=target, early_stop=cfg.early_stop)
-        finals.append(integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps,
-                                record="final").final_state)
-    t1 = time.perf_counter()
-    dist, workers = _map_indexed(lambda j: _cloud_w2(finals[j], ref), len(grid))
+    solve_s = [0.0] * len(grid)
+
+    def solve(j, final):
+        t = time.perf_counter()
+        dist = _cloud_w2(final, ref)
+        solve_s[j] = time.perf_counter() - t
+        return dist
+
+    pool, workers = _w2_pool(len(grid))
+    try:
+        t0 = time.perf_counter()
+        pending = [None] * len(grid)
+        for j in reversed(range(len(grid))):
+            sched = scheds[j]
+            ctx = FlowContext(sched=sched, target=target, early_stop=cfg.early_stop)
+            final = integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps,
+                              record="final").final_state
+            pending[j] = pool.submit(solve, j, final)
+        t1 = time.perf_counter()
+        if target.is_gaussian:
+            floor_solve = pool.submit(
+                _cloud_w2, sample_target(target, cfg.n, _subseed(cfg.seed, 10_001)).points,
+                sample_target(target, cfg.n, _subseed(cfg.seed, 10_002)).points)
+            prof = RegularityProfile.from_target(target)
+            dense = np.linspace(0.0, 1.0, 2001)
+            rhs = []  # bound_rhs less the floor: inf once the exponent overflows
+            for sched in scheds:
+                c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
+                c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
+                expo = c2 * target.dim
+                rhs.append(math.inf if expo > 700.0 else
+                           c1 * sched.b0 * math.sqrt(target.second_moment) * math.exp(expo))
+        dist = [p.result() for p in pending]
+        if target.is_gaussian:
+            floor = floor_solve.result()
+        t2 = time.perf_counter()
+    finally:
+        # on an error, drop the queued solves and wait only for running ones
+        pool.shutdown(cancel_futures=True)
     columns = ["zeta", "b0", "w2"]
     data = [np.array(grid), np.array([s.b0 for s in scheds]), np.array(dist)]
-    timings = {"integrate_s": t1 - t0, "w2_s": time.perf_counter() - t1,
+    timings = {"integrate_s": t1 - t0, "w2_s": t2 - t1, "w2_solve_s": solve_s,
                "w2_method": _w2_method(cfg.n), "threads": workers}
     extra = {"bound_checked": False}
-
     if target.is_gaussian:
-        floor = _cloud_w2(sample_target(target, cfg.n, _subseed(cfg.seed, 10_001)).points,
-                          sample_target(target, cfg.n, _subseed(cfg.seed, 10_002)).points)
-        prof = RegularityProfile.from_target(target)
-        dense = np.linspace(0.0, 1.0, 2001)
-        rhs = []
-        for sched in scheds:
-            c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
-            c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
-            expo = c2 * target.dim
-            if expo > 700.0:
-                rhs.append(math.inf)
-            else:
-                rhs.append(c1 * sched.b0 * math.sqrt(target.second_moment)
-                           * math.exp(expo) + floor)
         columns.append("bound_rhs")
-        data.append(np.array(rhs))
+        data.append(np.array(rhs) + floor)
         extra = {"bound_checked": True, "mc_floor": floor}
 
     rows = np.column_stack(data)
@@ -340,7 +362,7 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     eps from u(0) = 0 and stays within bound_rhs = delta_v G^2
     (_noise_growth); meta["theta_integral"] = I_0 shows why G is inf.
     The W2 solves against the clean block overlap on meta["threads"]
-    workers (_map_indexed).
+    workers (_w2_pool).
     """
     started = time.perf_counter()
     grid = _require(cfg, "eps_grid")
@@ -375,8 +397,10 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     (x,) = _rk4(rate, (x,), clock, range(steps))[-1]
     x = np.ascontiguousarray(x.T)
 
-    w2_sq, workers = _map_indexed(
-        lambda j: _cloud_w2(x[(j + 1) * n:(j + 2) * n], x[:n]) ** 2, len(grid))
+    pool, workers = _w2_pool(len(grid))
+    with pool:
+        w2_sq = list(pool.map(
+            lambda j: _cloud_w2(x[(j + 1) * n:(j + 2) * n], x[:n]) ** 2, range(len(grid))))
     # eps = 0 gives a bound of exactly 0, also where G is inf
     bound = np.where(delta_v > 0.0, growth * growth, 0.0) * delta_v
     fit = linear_fit(delta_v, w2_sq) if len(grid) >= 2 else None

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from gif_lab import experiments
-from gif_lab.bounds import RegularityProfile, theta_profile
+from gif_lab.bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
                             NonFiniteStateError, OutOfRangeError)
 from gif_lab.experiments import (
@@ -278,6 +280,98 @@ class TestSourcePerturbation:
             end = integrate(ctx, sched.a0 * z, 0.0, 1.0, 8, record="final").final_state
             assert row[2] == _cloud_w2(end, ref)
         assert res.columns[:3] == ("zeta", "b0", "w2")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["gmm8-exact", "gaussian-exact", "gaussian-sliced"])
+    def test_rows_do_not_depend_on_the_schedule(self, monkeypatch, case, k):
+        """Whatever the worker count and solve order, every row, and on a
+        Gaussian target bound_rhs and mc_floor, equals a serial reference:
+        grid-order integrate, then _cloud_w2 per point."""
+        target = paper_gmm8() if case == "gmm8-exact" else gaussian_target([1.0, 0.0], 0.25)
+        n = _W2_EXACT_CAP + 1 if case == "gaussian-sliced" else 128
+        _cpus(monkeypatch, k)
+        cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=n, steps=8,
+                               seed=6, zeta_grid=(0.0, 0.1, 0.3))
+        res = run_source_perturbation(cfg)
+        assert res.meta["threads"] == k
+        assert res.meta["w2_method"] == ("sliced" if n > _W2_EXACT_CAP else "exact")
+        z = sample_gaussian(2, n, _subseed(6, 1)).points
+        ref = sample_target(target, n, _subseed(6, 2)).points
+        expected = []
+        for zeta in cfg.zeta_grid:
+            sched = ShiftedLinearSchedule(zeta=zeta)
+            ctx = FlowContext(sched=sched, target=target)
+            end = integrate(ctx, sched.a0 * z, 0.0, 1.0, 8, record="final").final_state
+            expected.append([zeta, sched.b0, _cloud_w2(end, ref)])
+        if target.is_gaussian:
+            floor = _cloud_w2(sample_target(target, n, _subseed(6, 10_001)).points,
+                              sample_target(target, n, _subseed(6, 10_002)).points)
+            assert res.meta["mc_floor"] == floor
+            prof = RegularityProfile.from_target(target)
+            dense = np.linspace(0.0, 1.0, 2001)
+            for row, zeta in zip(expected, cfg.zeta_grid):
+                sched = ShiftedLinearSchedule(zeta=zeta)
+                c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
+                c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
+                row.append(c1 * sched.b0 * math.sqrt(target.second_moment)
+                           * math.exp(2 * c2) + floor)
+        assert np.array_equal(res.rows, np.array(expected))
+
+    def test_meta_lists_each_points_solve_time(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        cfg = ExperimentConfig(target=paper_gmm8(), sched=LinearSchedule(), n=128, steps=8,
+                               seed=5, zeta_grid=(0.0, 0.1, 0.2))
+        meta = run_source_perturbation(cfg).meta
+        assert len(meta["w2_solve_s"]) == 3
+        assert all(0.0 < t < meta["runtime_s"] for t in meta["w2_solve_s"])
+
+    def test_grid_integrates_largest_b0_first(self, monkeypatch, small_gauss):
+        """Each solve is queued as soon as its flow ends, from the last zeta
+        to the first, so the longest assignments start first."""
+        order, real = [], experiments.integrate
+
+        def recorded(ctx, *args, **kwargs):
+            order.append(ctx.sched.zeta)
+            return real(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate", recorded)
+        grid = (0.0, 0.1, 0.2, 0.3)
+        run_source_perturbation(ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
+                                                 n=128, steps=4, zeta_grid=grid))
+        assert order == list(grid[::-1])
+
+    def test_engine_error_drops_queued_solves(self, monkeypatch):
+        """An engine error mid-grid propagates unchanged; the queued solves
+        are dropped, the running ones finish, and no pool thread outlives the
+        call."""
+        _cpus(monkeypatch, 2)
+        err = NonFiniteStateError("state is not finite", step=3)
+        calls, started = [], []
+        real_integrate, real_w2 = experiments.integrate, experiments._cloud_w2
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise err
+            return real_integrate(*args, **kwargs)
+
+        def slow(a, b):
+            # long enough that both workers are still busy when the engine fails
+            started.append(None)
+            time.sleep(0.3)
+            return real_w2(a, b)
+
+        monkeypatch.setattr(experiments, "integrate", failing)
+        monkeypatch.setattr(experiments, "_cloud_w2", slow)
+        before = threading.active_count()
+        cfg = ExperimentConfig(target=paper_gmm8(), sched=LinearSchedule(), n=128, steps=4,
+                               zeta_grid=(0.0, 0.05, 0.1, 0.2, 0.3))
+        with pytest.raises(NonFiniteStateError) as info:
+            run_source_perturbation(cfg)
+        assert info.value is err
+        # three solves were queued before the fourth flow failed
+        assert len(started) == 2
+        assert threading.active_count() == before
 
 
 class TestVelocityPerturbation:
