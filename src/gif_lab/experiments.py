@@ -27,8 +27,8 @@ from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, SizeM
                      _int_param, _real_param)
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
-from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, integrate,
-                   velocity, velocity_jacobian)
+from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, _tangent_rates,
+                   integrate, velocity, velocity_jacobian)
 from .metrics import (
     NOISE_DOMAIN,
     _W2_EXACT_CAP,
@@ -266,6 +266,10 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     meta["integrate_s"] is the wall time of the integrate loop,
     meta["w2_s"] that from its end to the last W2 result, and
     meta["w2_solve_s"] each grid point's solve time, in grid order.
+    integrate_s includes CPU time shared with the solves running beside the
+    loop, so it is not the cost of integration alone: on 2 CPUs and the
+    benchmark's source-sweep inputs 0, 3 and 4 it was 0.086-0.091 s with
+    the grid integrated alone and 0.134-0.139 s overlapped.
     """
     started = time.perf_counter()
     grid = _require(cfg, "zeta_grid")
@@ -383,19 +387,18 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     amp, delta_v = eps[:, None], dim * eps * eps
     stage = itertools.count()
 
-    def rate(k, state):
-        (v,) = _rates(target, tab, k, state)
+    def rate(k, x):
+        v = _rates(target, tab, k, x)
         gen = keyed_generator(noise_seed, NOISE_DOMAIN, next(stage))
         signs = np.where(gen.random(size=(n, dim)) < 0.5, -1.0, 1.0)
         noisy = v.reshape(dim, len(grid) + 1, n)[:, 1:]
         noisy += amp * signs.T[:, None, :]
-        return (v,)
+        return v
 
     # the engine's cloud is particles-last, (dim, (len(grid) + 1) n):
     # block 0 (columns [0, n)) is the clean cloud, block j + 1 the one at grid[j]
     x = np.tile(src.points.T, (1, len(grid) + 1))
-    (x,) = _rk4(rate, (x,), clock, range(steps))[-1]
-    x = np.ascontiguousarray(x.T)
+    x = np.ascontiguousarray(_rk4(rate, x, clock, range(steps))[-1].T)
 
     pool, workers = _w2_pool(len(grid))
     with pool:
@@ -519,8 +522,9 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     Y_0 = x0, so its final state is the clean flow's.
 
     Every entry of steps_grid is one group of that run, on its own stage
-    clock and table column.  The engine's state is particles-last, (G, d,
-    rows): a group holds the path in its rows [0, n) and block j in rows
+    clock and table column.  The engine's state is particles-last, (G, 2,
+    d, rows): a group holds the points in block 0 and their tangents in
+    block 1, the path Y's in rows [0, n) and node j's in rows
     [(j + 1) n, (j + 2) n).  The groups run longest first, so those
     with steps left are a prefix and only they advance, and each joins its
     blocks at its own nodes.  Between two joins every advancing group has
@@ -545,20 +549,17 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     dnorm = math.hypot(*delta)
     u = -delta / dnorm if dnorm > 0.0 else np.zeros(d)
     push = delta[:, None]
-    work = [0, 0]  # rate calls, rows advanced
 
     def rate(k, state):
-        work[0] += 1
-        work[1] += state[0].size // d
-        v, dw = _rates(target, live_tab, k, state)
-        v[..., :n] += push
-        return v, dw
+        out = _tangent_rates(target, live_tab, k, state)
+        out[:, 0, :, :n] += push
+        return out
 
-    xs = np.empty((len(steps), d, nodes[0] * n))
-    ws = np.empty_like(xs)
-    xs[..., :n], ws[..., :n] = x0.T, u[:, None]
+    state = np.empty((len(steps), 2, d, nodes[0] * n))
+    state[:, 0, :, :n], state[:, 1, :, :n] = x0.T, u[:, None]
     joins = {j * gap for s, gap in zip(steps, spacing) for j in range(s // gap)}
     events = sorted(joins | set(steps))
+    calls = row_stages = 0
     for lo, hi in zip(events, events[1:]):
         live = sum(s > lo for s in steps)
         own = [(lo // gap + 2) * n for gap in spacing[:live]]
@@ -567,17 +568,19 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             # the block joining at lo, if lo is a node of this group, and
             # the rows past the group's own blocks start from Y and u
             first = own[g] - (n if lo % spacing[g] == 0 else 0)
-            xs[g, :, first:m].reshape(d, -1, n)[:] = xs[g, :, None, :n]
-            ws[g, :, first:m] = u[:, None]
+            state[g, 0, :, first:m].reshape(d, -1, n)[:] = state[g, 0, :, None, :n]
+            state[g, 1, :, first:m] = u[:, None]
         live_tab = tab.groups(live)
-        xs[:live, :, :m], ws[:live, :, :m] = _rk4(
-            rate, (xs[:live, :, :m], ws[:live, :, :m]), clock[:, :live, None, None],
-            range(lo, hi), names=names)[-1]
+        block = state[:live, ..., :m]
+        block[...] = _rk4(rate, block, clock[:, :live, None, None, None], range(lo, hi),
+                          names=names)[-1]
+        calls += 4 * (hi - lo)
+        row_stages += 4 * (hi - lo) * live * m
 
     resid = {}
     for g, s in enumerate(steps):
         size = nodes[g]
-        x, w = _rows(xs[g, :, :size * n]), _rows(ws[g, :, :size * n])
+        x, w = _rows(state[g, :, :, :size * n])
         lhs = x[n:2 * n] - x[:n]
         # the last node's tangent is u itself, so its integrand is -delta
         integrand = (dnorm * w[n:]).reshape(size - 1, n * d)
@@ -593,7 +596,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             raise NonFiniteError(
                 f"flow-difference residual is not finite at steps={s}: the "
                 f"quadrature or the gap overflows for max |delta_i| = {np.max(np.abs(delta)):.3g}")
-    return [float(np.max(resid[s][1])) for s in steps_grid], work[0], work[1]
+    return [float(np.max(resid[s][1])) for s in steps_grid], calls, row_stages
 
 
 def run_ag_check(cfg: ExperimentConfig) -> ExperimentResult:

@@ -30,41 +30,52 @@ An integrator call evaluates these coefficients once, vectorised over the
 together with the posterior kernel's logit terms at each stage; reverse
 runs store the coefficients sign-flipped.  This table is the only source of
 rates: no integrator takes a user-supplied field.  One RK4 loop, _rk4, then
-advances a tuple state and checks every component for finiteness after
-every step.  Its stage arithmetic runs in place on the rate outputs, in
-the same float operations and order as s + h/6 (r1 + 2 r2 + 2 r3 + r4),
-and never writes into the state it was handed.  The state is the
-particles, optionally with either one tangent per particle or their
-flow-map Jacobian (and log-density):
+advances one array and checks it for finiteness after every step.  Its
+stage arithmetic runs in place on the rate outputs, in the same float
+operations and order as s + h/6 (r1 + 2 r2 + 2 r3 + r4), and never writes
+into the state it was handed.  The state is the particles, optionally with
+either one tangent per particle or their flow-map Jacobian (and
+log-density):
 
     d(J u)/dt = grad v . (J u),   dJ/dt = grad v . J,   dl/dt = -tr grad v.
 
 A tangent needs only spread(mu) w = sum_j r_j c_j (c_j . w), never the
 (n, d, d) spread, so a caller that wants J u for one direction u carries
-that (n, d) product instead of J.  Callers that perturb the flow, such as
-the flow-difference check and the velocity-noise sweep, wrap _rates on a
-table of their own.
+that product instead of J.  Callers that perturb the flow, such as the
+flow-difference check and the velocity-noise sweep, wrap the rate
+functions on a table of their own.
 
-States are batched: the public functions take a point (d,) or a cloud
-(n, d) and return C-ordered (n, d) arrays, but inside the engine a cloud
-and its tangents are particles-last, (d, n), the layout of the posterior
-kernel (targets), so every elementwise operation runs over rows of n
-particles.  Each public function transposes once at its boundary; only
-the Jacobian state keeps its point-major (n, d, d) layout.  All
-integrators advance whole clouds per step.  Reverse-time transport solves
-dX*/dtau = -v(1 - tau, X*) on the integrator clock tau in [0, 1].
+The public functions take a point (d,) or a cloud (n, d) and return
+C-ordered (n, d) arrays, but the engine's state is one particles-last
+array whose blocks are the state's components, so every elementwise
+operation runs over rows of n particles, the layout of the posterior
+kernel (targets):
 
-The table, the rates and _rk4 also take a leading group axis: G clouds of
-one size, (G, d, n), each on its own stage clock, advance together, and
-each group's numbers are those of its own 2-D run.  The flow-difference
-check runs its whole steps grid this way.
+    cloud        (..., d, n)             _rates
+    tangent      (..., 2, d, n)          _tangent_rates: path, then J u
+    augmented    (d + d^2 [+ 1], n)      _augmented_rates: x, the rows of
+                                         J (J_ij in row d + i d + j), then
+                                         the log-density
+
+Each rate function writes each block's rate into the matching view of one
+new output array.  The Jacobian's rate takes its point-major product
+spread @ J on an (n, d, d) copy of the J block, so it rounds as a
+point-major state would.  Each public function transposes once at its
+boundary.  All integrators advance whole clouds per step.  Reverse-time
+transport solves dX*/dtau = -v(1 - tau, X*) on the integrator clock tau
+in [0, 1].
+
+The table, the cloud and tangent rates and _rk4 also take a leading group
+axis: G clouds of one size, (G, d, n) or (G, 2, d, n), each on its own
+stage clock, advance together, and each group's numbers are those of its
+own run without the axis.  The flow-difference check runs its whole steps
+grid this way.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -151,7 +162,8 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
     over a (G, d, n) state, and the logit terms carry the G axis in front
     of their own; bm0 is a (d, 1) column per entry.  A one-component
-    target's logit terms are built too, though _rates never reads them.
+    target's logit terms are built too, though the rate functions never
+    read them.
     """
     sched, s2 = ctx.sched, ctx.target.sigma ** 2
     t = sched._check_time(t)
@@ -171,48 +183,90 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     return _Table(*cols, *_logit_terms(ctx.target, b[..., None, None], c2[..., None, None]))
 
 
-def _rates(target: Target, tab: _Table, k: int, state: tuple) -> tuple:
-    """Rates of the state (x,), (x, w), (x, J) or (x, J, logdens) at entry k.
-
-    x and a tangent w are particles-last (d, n), a Jacobian J is (n, d, d):
-    dw = grad v . w, dJ = grad v . J and dl = -tr grad v, without forming
-    grad v.  A one-component target has zero spread, so there grad v =
-    alpha I and every particle has the log-density rate -d alpha.  With a
-    grouped table, x and w are (G, d, n).  Every rate is a new array of its
-    component's shape, which _rk4 may overwrite.
-    """
-    x, alpha = state[0], tab.alpha[k]
+def _velocity_into(target: Target, tab: _Table, k: int, x: np.ndarray,
+                   out: np.ndarray):
+    """v at entry k of a particles-last cloud x, (..., d, n), written into
+    out; returns the posterior (resp, mu_bar), or None for a one-component
+    target, whose spread is zero."""
+    alpha = tab.alpha[k]
     if target.n_components == 1:
-        rates = (alpha * x + tab.beta[k] * target.means.T,)
-        if len(state) > 1:
-            rates += (alpha * state[1],)
-        if len(state) > 2:
-            rates += (np.full(x.shape[-1], -(target.dim * alpha)),)
-        return rates
-    resp, mu_bar = _stats(target, tab.logits(k), x)
-    v = tab.beta[k] * mu_bar
-    v += alpha * x
-    if len(state) == 1:
-        return (v,)
-    gamma = tab.gamma[k]
-    if state[1].ndim == x.ndim:
-        dw = _spread_apply(target, resp, mu_bar, state[1])
-        dw *= gamma
-        dw += alpha * state[1]
-        return v, dw
-    spread = _spread(target, resp, mu_bar)
-    rates = (v, alpha * state[1] + gamma * (spread @ state[1]))
-    if len(state) == 2:
-        return rates
-    trace = np.trace(spread, axis1=1, axis2=2)
-    return rates + (-(target.dim * alpha + gamma * trace),)
+        np.multiply(alpha, x, out=out)
+        out += tab.beta[k] * target.means.T
+        return None
+    post = _stats(target, tab.logits(k), x)
+    np.multiply(tab.beta[k], post[1], out=out)
+    out += alpha * x
+    return post
+
+
+def _rates(target: Target, tab: _Table, k: int, x: np.ndarray) -> np.ndarray:
+    """Rate v of a cloud x, (d, n) or grouped (G, d, n), at entry k.
+
+    Like the other rate functions it returns a new array of its state's
+    shape, which _rk4 may overwrite.
+    """
+    out = np.empty(x.shape)
+    _velocity_into(target, tab, k, x, out)
+    return out
+
+
+def _tangent_rates(target: Target, tab: _Table, k: int, state: np.ndarray) -> np.ndarray:
+    """Rates of a path and its tangents, (2, d, n) or grouped (G, 2, d, n).
+
+    Block 0 gets v, block 1 dw = grad v . w = alpha w + gamma spread(mu) w,
+    without forming grad v.
+    """
+    out = np.empty(state.shape)
+    post = _velocity_into(target, tab, k, state[..., 0, :, :], out[..., 0, :, :])
+    w, dw = state[..., 1, :, :], out[..., 1, :, :]
+    if post is None:
+        np.multiply(tab.alpha[k], w, out=dw)
+        return out
+    np.multiply(_spread_apply(target, *post, w), tab.gamma[k], out=dw)
+    dw += tab.alpha[k] * w
+    return out
+
+
+def _augmented_rates(target: Target, tab: _Table, k: int, state: np.ndarray) -> np.ndarray:
+    """Rates of the (d + d^2 [+ 1], n) pack of x, the rows of J and the
+    log-density: v, dJ = alpha J + gamma spread(mu) @ J and
+    dl = -(d alpha + gamma tr spread(mu)).  The product runs point-major, on
+    an (n, d, d) copy of J's block.  A one-component target has zero
+    spread, so there grad v = alpha I and every particle has the
+    log-density rate -d alpha.
+    """
+    d, n = target.dim, state.shape[-1]
+    out = np.empty(state.shape)
+    post = _velocity_into(target, tab, k, state[:d], out[:d])
+    alpha, jac, djac = tab.alpha[k], state[d:d + d * d], out[d:d + d * d]
+    np.multiply(alpha, jac, out=djac)
+    if post is None:
+        out[d + d * d:] = -(d * alpha)
+        return out
+    spread, gamma = _spread(target, *post), tab.gamma[k]
+    djac += (gamma * (spread @ np.ascontiguousarray(jac.T).reshape(n, d, d))).reshape(n, -1).T
+    if len(state) > d + d * d:
+        out[-1] = -(d * alpha + gamma * np.trace(spread, axis1=1, axis2=2))
+    return out
+
+
+def _augmented_state(xb: np.ndarray, logdens=None) -> np.ndarray:
+    """The pack of an (n, d) cloud with J = I and, when given, the
+    log-density (n,)."""
+    n, d = xb.shape
+    state = np.zeros((d + d * d + (logdens is not None), n))
+    state[:d] = xb.T
+    state[d:d + d * d:d + 1] = 1.0
+    if logdens is not None:
+        state[-1] = logdens
+    return state
 
 
 def velocity(ctx: FlowContext, t: float, x):
     """Transport velocity v(t, x); accepts a point (d,) or a cloud (n, d)."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    (out,) = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb.T,))
+    out = _rates(ctx.target, _table(ctx, np.array([t])), 0, xb.T)
     return out[:, 0] if single else _rows(out)
 
 
@@ -221,8 +275,8 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
     n, d = xb.shape
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    _, out = _rates(ctx.target, _table(ctx, np.array([t])), 0, (xb.T, eye))
+    out = _augmented_rates(ctx.target, _table(ctx, np.array([t])), 0, _augmented_state(xb))
+    out = _rows(out[d:]).reshape(n, d, d)
     return out[0] if single else out
 
 
@@ -346,26 +400,28 @@ def _stage_times(t_from: float, t_to: float, steps: int) -> np.ndarray:
     return clock
 
 
-def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
+def _rk4(rate, state: np.ndarray, clock: np.ndarray, steps, keep_all: bool = False,
          names=None) -> list:
-    """The one RK4 loop: advance a tuple of arrays over the given steps.
+    """The one RK4 loop: advance one array over the given steps.
 
-    clock holds the stage times from _stage_times, or (K, G, 1, 1) stage
-    clocks for a state with a group axis in front, with names labelling
-    its groups; rate(k, state) returns the tuple of time derivatives at
-    stage k.  steps is the range of step indices to take, with step 1.
-    Returns the states after every step with the initial one first
-    (keep_all), or just the initial and final states.  A non-finite state raises
-    NonFiniteStateError with the step, counted from the first stage, and,
-    with groups, the name and time of the first group it reached.
+    clock holds the stage times from _stage_times, or (K, G, 1, ...) stage
+    clocks, one column per group, for a state with a group axis in front,
+    with names labelling its groups; rate(k, state) returns the time
+    derivative at stage k, with each block's rate in the matching view
+    (module docstring).  steps is the range of step indices to take, with
+    step 1.  Returns the states after every step with the initial one
+    first (keep_all), or just the initial and final states.  A non-finite
+    entry in any block raises NonFiniteStateError with the step, counted
+    from the first stage, and, with groups, the name and time of the first
+    group it reached.
 
     The stage arithmetic writes only into arrays the loop owns: the three
-    stage inputs of a step share buffers, and the step's sum is built in
-    the second stage's rates, so neither the state handed in nor a
-    recorded state is ever written.  The rates must therefore be new
-    arrays of their state's shape that do not alias their input.  A state
-    whose sum is finite has no non-finite entry; only a sum that is not
-    finite costs the entrywise test.
+    stage inputs of a step share one buffer, and the step's sum is built in
+    the second stage's rate, so neither the state handed in nor a recorded
+    state is ever written.  The rate must therefore return a new array of
+    the state's shape that does not alias its input.  A state whose sum is
+    finite has no non-finite entry; only a sum that is not finite costs the
+    entrywise test.
     """
     path = [state]
     span = clock[2 * steps.start:2 * steps.stop + 1]
@@ -373,14 +429,12 @@ def _rk4(rate, state: tuple, clock: np.ndarray, steps, keep_all: bool = False,
     for i, h, half, sixth in zip(steps, hs, 0.5 * hs, hs / 6.0):
         k = 2 * i
         k1 = rate(k, state)
-        t = tuple(map(_stage, state, k1, itertools.repeat(half)))
+        t = _stage(state, k1, half)
         k2 = rate(k + 1, t)
-        t = tuple(map(_stage, state, k2, itertools.repeat(half), t))
-        k3 = rate(k + 1, t)
-        k4 = rate(k + 2, tuple(map(_stage, state, k3, itertools.repeat(h), t)))
-        state = tuple(map(_step, state, k1, k2, k3, k4, itertools.repeat(sixth)))
-        if not all(math.isfinite(np.add.reduce(s, axis=None)) or np.isfinite(s).all()
-                   for s in state):
+        k3 = rate(k + 1, _stage(state, k2, half, t))
+        k4 = rate(k + 2, _stage(state, k3, h, t))
+        state = _step(state, k1, k2, k3, k4, sixth)
+        if not (math.isfinite(np.add.reduce(state, axis=None)) or np.isfinite(state).all()):
             raise _blowup(state, clock[k + 2], i, names)
         if keep_all:
             path.append(state)
@@ -408,43 +462,31 @@ def _step(s, r1, r2, r3, r4, sixth):
     return r2
 
 
-def _blowup(state: tuple, t_end, i: int, names) -> NonFiniteStateError:
+def _blowup(state: np.ndarray, t_end, i: int, names) -> NonFiniteStateError:
     """The error for a state that became non-finite in step i, which ends at
-    t_end: one time, or (G, 1, 1) with a group per time, named by names."""
+    t_end: one time, or (G, 1, ...) with a group per time, named by names."""
     if np.ndim(t_end) == 0:
         return NonFiniteStateError(
             f"state became non-finite at step {i} (integrator time {float(t_end)!r})", step=i)
-    count = len(t_end)
-    bad = np.zeros(count, dtype=bool)
-    for s in state:
-        bad |= ~np.isfinite(s.reshape(count, -1)).all(axis=1)
-    g = int(np.flatnonzero(bad)[0])
+    t_end = np.ravel(t_end)
+    g = int(np.flatnonzero(~np.isfinite(state.reshape(len(t_end), -1)).all(axis=1))[0])
     return NonFiniteStateError(
         f"state became non-finite at step {i} of the {names[g]} "
-        f"(integrator time {float(t_end[g, 0, 0])!r})", step=i)
+        f"(integrator time {float(t_end[g])!r})", step=i)
 
 
-def _run(ctx: FlowContext, state: tuple, t_from: float, t_to: float, steps: int,
-         direction: str, record: str):
-    """Shared driver of integrate and integrate_augmented.
-
-    state starts with the (n, d) cloud; the engine carries it as (d, n).
-    Rates come only from the coefficient table of the span's stage times.
-    Returns the recorded times and the stacked path of each state
-    component, the cloud's as C-ordered (T, n, d).
-    """
+def _run(ctx: FlowContext, rates, state: np.ndarray, t_from: float, t_to: float,
+         steps: int, direction: str, record: str):
+    """Shared driver of integrate and integrate_augmented: the recorded times
+    and states of _rk4 on the rate function rates, which reads the
+    coefficient table of the span's stage times."""
     clock = _stage_times(t_from, t_to, steps)
     sign = -1.0 if direction == "reverse" else 1.0
     t_phys = 1.0 - clock if direction == "reverse" else clock
     tab, target = _table(ctx, t_phys, sign), ctx.target
     keep_all = record == "all"
-    state = (np.ascontiguousarray(state[0].T),) + state[1:]
-    path = _rk4(lambda k, s: _rates(target, tab, k, s), state, clock, range(steps), keep_all)
-    xs, *rest = zip(*path)
-    times = clock[0::2] if keep_all else np.array([t_from, t_to])
-    states = np.empty((len(xs),) + xs[0].shape[::-1])
-    np.stack([x.T for x in xs], out=states)
-    return times, [states] + [np.stack(c) for c in rest]
+    path = _rk4(lambda k, s: rates(target, tab, k, s), state, clock, range(steps), keep_all)
+    return (clock[0::2] if keep_all else np.array([t_from, t_to])), path
 
 
 def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
@@ -452,7 +494,10 @@ def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
     """Fixed-step RK4 transport of a point or cloud along the velocity."""
     t_from, t_to, steps = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
-    times, (states,) = _run(ctx, (xb,), t_from, t_to, steps, direction, record)
+    times, path = _run(ctx, _rates, np.ascontiguousarray(xb.T), t_from, t_to, steps,
+                       direction, record)
+    states = np.empty((len(path),) + xb.shape)
+    np.stack([x.T for x in path], out=states)
     return Trajectory(times=times, states=states, direction=direction, single=single)
 
 
@@ -473,11 +518,9 @@ def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps:
                       "a () scalar or an (n,) array")
     if ld.size not in (1, n):
         raise SizeMismatchError(f"init_logdens has {ld.size} entries, the batch has {n} points")
-    ld = np.broadcast_to(ld, (n,)).astype(float)
-    state = (xb, np.broadcast_to(np.eye(d), (n, d, d)))
-    if with_logdensity:
-        state += (ld,)
-    times, stacked = _run(ctx, state, t_from, t_to, steps, direction, record)
-    return Trajectory(times=times, states=stacked[0], direction=direction,
-                      single=single, jac=stacked[1],
-                      logdens=stacked[2] if with_logdensity else None)
+    state = _augmented_state(xb, ld if with_logdensity else None)
+    times, path = _run(ctx, _augmented_rates, state, t_from, t_to, steps, direction, record)
+    packs = np.stack(path)
+    return Trajectory(times=times, states=_rows(packs[:, :d]), direction=direction,
+                      single=single, jac=_rows(packs[:, d:d + d * d]).reshape(-1, n, d, d),
+                      logdens=np.ascontiguousarray(packs[:, -1]) if with_logdensity else None)

@@ -438,7 +438,8 @@ def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     resp is component-major (k, n), mu_bar (d, n).  Centred form: each
     summand is PSD, so roundoff cannot push the spread's eigenvalues
     materially below zero even for far-out means.  The output stays
-    point-major: the engine's Jacobian state is (n, d, d).
+    point-major: the engine's Jacobian rate multiplies it into an (n, d, d)
+    copy of J.
     """
     centred = _centred(target, mu_bar)
     return np.einsum("ikn,jkn->nij", centred * resp, centred)

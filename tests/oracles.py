@@ -14,8 +14,9 @@ flow-map Jacobian per quadrature block instead of its product with one
 tangent direction, one engine pass per noise amplitude instead of all
 amplitudes as row blocks of a single pass, adaptive quadrature of the
 velocity-noise growth factor instead of its upper sum on the stage clock,
-and one 2-D engine pass per steps-grid entry of the flow-difference check
-instead of the whole grid as groups of a single pass.
+one pass per steps-grid entry of the flow-difference check instead of the
+whole grid as groups of a single pass, and an out-of-place RK4 loop on the
+engine's rate functions instead of the engine's in-place _rk4.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from scipy.integrate import quad, trapezoid
 
 from gif_lab.bounds import RegularityProfile, theta_profile
 from gif_lab.experiments import _cloud_w2, _subseed
-from gif_lab.flow import FlowContext, _rates, _rk4, _stage_times, _table, integrate
+from gif_lab.flow import (FlowContext, _augmented_rates, _augmented_state, _rates, _stage_times,
+                          _table, _tangent_rates, integrate)
 from gif_lab.metrics import NOISE_DOMAIN, keyed_generator, sample_source
 from gif_lab.targets import posterior
 
@@ -202,6 +204,24 @@ def noisy_rk4(field, x0, t_end: float, steps: int, eps: float, seed: int,
     return x
 
 
+def table_rk4(rate, state: np.ndarray, clock: np.ndarray, steps) -> np.ndarray:
+    """State after the RK4 steps in the range steps, out of place.
+
+    rate(k, state) is the time derivative at stage k of _stage_times'
+    clock; each step is s + h/6 (k1 + 2 k2 + 2 k3 + k4), the IEEE
+    operations the engine's in-place _step rounds as.
+    """
+    for i in steps:
+        k = 2 * i
+        h = clock[k + 2] - clock[k]
+        k1 = rate(k, state)
+        k2 = rate(k + 1, state + 0.5 * h * k1)
+        k3 = rate(k + 1, state + 0.5 * h * k2)
+        k4 = rate(k + 2, state + h * k3)
+        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state
+
+
 def w2_bruteforce(xs: np.ndarray, ys: np.ndarray) -> float:
     """Exact W2 between equal-size empirical clouds by trying all matchings."""
     xs = np.asarray(xs, dtype=float)
@@ -286,7 +306,7 @@ def sliced_w2(pa: np.ndarray, pb: np.ndarray, n_projections: int, seed: int) -> 
 
 
 def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> tuple:
-    """Flow-difference residual of one steps-grid entry in a 2-D engine pass.
+    """Flow-difference residual of one steps-grid entry in a pass of its own.
 
     The same Simpson nodes, path Y and unit tangent blocks as
     experiments._ag_residual, for one step count, without a group axis:
@@ -309,22 +329,22 @@ def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) ->
 
     def rate(k, state):
         work[0] += 1
-        work[1] += state[0].shape[-1]
-        v, dw = _rates(target, tab, k, state)
-        v[:, :n] += delta[:, None]
-        return v, dw
+        work[1] += state.shape[-1]
+        out = _tangent_rates(target, tab, k, state)
+        out[0, :, :n] += delta[:, None]
+        return out
 
-    # the engine's state is particles-last: columns [0, n) hold Y; block j
-    # holds columns [(j + 1) n, (j + 2) n)
-    xs = np.empty((d, n_nodes * n))
-    ws = np.tile((-delta / dnorm if dnorm > 0.0 else np.zeros(d))[:, None], (1, n_nodes * n))
-    xs[:, :n] = x0.T
+    # particles-last (2, d, rows): block 0 holds the path, block 1 the
+    # tangents; rows [0, n) are Y's, rows [(j + 1) n, (j + 2) n) block j's
+    state = np.empty((2, d, n_nodes * n))
+    state[1] = (-delta / dnorm if dnorm > 0.0 else np.zeros(d))[:, None]
+    state[0, :, :n] = x0.T
     for j in range(n_nodes - 1):
         m = (j + 2) * n
-        xs[:, m - n:m] = xs[:, :n]
-        xs[:, :m], ws[:, :m] = _rk4(rate, (xs[:, :m], ws[:, :m]), clock,
-                                    range(j * spacing, (j + 1) * spacing))[-1]
-    xs, ws = np.ascontiguousarray(xs.T), np.ascontiguousarray(ws.T)
+        state[0, :, m - n:m] = state[0, :, :n]
+        state[..., :m] = table_rk4(rate, state[..., :m], clock,
+                                   range(j * spacing, (j + 1) * spacing))
+    xs, ws = np.ascontiguousarray(state.swapaxes(-1, -2))
     lhs = xs[n:2 * n] - xs[:n]
     integrand = (dnorm * ws[n:]).reshape(n_nodes - 1, n * d)
     weights = np.ones(n_nodes)
@@ -358,21 +378,20 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
     tab, target = _table(ctx, clock), ctx.target
 
     def rate(k, state):
-        v, dJ = _rates(target, tab, k, state)
-        v[:, :n] += delta[:, None]
-        return v, dJ
+        out = _augmented_rates(target, tab, k, state)
+        out[:d, :n] += delta[:, None]
+        return out
 
-    # particles-last cloud: columns [0, n) hold Y; block j holds columns
-    # [(j + 1) n, (j + 2) n); the Jacobians stay point-major (rows, d, d)
-    xs = np.empty((d, n_nodes * n))
-    js = np.tile(np.eye(d), (n_nodes * n, 1, 1))
-    xs[:, :n] = x0.T
+    # the (d + d^2, rows) pack of the path and the Jacobians' rows: rows
+    # [0, n) are Y's, rows [(j + 1) n, (j + 2) n) block j's
+    state = _augmented_state(np.tile(x0, (n_nodes, 1)))
     for j in range(n_nodes - 1):
         m = (j + 2) * n
-        xs[:, m - n:m] = xs[:, :n]
-        xs[:, :m], js[:m] = _rk4(rate, (xs[:, :m], js[:m]), clock,
-                                 range(j * spacing, (j + 1) * spacing))[-1]
-    xs = np.ascontiguousarray(xs.T)
+        state[:d, m - n:m] = state[:d, :n]
+        state[:, :m] = table_rk4(rate, state[:, :m], clock,
+                                 range(j * spacing, (j + 1) * spacing))
+    xs = np.ascontiguousarray(state[:d].T)
+    js = np.ascontiguousarray(state[d:].T).reshape(-1, d, d)
     lhs = xs[n:2 * n] - xs[:n]
 
     # the last node's Jacobian is the identity, so its integrand is -delta
@@ -388,8 +407,8 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
 def velocity_perturbation_per_eps(cfg) -> np.ndarray:
     """Rows of experiments.run_velocity_perturbation, one pass per amplitude.
 
-    The clean cloud comes from integrate, and each eps gets its own engine
-    pass with the same keyed noise stream restarted at evaluation 0.
+    The clean cloud comes from integrate, and each eps gets its own
+    table_rk4 pass with the same keyed noise stream restarted at evaluation 0.
     bound_rhs is delta_v G^2 with G the integral over [0, T] of
     exp(integral of theta over [s, T]), taken by scipy's adaptive quad
     rather than as an upper sum on the stage clock, so the sweep's
@@ -410,14 +429,13 @@ def velocity_perturbation_per_eps(cfg) -> np.ndarray:
     for eps in cfg.eps_grid:
         calls = itertools.count()
 
-        def rate(k, state):
-            (v,) = _rates(target, tab, k, state)  # particles-last (d, n)
+        def rate(k, x):
+            v = _rates(target, tab, k, x)  # particles-last (d, n)
             gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, next(calls))
             signs = np.where(gen.random(size=v.shape[::-1]) < 0.5, -1.0, 1.0)
-            return (v + eps * signs.T,)
+            return v + eps * signs.T
 
-        (pert,) = _rk4(rate, (src.T,), clock, range(steps))[-1]
-        pert = np.ascontiguousarray(pert.T)
+        pert = np.ascontiguousarray(table_rk4(rate, src.T, clock, range(steps)).T)
         delta_v = target.dim * eps * eps
         rows.append((eps, delta_v, _cloud_w2(pert, clean) ** 2, delta_v * growth ** 2))
     return np.array(rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from gif_lab.experiments import moderate_gmm4
 from gif_lab.flow import (
     FlowContext,
     Trajectory,
+    _augmented_rates,
+    _augmented_state,
     _rates,
+    _rk4,
     _stage_times,
     _table,
+    _tangent_rates,
     integrate,
     integrate_augmented,
     velocity,
@@ -37,6 +42,7 @@ from gif_lab.schedules import (
     VPSchedule,
 )
 from gif_lab.targets import (
+    _rows,
     denoiser,
     gaussian_target,
     marginal_log_density,
@@ -171,13 +177,15 @@ class TestEngineTable:
         t_phys = 1.0 - clock if direction == "reverse" else clock
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
-        eye = np.broadcast_to(np.eye(d), (6, d, d))
+        pack = _augmented_state(x, np.zeros(6))
         for k, t in enumerate(t_phys):
             want_v = sign * velocity(ctx, t, x)
             want_g = sign * velocity_jacobian(ctx, t, x)
-            # the engine's cloud is particles-last, (d, n)
-            v, dj, dl = _rates(target, tab, k, (x.T, eye, np.zeros(6)))
-            assert _close(_rates(target, tab, k, (x.T,))[0].T, want_v, 1e-12), t
+            # the engine's states are particles-last: a cloud is (d, n), the
+            # augmented pack (d + d^2 + 1, n) with J's rows after x
+            rates = _augmented_rates(target, tab, k, pack)
+            v, dj, dl = rates[:d], _rows(rates[d:-1]).reshape(6, d, d), rates[-1]
+            assert _close(_rates(target, tab, k, x.T).T, want_v, 1e-12), t
             assert _close(v.T, want_v, 1e-12), t
             assert _close(dj, want_g, 1e-12), t
             assert _close(dl, -np.trace(want_g, axis1=1, axis2=2), 1e-12), t
@@ -201,9 +209,9 @@ class TestEngineTable:
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
         for k, t in enumerate(t_phys):
-            v, dw = _rates(target, tab, k, (x.T, w.T))
+            v, dw = _tangent_rates(target, tab, k, np.stack([x.T, w.T]))
             want = sign * np.einsum("nij,nj->ni", velocity_jacobian(ctx, t, x), w)
-            assert np.array_equal(v, _rates(target, tab, k, (x.T,))[0]), t
+            assert np.array_equal(v, _rates(target, tab, k, x.T)), t
             assert np.all(np.abs(dw.T - want) <= 1e-12 * np.max(np.abs(want))), t
 
     @pytest.mark.parametrize("kind", ["x", "xw"])
@@ -223,14 +231,16 @@ class TestEngineTable:
         x = 6.0 * rng.normal(size=(3, 7, target.dim))
         x[:, :2] = target.means[:2] + 0.05
         x = np.ascontiguousarray(x.swapaxes(1, 2))  # particles-last (G, d, M)
-        state = (x, rng.normal(size=x.shape)) if kind == "xw" else (x,)
+        if kind == "xw":  # (G, 2, d, M): path, then tangent
+            state, rates = np.stack([x, rng.normal(size=x.shape)], axis=1), _tangent_rates
+        else:
+            state, rates = x, _rates
         for k in range(clocks.shape[0]):
             assert tab.alpha[k].shape == (3, 1, 1)
-            got = _rates(target, tab, k, state)
+            got = rates(target, tab, k, state)
             for g in range(3):
-                want = _rates(target, _table(ctx, clocks[:, g]), k,
-                              tuple(s[g] for s in state))
-                assert all(np.array_equal(a[g], b) for a, b in zip(got, want)), (k, g)
+                want = rates(target, _table(ctx, clocks[:, g]), k, state[g])
+                assert np.array_equal(got[g], want), (k, g)
 
     @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
                                         _gmm4()], ids=["gaussian", "gmm4"])
@@ -290,6 +300,62 @@ class TestEngineLeavesInputs:
             got = _arrays(call(x0, ld0))
             assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
             assert all(a.ndim < 2 or a.flags["C_CONTIGUOUS"] for a in got)
+
+
+def _poison(shape, stage, where):
+    """A synthetic rate: zero, except a NaN at index where in the rate of
+    the given stage, so only that block of the state turns non-finite."""
+
+    def rate(k, state):
+        assert state.shape == shape
+        out = np.zeros(shape)
+        if k == stage:
+            out[where] = np.nan
+        return out
+
+    return rate
+
+
+class TestEngineChecksEveryBlock:
+    """_rk4 checks its one state array whole: a non-finite entry in any
+    block is caught at the step that made it."""
+
+    def test_tangent_block_of_one_group(self):
+        # (G, 2, d, m): only group 1's tangent block goes non-finite, at the
+        # midpoint stage of step 3; the error names that group and gives the
+        # end of step 3 on that group's own clock
+        ends, names = (1.0, 0.8, 0.5), ["steps=8 entry", "steps=16 entry", "steps=32 entry"]
+        clock = np.stack([_stage_times(0.0, end, 8) for end in ends], axis=1)
+        shape = (3, 2, 2, 5)
+        rate = _poison(shape, 2 * 3 + 1, (1, 1, 0, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(NonFiniteStateError) as err:
+                _rk4(rate, np.ones(shape), clock[:, :, None, None, None], range(8), names=names)
+        assert err.value.step == 3
+        msg = str(err.value)
+        assert "step 3 of the steps=16 entry" in msg
+        assert f"(integrator time {float(clock[8, 1])!r})" in msg
+        assert float(clock[8, 1]) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("stage", [5, 6], ids=["mid", "end"])
+    def test_log_density_row_of_a_pack(self, stage):
+        # (d + d^2 + 1, n) at d = 2: only the log-density row, the last,
+        # goes non-finite, in step 2, from its midpoint or its end stage
+        clock = _stage_times(0.0, 1.0, 4)
+        shape = (2 + 4 + 1, 3)
+        with pytest.raises(NonFiniteStateError) as err:
+            _rk4(_poison(shape, stage, (6, 1)), np.ones(shape), clock, range(4))
+        assert err.value.step == 2
+        assert f"step 2 (integrator time {float(clock[6])!r})" in str(err.value)
+
+    def test_finite_state_whose_sum_overflows_passes(self):
+        # the finite sum is only a shortcut: entries near the float maximum
+        # sum to inf but are finite, and the step goes through
+        state = np.full((7, 3), 1e308)
+        with np.errstate(over="ignore"):
+            path = _rk4(_poison(state.shape, -1, 0), state, _stage_times(0.0, 1.0, 2), range(2))
+        assert np.array_equal(path[-1], state)
 
 
 class TestVelocityJacobian:
