@@ -27,7 +27,7 @@ from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, SizeM
                      _int_param, _real_param)
 # velocity is unused here but stays importable as experiments.velocity, the
 # name the traced benchmark (benchmarks/tracer.py) wraps
-from .flow import (FlowContext, _rates, _rk4, _stage_times, _table, _tangent_rates,
+from .flow import (FlowContext, _bind_rates, _bind_tangent_rates, _rk4, _stage_times, _table,
                    integrate, velocity, velocity_jacobian)
 from .metrics import (
     NOISE_DOMAIN,
@@ -382,22 +382,22 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
 
     src = sample_source(target, cfg.sched, n, _subseed(cfg.seed, 0))
     noise_seed = _subseed(cfg.seed, 1000)
-    tab = _table(ctx, clock)
     eps = np.array(grid)
     amp, delta_v = eps[:, None], dim * eps * eps
     stage = itertools.count()
+    # the engine's cloud is particles-last, (dim, (len(grid) + 1) n):
+    # block 0 (columns [0, n)) is the clean cloud, block j + 1 the one at grid[j]
+    x = np.tile(src.points.T, (1, len(grid) + 1))
+    table_rate = _bind_rates(target, _table(ctx, clock), x.shape)
 
     def rate(k, x):
-        v = _rates(target, tab, k, x)
+        v = table_rate(k, x)
         gen = keyed_generator(noise_seed, NOISE_DOMAIN, next(stage))
         signs = np.where(gen.random(size=(n, dim)) < 0.5, -1.0, 1.0)
         noisy = v.reshape(dim, len(grid) + 1, n)[:, 1:]
         noisy += amp * signs.T[:, None, :]
         return v
 
-    # the engine's cloud is particles-last, (dim, (len(grid) + 1) n):
-    # block 0 (columns [0, n)) is the clean cloud, block j + 1 the one at grid[j]
-    x = np.tile(src.points.T, (1, len(grid) + 1))
     x = np.ascontiguousarray(_rk4(rate, x, clock, range(steps))[-1].T)
 
     pool, workers = _w2_pool(len(grid))
@@ -551,7 +551,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     push = delta[:, None]
 
     def rate(k, state):
-        out = _tangent_rates(target, live_tab, k, state)
+        out = table_rate(k, state)
         out[:, 0, :, :n] += push
         return out
 
@@ -570,8 +570,9 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             first = own[g] - (n if lo % spacing[g] == 0 else 0)
             state[g, 0, :, first:m].reshape(d, -1, n)[:] = state[g, 0, :, None, :n]
             state[g, 1, :, first:m] = u[:, None]
-        live_tab = tab.groups(live)
         block = state[:live, ..., :m]
+        # the interval's shape is new, so its rate is bound afresh
+        table_rate = _bind_tangent_rates(target, tab, block.shape)
         block[...] = _rk4(rate, block, clock[:, :live, None, None, None], range(lo, hi),
                           names=names)[-1]
         calls += 4 * (hi - lo)

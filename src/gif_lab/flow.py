@@ -42,8 +42,8 @@ log-density):
 A tangent needs only spread(mu) w = sum_j r_j c_j (c_j . w), never the
 (n, d, d) spread, so a caller that wants J u for one direction u carries
 that product instead of J.  Callers that perturb the flow, such as the
-flow-difference check and the velocity-noise sweep, wrap the rate
-functions on a table of their own.
+flow-difference check and the velocity-noise sweep, wrap a rate bound on
+a table of their own.
 
 The public functions take a point (d,) or a cloud (n, d) and return
 C-ordered (n, d) arrays, but the engine's state is one particles-last
@@ -51,19 +51,26 @@ array whose blocks are the state's components, so every elementwise
 operation runs over rows of n particles, the layout of the posterior
 kernel (targets):
 
-    cloud        (..., d, n)             _rates
-    tangent      (..., 2, d, n)          _tangent_rates: path, then J u
-    augmented    (d + d^2 [+ 1], n)      _augmented_rates: x, the rows of
-                                         J (J_ij in row d + i d + j), then
-                                         the log-density
+    cloud        (..., d, n)             _bind_rates
+    tangent      (..., 2, d, n)          _bind_tangent_rates: path, then J u
+    augmented    (d + d^2 [+ 1], n)      _bind_augmented_rates: x, the rows
+                                         of J (J_ij in row d + i d + j),
+                                         then the log-density
 
-Each rate function writes each block's rate into the matching view of one
-new output array.  The Jacobian's rate takes its point-major product
-spread @ J on an (n, d, d) copy of the J block, so it rounds as a
-point-major state would.  Each public function transposes once at its
-boundary.  All integrators advance whole clouds per step.  Reverse-time
-transport solves dX*/dtau = -v(1 - tau, X*) on the integrator clock tau
-in [0, 1].
+Rates are bound, once per run, or once per join interval of the
+flow-difference check, whose state grows every few steps: a binder takes
+the table's columns for the state's live groups and the posterior
+kernel's scratch (targets._Workspace) at the state's exact shape, and
+returns rate(k, state).  Each call of a bound rate writes into one new
+output array: alpha times the whole state in one product, then each
+block's posterior term added into its view.  Only the kernel's scratch,
+and the augmented rate's point-major copy of J and its product, are
+reused from call to call, never an output.  The Jacobian's rate takes its
+point-major product spread @ J on that (n, d, d) copy of the J block, so
+it rounds as a point-major state would.  Each public function transposes
+once at its boundary.  All integrators advance whole clouds per step.
+Reverse-time transport solves dX*/dtau = -v(1 - tau, X*) on the integrator
+clock tau in [0, 1].
 
 The table, the cloud and tangent rates and _rk4 also take a leading group
 axis: G clouds of one size, (G, d, n) or (G, 2, d, n), each on its own
@@ -94,7 +101,7 @@ from .errors import (
 )
 from .schedules import Schedule
 from .targets import (Target, _as_batch, _logit_terms, _rows, _spread, _spread_apply,
-                      _stats, _third_moment)
+                      _stats, _third_moment, _Workspace)
 
 __all__ = [
     "FlowContext",
@@ -141,18 +148,11 @@ def _check_flow_time(ctx: FlowContext, t: float) -> float:
 
 # Velocity coefficients at a grid of physical times; gamma = b beta / c^2
 # multiplies the spread in grad v.  Reverse runs store alpha, beta and gamma
-# sign-flipped, so the table gives the integrator-clock rate.  smc, bm0 and
-# const are the posterior kernel's logit terms (targets._logit_terms).
-class _Table(collections.namedtuple("_Table", "b c2 alpha beta gamma smc bm0 const")):
-    __slots__ = ()
-
-    def logits(self, k: int) -> tuple:
-        """The logit terms of stage k, as targets._stats takes them."""
-        return self.smc[k], self.bm0[k], self.const[k]
-
-    def groups(self, count: int) -> "_Table":
-        """The table of the first count groups of a grouped table."""
-        return _Table(*(col[:, :count] for col in self))
+# sign-flipped, so the table gives the integrator-clock rate.  post holds the
+# coefficients of the posterior terms in the form the rates add them (see
+# _table).  smc, bm0 and const are the posterior kernel's logit terms
+# (targets._logit_terms).
+_Table = collections.namedtuple("_Table", "b c2 alpha beta gamma post smc bm0 const")
 
 
 def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
@@ -161,11 +161,16 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     t is (K,), one time per stage, or (K, G), one stage clock per group.
     With groups, the scalar columns are (K, G, 1, 1), so entry k broadcasts
     over a (G, d, n) state, and the logit terms carry the G axis in front
-    of their own; bm0 is a (d, 1) column per entry.  A one-component
-    target's logit terms are built too, though the rate functions never
-    read them.
+    of their own; bm0 is a (d, 1) column per entry.  For a mixture, post
+    is beta and gamma side by side, (K, [G,] 2, 1, 1), so one product
+    scales mu_bar and spread(mu) w stacked as the two blocks of a tangent
+    state; beta and gamma are views of it.  A one-component target has
+    zero spread and mu_bar = mu, so post is the whole posterior term
+    beta mu, (K, [G,] d, 1); its logit terms are built too, though the
+    rates never read them.  Everything the rates need per entry is built
+    here, once per table, so binding a rate costs no work per entry.
     """
-    sched, s2 = ctx.sched, ctx.target.sigma ** 2
+    sched, target, s2 = ctx.sched, ctx.target, ctx.target.sigma ** 2
     t = sched._check_time(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, db = sched._a(t), sched._b(t), sched._db(t)
@@ -177,77 +182,132 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
             f"marginal covariance degenerates at t={float(t[bad][0])}")
     alpha = sign * (a_da + s2 * b_db) / c2
     beta = sign * (a * a * db - a_da * b) / c2
-    cols = (b, c2, alpha, beta, beta * b / c2)
+    gamma = beta * b / c2
+    if target.n_components == 1:
+        post = (beta[..., None] * target.means[0])[..., None]
+    else:
+        pair = np.stack([beta, gamma], axis=-1)
+        beta, gamma, post = pair[..., 0], pair[..., 1], pair[..., None, None]
+    cols = (b, c2, alpha, beta, gamma)
     if t.ndim == 2:
         cols = tuple(col[..., None, None] for col in cols)
-    return _Table(*cols, *_logit_terms(ctx.target, b[..., None, None], c2[..., None, None]))
+    return _Table(*cols, post, *_logit_terms(target, b[..., None, None], c2[..., None, None]))
 
 
-def _velocity_into(target: Target, tab: _Table, k: int, x: np.ndarray,
-                   out: np.ndarray):
-    """v at entry k of a particles-last cloud x, (..., d, n), written into
-    out; returns the posterior (resp, mu_bar), or None for a one-component
-    target, whose spread is zero."""
-    alpha = tab.alpha[k]
+def _live(tab: _Table, shape: tuple) -> _Table:
+    """The columns of tab for a state of this shape: a grouped table keeps
+    the state's shape[0] groups, its first ones.  With one group left the
+    columns drop the group axis and read like an ungrouped table's, which
+    broadcast over a group axis of length one just the same; numpy
+    multiplies by a scalar entry faster than by a (1, 1, 1) block."""
+    if tab.alpha.ndim == 1:
+        return tab
+    if shape[0] == 1:
+        return _Table(*(col[:, 0, 0, 0] for col in tab[:5]), *(col[:, 0] for col in tab[5:]))
+    return _Table(*(col[:, :shape[0]] for col in tab))
+
+
+def _bind_rates(target: Target, tab: _Table, shape: tuple):
+    """rate(k, x) of a cloud x of this shape, (d, n) or grouped (G, d, n):
+    v = alpha x + beta mu_bar at entry k.
+
+    Like the other binders it is called once per run: it takes tab's
+    columns and the posterior kernel's scratch (targets._Workspace) for
+    the state's shape.  Each call of its rate returns a new array of the
+    state's shape, which _rk4 may overwrite; only the scratch is reused.
+    """
+    tab = _live(tab, shape)
+    alpha, post = tab.alpha, tab.post
     if target.n_components == 1:
-        np.multiply(alpha, x, out=out)
-        out += tab.beta[k] * target.means.T
-        return None
-    post = _stats(target, tab.logits(k), x)
-    np.multiply(tab.beta[k], post[1], out=out)
-    out += alpha * x
-    return post
+        def rate(k, x):
+            out = x * alpha[k]
+            out += post[k]
+            return out
+        return rate
+    ws, beta, smc, bm0, const = _Workspace(target, shape), tab.beta, tab.smc, tab.bm0, tab.const
 
-
-def _rates(target: Target, tab: _Table, k: int, x: np.ndarray) -> np.ndarray:
-    """Rate v of a cloud x, (d, n) or grouped (G, d, n), at entry k.
-
-    Like the other rate functions it returns a new array of its state's
-    shape, which _rk4 may overwrite.
-    """
-    out = np.empty(x.shape)
-    _velocity_into(target, tab, k, x, out)
-    return out
-
-
-def _tangent_rates(target: Target, tab: _Table, k: int, state: np.ndarray) -> np.ndarray:
-    """Rates of a path and its tangents, (2, d, n) or grouped (G, 2, d, n).
-
-    Block 0 gets v, block 1 dw = grad v . w = alpha w + gamma spread(mu) w,
-    without forming grad v.
-    """
-    out = np.empty(state.shape)
-    post = _velocity_into(target, tab, k, state[..., 0, :, :], out[..., 0, :, :])
-    w, dw = state[..., 1, :, :], out[..., 1, :, :]
-    if post is None:
-        np.multiply(tab.alpha[k], w, out=dw)
+    def rate(k, x):
+        out = x * alpha[k]
+        mu_bar = _stats(target, (smc[k], bm0[k], const[k]), x, ws)[1]
+        mu_bar *= beta[k]
+        out += mu_bar
         return out
-    np.multiply(_spread_apply(target, *post, w), tab.gamma[k], out=dw)
-    dw += tab.alpha[k] * w
-    return out
+    return rate
 
 
-def _augmented_rates(target: Target, tab: _Table, k: int, state: np.ndarray) -> np.ndarray:
-    """Rates of the (d + d^2 [+ 1], n) pack of x, the rows of J and the
-    log-density: v, dJ = alpha J + gamma spread(mu) @ J and
-    dl = -(d alpha + gamma tr spread(mu)).  The product runs point-major, on
-    an (n, d, d) copy of J's block.  A one-component target has zero
-    spread, so there grad v = alpha I and every particle has the
+def _bind_tangent_rates(target: Target, tab: _Table, shape: tuple):
+    """rate(k, state) of a path and its tangents, (2, d, n) or grouped
+    (G, 2, d, n): block 0 gets v, block 1 dw = grad v . w = alpha w +
+    gamma spread(mu) w, without forming grad v.
+
+    One product gives alpha times both blocks; with groups, alpha's column
+    gains the block axis.  The kernel writes mu_bar and spread(mu) w as the
+    two blocks of the workspace's post buffer, and a second product scales
+    them by beta and gamma (the table's post) before one sum adds them in.
+    """
+    tab = _live(tab, shape)
+    alpha = tab.alpha[..., None] if tab.alpha.ndim > 1 else tab.alpha
+    post = tab.post
+    if target.n_components == 1:
+        def rate(k, state):
+            out = state * alpha[k]
+            out[..., 0, :, :] += post[k]
+            return out
+        return rate
+    ws, smc, bm0, const = _Workspace(target, shape[:-3] + shape[-2:]), tab.smc, tab.bm0, tab.const
+
+    def rate(k, state):
+        out = state * alpha[k]
+        resp, mu_bar = _stats(target, (smc[k], bm0[k], const[k]), state[..., 0, :, :], ws)
+        _spread_apply(target, resp, mu_bar, state[..., 1, :, :], ws)
+        out += np.multiply(ws.post, post[k], out=ws.post)
+        return out
+    return rate
+
+
+def _bind_augmented_rates(target: Target, tab: _Table, shape: tuple):
+    """rate(k, state) of the (d + d^2 [+ 1], n) pack of x, the rows of J and
+    the log-density: v, dJ = alpha J + gamma spread(mu) @ J and
+    dl = -(d alpha + gamma tr spread(mu)).  The product runs point-major,
+    on a bound (n, d, d) copy of J's block.  A one-component target has
+    zero spread, so there grad v = alpha I and every particle has the
     log-density rate -d alpha.
     """
-    d, n = target.dim, state.shape[-1]
-    out = np.empty(state.shape)
-    post = _velocity_into(target, tab, k, state[:d], out[:d])
-    alpha, jac, djac = tab.alpha[k], state[d:d + d * d], out[d:d + d * d]
-    np.multiply(alpha, jac, out=djac)
-    if post is None:
-        out[d + d * d:] = -(d * alpha)
+    d, n = target.dim, shape[-1]
+    alpha, post, jac = tab.alpha, tab.post, slice(d, d + d * d)
+    logdens = shape[0] > d + d * d
+    if target.n_components == 1:
+        dl = -(d * alpha)
+
+        def rate(k, state):
+            out = state * alpha[k]
+            out[:d] += post[k]
+            if logdens:
+                out[-1] = dl[k]
+            return out
+        return rate
+    ws, beta, gamma, d_alpha = _Workspace(target, (d, n)), tab.beta, tab.gamma, d * alpha
+    smc, bm0, const = tab.smc, tab.bm0, tab.const
+    jac_pm, prod, trace = np.empty((n, d, d)), np.empty((n, d, d)), np.empty(n)
+    jac_pm_t, prod_t = jac_pm.reshape(n, -1).T, prod.reshape(n, -1).T
+
+    def rate(k, state):
+        out = state * alpha[k]
+        resp, mu_bar = _stats(target, (smc[k], bm0[k], const[k]), state[:d], ws)
+        spread = _spread(target, resp, mu_bar, ws)
+        mu_bar *= beta[k]
+        out[:d] += mu_bar
+        np.copyto(jac_pm_t, state[jac])
+        np.matmul(spread, jac_pm, out=prod)
+        np.multiply(prod, gamma[k], out=prod)
+        out[jac] += prod_t
+        if logdens:
+            tr = np.trace(spread, axis1=1, axis2=2, out=trace)
+            tr *= gamma[k]
+            tr += d_alpha[k]
+            np.negative(tr, out=out[-1])
         return out
-    spread, gamma = _spread(target, *post), tab.gamma[k]
-    djac += (gamma * (spread @ np.ascontiguousarray(jac.T).reshape(n, d, d))).reshape(n, -1).T
-    if len(state) > d + d * d:
-        out[-1] = -(d * alpha + gamma * np.trace(spread, axis1=1, axis2=2))
-    return out
+    return rate
 
 
 def _augmented_state(xb: np.ndarray, logdens=None) -> np.ndarray:
@@ -266,7 +326,8 @@ def velocity(ctx: FlowContext, t: float, x):
     """Transport velocity v(t, x); accepts a point (d,) or a cloud (n, d)."""
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
-    out = _rates(ctx.target, _table(ctx, np.array([t])), 0, xb.T)
+    xt = xb.T
+    out = _bind_rates(ctx.target, _table(ctx, np.array([t])), xt.shape)(0, xt)
     return out[:, 0] if single else _rows(out)
 
 
@@ -275,7 +336,8 @@ def velocity_jacobian(ctx: FlowContext, t: float, x):
     t = _check_flow_time(ctx, t)
     xb, single = _as_batch(ctx.target, x)
     n, d = xb.shape
-    out = _augmented_rates(ctx.target, _table(ctx, np.array([t])), 0, _augmented_state(xb))
+    state = _augmented_state(xb)
+    out = _bind_augmented_rates(ctx.target, _table(ctx, np.array([t])), state.shape)(0, state)
     out = _rows(out[d:]).reshape(n, d, d)
     return out[0] if single else out
 
@@ -299,9 +361,11 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     dalpha = (d_ada + s2 * (p.db ** 2 + b * p.d2b)) / c2 - 2.0 * alpha * alpha
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
     xt = xb.T
-    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xt)
+    ws = _Workspace(target, xt.shape)
+    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xt, ws)
     pull = ((beta - b * alpha) / c2) * xt - (2.0 * gamma) * mu_bar
-    dmu = _spread_apply(target, resp, mu_bar, pull) - gamma * _third_moment(target, resp, mu_bar)
+    dmu = (_spread_apply(target, resp, mu_bar, pull, ws)
+           - gamma * _third_moment(target, resp, mu_bar))
     out = dalpha * xt + dbeta * mu_bar + beta * dmu
     return out[:, 0] if single else _rows(out)
 
@@ -419,25 +483,29 @@ def _rk4(rate, state: np.ndarray, clock: np.ndarray, steps, keep_all: bool = Fal
     stage inputs of a step share one buffer, and the step's sum is built in
     the second stage's rate, so neither the state handed in nor a recorded
     state is ever written.  The rate must therefore return a new array of
-    the state's shape that does not alias its input.  A state whose sum is
-    finite has no non-finite entry; only a sum that is not finite costs the
-    entrywise test.
+    the state's shape that does not alias its input; a bound rate
+    (module docstring) keeps this contract, since it reuses only scratch.
+    A state whose sum is finite has no non-finite entry; only a sum that is
+    not finite costs the entrywise test.  That sum may overflow on finite
+    entries, so the loop runs with overflow warnings off: an overflowing
+    rate still ends in NonFiniteStateError at its step.
     """
     path = [state]
     span = clock[2 * steps.start:2 * steps.stop + 1]
     hs = span[2::2] - span[:-2:2]
-    for i, h, half, sixth in zip(steps, hs, 0.5 * hs, hs / 6.0):
-        k = 2 * i
-        k1 = rate(k, state)
-        t = _stage(state, k1, half)
-        k2 = rate(k + 1, t)
-        k3 = rate(k + 1, _stage(state, k2, half, t))
-        k4 = rate(k + 2, _stage(state, k3, h, t))
-        state = _step(state, k1, k2, k3, k4, sixth)
-        if not (math.isfinite(np.add.reduce(state, axis=None)) or np.isfinite(state).all()):
-            raise _blowup(state, clock[k + 2], i, names)
-        if keep_all:
-            path.append(state)
+    with np.errstate(over="ignore"):
+        for i, h, half, sixth in zip(steps, hs, 0.5 * hs, hs / 6.0):
+            k = 2 * i
+            k1 = rate(k, state)
+            t = _stage(state, k1, half)
+            k2 = rate(k + 1, t)
+            k3 = rate(k + 1, _stage(state, k2, half, t))
+            k4 = rate(k + 2, _stage(state, k3, h, t))
+            state = _step(state, k1, k2, k3, k4, sixth)
+            if not (math.isfinite(np.add.reduce(state, axis=None)) or np.isfinite(state).all()):
+                raise _blowup(state, clock[k + 2], i, names)
+            if keep_all:
+                path.append(state)
     return path if keep_all else [path[0], state]
 
 
@@ -475,17 +543,17 @@ def _blowup(state: np.ndarray, t_end, i: int, names) -> NonFiniteStateError:
         f"(integrator time {float(t_end[g])!r})", step=i)
 
 
-def _run(ctx: FlowContext, rates, state: np.ndarray, t_from: float, t_to: float,
+def _run(ctx: FlowContext, bind, state: np.ndarray, t_from: float, t_to: float,
          steps: int, direction: str, record: str):
     """Shared driver of integrate and integrate_augmented: the recorded times
-    and states of _rk4 on the rate function rates, which reads the
+    and states of _rk4 on the rate that the binder bind makes once from the
     coefficient table of the span's stage times."""
     clock = _stage_times(t_from, t_to, steps)
     sign = -1.0 if direction == "reverse" else 1.0
     t_phys = 1.0 - clock if direction == "reverse" else clock
-    tab, target = _table(ctx, t_phys, sign), ctx.target
+    rate = bind(ctx.target, _table(ctx, t_phys, sign), state.shape)
     keep_all = record == "all"
-    path = _rk4(lambda k, s: rates(target, tab, k, s), state, clock, range(steps), keep_all)
+    path = _rk4(rate, state, clock, range(steps), keep_all)
     return (clock[0::2] if keep_all else np.array([t_from, t_to])), path
 
 
@@ -494,7 +562,7 @@ def integrate(ctx: FlowContext, x0, t_from: float, t_to: float, steps: int,
     """Fixed-step RK4 transport of a point or cloud along the velocity."""
     t_from, t_to, steps = _validate_span(ctx, t_from, t_to, steps, direction, record)
     xb, single = _as_batch(ctx.target, x0)
-    times, path = _run(ctx, _rates, np.ascontiguousarray(xb.T), t_from, t_to, steps,
+    times, path = _run(ctx, _bind_rates, np.ascontiguousarray(xb.T), t_from, t_to, steps,
                        direction, record)
     states = np.empty((len(path),) + xb.shape)
     np.stack([x.T for x in path], out=states)
@@ -519,7 +587,8 @@ def integrate_augmented(ctx: FlowContext, x0, t_from: float, t_to: float, steps:
     if ld.size not in (1, n):
         raise SizeMismatchError(f"init_logdens has {ld.size} entries, the batch has {n} points")
     state = _augmented_state(xb, ld if with_logdensity else None)
-    times, path = _run(ctx, _augmented_rates, state, t_from, t_to, steps, direction, record)
+    times, path = _run(ctx, _bind_augmented_rates, state, t_from, t_to, steps, direction,
+                       record)
     packs = np.stack(path)
     return Trajectory(times=times, states=_rows(packs[:, :d]), direction=direction,
                       single=single, jac=_rows(packs[:, d:d + d * d]).reshape(-1, n, d, d),

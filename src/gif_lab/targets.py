@@ -40,6 +40,13 @@ transposes once at its boundary.  Time arguments are scalars in [0, 1].
 The kernel below the public functions also takes a leading group axis: a
 (G, d, n) batch with G sets of logit terms, one per group, gives the same
 numbers as G separate (d, n) calls.
+
+The kernel functions (_resp, _stats, _spread, _spread_apply) take a
+workspace, _Workspace, that holds their scratch and their results for
+clouds of one shape; they write into it instead of allocating.  Each
+public function makes one workspace per call, so what it returns is its
+own; the flow engine makes one per bound rate and reuses it for every
+stage of a run.
 """
 
 from __future__ import annotations
@@ -151,9 +158,10 @@ class Target:
         return terms
 
     @functools.cached_property
-    def _means_t(self) -> np.ndarray:
-        """The means as a contiguous (d, k) array, read by _centred."""
-        mt = np.ascontiguousarray(self.means.T)
+    def _means_col(self) -> np.ndarray:
+        """The means as a contiguous (d, k, 1) array, one column per
+        coordinate and component, read by _centred and _log_resp."""
+        mt = np.ascontiguousarray(self.means.T)[:, :, None]
         mt.setflags(write=False)
         return mt
 
@@ -318,9 +326,58 @@ def _coeffs(target: Target, sched: Schedule, t: float):
 _EXP_FLOOR = -700.0
 
 
-def _softmax0(lg: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Scratch of the posterior kernel for particles-last clouds of one
+    shape (..., d, n), reused by every kernel call on this workspace.
+
+    The buffers of O((d + k) n) entries are allocated, C-contiguous, with
+    the workspace: xc holds x - b m0 in point-major memory ((..., n, d) seen
+    as (..., d, n)), lg the logits and then the responsibilities (..., k, n),
+    col one value per particle (..., 1, n), the softmax's max and then its
+    sum, and rc the products r_j (c_j . w) (..., k, n), also seen with a
+    coordinate axis as rc_d (..., 1, k, n).  post holds mu_bar (its block
+    mu) and spread(mu) w (its block sw) as the two blocks of one
+    (..., 2, d, n) array, laid out like a path with its tangents, so a
+    caller can scale both in one product.  The (..., d, k, n) buffers of
+    the centred means and the (n, d, d) spread are allocated when a kernel
+    function first needs them, so a caller that never forms them never
+    pays for their O(d k n) memory.  The kernel's results are these
+    buffers, so they hold only until the next call; the public functions
+    make one workspace per call, the flow engine one per bound rate.
+    """
+
+    def __init__(self, target: Target, shape: tuple):
+        lead, (d, n), k = shape[:-2], shape[-2:], target.n_components
+        self.shape, self.k = shape, k
+        self.xc = np.empty(lead + (n, d)).swapaxes(-1, -2)
+        self.lg, self.col = np.empty(lead + (k, n)), np.empty(lead + (1, n))
+        self.rc = np.empty(lead + (k, n))
+        self.rc_d = self.rc[..., None, :, :]
+        self.post = np.empty(lead + (2, d, n))
+        self.mu, self.sw = self.post[..., 0, :, :], self.post[..., 1, :, :]
+
+    @functools.cached_property
+    def centred(self) -> np.ndarray:
+        """c_j = mu_j - mu_bar, (..., d, k, n)."""
+        return np.empty(self.shape[:-1] + (self.k, self.shape[-1]))
+
+    @functools.cached_property
+    def terms(self) -> np.ndarray:
+        """Products with the centred means, (..., d, k, n)."""
+        return np.empty(self.shape[:-1] + (self.k, self.shape[-1]))
+
+    @functools.cached_property
+    def spread(self) -> np.ndarray:
+        """The (n, d, d) spread, laid out in memory as (d, d, n), the order
+        einsum gives its own output for _spread's operands."""
+        d, n = self.shape
+        return np.empty((d, d, n)).transpose(2, 0, 1)
+
+
+def _softmax0(lg: np.ndarray, top: np.ndarray) -> np.ndarray:
     """In place: lg (..., k, n) minus its column max, exponentiated where it
-    is above _EXP_FLOOR and exactly 0 elsewhere; returns lg.
+    is above _EXP_FLOOR and exactly 0 elsewhere; returns lg, and leaves the
+    column max in top, (..., 1, n).
 
     A dropped term is below e^-700 of the column's largest term, which is
     1, so no column sum changes.  Clamping before exp keeps every input of
@@ -329,7 +386,7 @@ def _softmax0(lg: np.ndarray) -> np.ndarray:
     """
     # the kernel's reductions call the ufuncs' reduce directly: the ndarray
     # methods add a Python wrapper per call, a visible share at small n
-    lg -= np.maximum.reduce(lg, axis=-2, keepdims=True)
+    lg -= np.maximum.reduce(lg, axis=-2, keepdims=True, out=top)
     if np.minimum.reduce(lg, axis=None) > _EXP_FLOOR:
         return np.exp(lg, out=lg)
     live = lg > _EXP_FLOOR
@@ -346,12 +403,12 @@ def _log_resp(target: Target, b: float, c2: float, xb: np.ndarray) -> np.ndarray
     The full-distance normaliser of the marginal log density: adding
     |x|^2 / (2 c^2) back to _resp's GEMM logits would cancel badly far from
     the means.  The logits are component-major (k, n) and go through
-    _softmax0's masked exp.
+    _softmax0's masked exp, which leaves their column max behind.
     """
-    diff = xb.T[:, None, :] - b * target._means_t[:, :, None]
+    diff = xb.T[:, None, :] - b * target._means_col
     lg = target.log_weights[:, None] - (diff * diff).sum(axis=0) / (2.0 * c2)
-    m = lg.max(axis=0)
-    return m + np.log(_softmax0(lg).sum(axis=0))
+    top = np.empty((1, len(xb)))
+    return top[0] + np.log(_softmax0(lg, top).sum(axis=0))
 
 
 def _logit_terms(target: Target, b, c2) -> tuple:
@@ -368,9 +425,9 @@ def _logit_terms(target: Target, b, c2) -> tuple:
     return s * mc, b * m0, target.log_weights[:, None] - (0.5 * s * b) * mc_sq[:, None]
 
 
-def _resp(target: Target, terms: tuple, x: np.ndarray) -> np.ndarray:
+def _resp(target: Target, terms: tuple, x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Responsibilities (k, n), component-major, of a (d, n) cloud x from
-    _logit_terms' terms.
+    _logit_terms' terms, in ws.lg.
 
     The logits are one (k, d) @ (d, n) GEMM, (s mc) @ (x - b m0) with
     s = b / c^2 and mc the centred means, plus the per-component constant
@@ -390,22 +447,21 @@ def _resp(target: Target, terms: tuple, x: np.ndarray) -> np.ndarray:
     BLAS call per group, so each group's numbers are those of a 2-D call.
     """
     smc, bm0, const = terms
-    # x - b m0 goes into point-major memory, (..., n, d) seen as (..., d, n),
-    # so the GEMM rounds as the point-major product (s mc) @ (x - b m0)^T of
-    # the public functions does: with a C-ordered (d, n) operand OpenBLAS
-    # takes another kernel for some shapes (k >= 12 at n = 300, d = 16)
-    xc = np.empty(x.shape[:-2] + x.shape[:-3:-1]).swapaxes(-1, -2)
-    np.subtract(x, bm0, out=xc)
-    lg = smc @ xc
+    # x - b m0 goes into point-major memory (ws.xc), so the GEMM rounds as
+    # the point-major product (s mc) @ (x - b m0)^T of the public functions
+    # does: with a C-ordered (d, n) operand OpenBLAS takes another kernel
+    # for some shapes (k >= 12 at n = 300, d = 16)
+    xc = np.subtract(x, bm0, out=ws.xc)
+    lg = np.matmul(smc, xc, out=ws.lg)
     lg += const
-    _softmax0(lg)
-    lg /= np.add.reduce(lg, axis=-2, keepdims=True)
+    _softmax0(lg, ws.col)
+    lg /= np.add.reduce(lg, axis=-2, keepdims=True, out=ws.col)
     return lg
 
 
-def _stats(target: Target, terms: tuple, x: np.ndarray):
+def _stats(target: Target, terms: tuple, x: np.ndarray, ws: _Workspace):
     """Shared hot path: (resp, mu_bar) of a (d, n) cloud x from the logit
-    terms of one time.
+    terms of one time, in ws.lg and ws.mu.
 
     Callers build the terms from b_t and c_t^2 = a_t^2 + sigma^2 b_t^2
     already checked, so an integrator can read them from a table built once
@@ -416,8 +472,8 @@ def _stats(target: Target, terms: tuple, x: np.ndarray):
     transposed view means.T, so a one-point cloud takes the same BLAS
     matrix-vector kernel as the point-major product resp^T @ means.
     """
-    resp = _resp(target, terms, x)
-    return resp, target.means.T @ resp
+    resp = _resp(target, terms, x, ws)
+    return resp, np.matmul(target.means.T, resp, out=ws.mu)
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:
@@ -425,15 +481,17 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.swapaxes(-1, -2))
 
 
-def _centred(target: Target, mu_bar: np.ndarray) -> np.ndarray:
+def _centred(target: Target, mu_bar: np.ndarray, out=None) -> np.ndarray:
     """c_j = mu_j - mu_bar as (..., d, k, n) from mu_bar (..., d, n): one
     component-major (k, n) slab per coordinate, so the sums below run over
     whole slabs."""
-    return target._means_t[:, :, None] - mu_bar[..., :, None, :]
+    return np.subtract(target._means_col, mu_bar[..., :, None, :], out=out)
 
 
-def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted covariance of the component means, (n, d, d).
+def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
+            ws: _Workspace) -> np.ndarray:
+    """Responsibility-weighted covariance of the component means, (n, d, d),
+    in ws.spread.
 
     resp is component-major (k, n), mu_bar (d, n).  Centred form: each
     summand is PSD, so roundoff cannot push the spread's eigenvalues
@@ -441,25 +499,27 @@ def _spread(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
     point-major: the engine's Jacobian rate multiplies it into an (n, d, d)
     copy of J.
     """
-    centred = _centred(target, mu_bar)
-    return np.einsum("ikn,jkn->nij", centred * resp, centred)
+    centred = _centred(target, mu_bar, ws.centred)
+    weighted = np.multiply(centred, resp, out=ws.terms)
+    return np.einsum("ikn,jkn->nij", weighted, centred, out=ws.spread)
 
 
 def _spread_apply(target: Target, resp: np.ndarray, mu_bar: np.ndarray,
-                  w: np.ndarray) -> np.ndarray:
-    """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (d, n).
+                  w: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """spread(mu) w = sum_j r_j c_j (c_j . w) with c_j = mu_j - mu_bar, (d, n),
+    in ws.sw.
 
     The product of _spread with one vector per point, without forming the
     (n, d, d) spread; centred like it, resp component-major (k, n), mu_bar
     and w (d, n).  The sums run over negative axes, so a leading group axis
     passes through.
     """
-    centred = _centred(target, mu_bar)
-    terms = centred * w[..., :, None, :]
-    rc = np.add.reduce(terms, axis=-3)
+    centred = _centred(target, mu_bar, ws.centred)
+    terms = np.multiply(centred, w[..., :, None, :], out=ws.terms)
+    rc = np.add.reduce(terms, axis=-3, out=ws.rc)
     rc *= resp
-    np.multiply(centred, rc[..., None, :, :], out=terms)
-    return np.add.reduce(terms, axis=-2)
+    np.multiply(centred, ws.rc_d, out=terms)
+    return np.add.reduce(terms, axis=-2, out=ws.sw)
 
 
 def _third_moment(target: Target, resp: np.ndarray, mu_bar: np.ndarray) -> np.ndarray:
@@ -474,7 +534,8 @@ def posterior(target: Target, sched: Schedule, t: float, x) -> Posterior:
     """Mixture representation of Law(X1 | X_t = x)."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp = _resp(target, _logit_terms(target, p.b, c2), xb.T).T
+    ws = _Workspace(target, xb.T.shape)
+    resp = _resp(target, _logit_terms(target, p.b, c2), xb.T, ws).T
     shrink = p.a ** 2 / c2
     pull = target.sigma ** 2 * p.b / c2
     comp_means = shrink * target.means[None, :, :] + pull * xb[:, None, :]
@@ -497,7 +558,8 @@ def denoiser(target: Target, sched: Schedule, t: float, x):
     """Posterior mean E[X1 | X_t = x]."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
+    ws = _Workspace(target, xb.T.shape)
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T, ws)
     out = (p.a ** 2 / c2) * _rows(mu_bar) + (target.sigma ** 2 * p.b / c2) * xb
     return out[0] if single else out
 
@@ -506,7 +568,8 @@ def score(target: Target, sched: Schedule, t: float, x):
     """Gradient of the marginal log density, -(x - b_t mu_bar)/c_t^2."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
+    ws = _Workspace(target, xb.T.shape)
+    _, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T, ws)
     out = -(xb - p.b * _rows(mu_bar)) / c2
     return out[0] if single else out
 
@@ -520,8 +583,9 @@ def posterior_stats(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
-    mu_spread = _spread(target, resp, mu_bar)
+    ws = _Workspace(target, xb.T.shape)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T, ws)
+    mu_spread = _spread(target, resp, mu_bar, ws)
     if single:
         return resp[:, 0], mu_bar[:, 0], mu_spread[0]
     return resp.T, _rows(mu_bar), mu_spread
@@ -531,7 +595,8 @@ def cond_cov(target: Target, sched: Schedule, t: float, x):
     """Posterior covariance Cov(X1 | X_t = x), a (d, d) matrix per point."""
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    spread = _spread(target, *_stats(target, _logit_terms(target, p.b, c2), xb.T))
+    ws = _Workspace(target, xb.T.shape)
+    spread = _spread(target, *_stats(target, _logit_terms(target, p.b, c2), xb.T, ws), ws)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     out = shrink ** 2 * spread + s2 * np.eye(target.dim)[None, :, :]
@@ -549,8 +614,9 @@ def posterior_moments(target: Target, sched: Schedule, t: float, x):
     """
     xb, single = _as_batch(target, x)
     p, c2 = _coeffs(target, sched, t)
-    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T)
-    spread = _spread(target, resp, mu_bar)
+    ws = _Workspace(target, xb.T.shape)
+    resp, mu_bar = _stats(target, _logit_terms(target, p.b, c2), xb.T, ws)
+    spread = _spread(target, resp, mu_bar, ws)
     shrink = p.a ** 2 / c2
     s2 = target.sigma ** 2 * shrink
     M1 = shrink * _rows(mu_bar) + (target.sigma ** 2 * p.b / c2) * xb

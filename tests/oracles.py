@@ -16,7 +16,7 @@ amplitudes as row blocks of a single pass, adaptive quadrature of the
 velocity-noise growth factor instead of its upper sum on the stage clock,
 one pass per steps-grid entry of the flow-difference check instead of the
 whole grid as groups of a single pass, and an out-of-place RK4 loop on the
-engine's rate functions instead of the engine's in-place _rk4.
+engine's bound rates instead of the engine's in-place _rk4.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from scipy.integrate import quad, trapezoid
 
 from gif_lab.bounds import RegularityProfile, theta_profile
 from gif_lab.experiments import _cloud_w2, _subseed
-from gif_lab.flow import (FlowContext, _augmented_rates, _augmented_state, _rates, _stage_times,
-                          _table, _tangent_rates, integrate)
+from gif_lab.flow import (FlowContext, _augmented_state, _bind_augmented_rates, _bind_rates,
+                          _bind_tangent_rates, _stage_times, _table, integrate)
 from gif_lab.metrics import NOISE_DOMAIN, keyed_generator, sample_source
 from gif_lab.targets import posterior
 
@@ -330,7 +330,7 @@ def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) ->
     def rate(k, state):
         work[0] += 1
         work[1] += state.shape[-1]
-        out = _tangent_rates(target, tab, k, state)
+        out = table_rate(k, state)
         out[0, :, :n] += delta[:, None]
         return out
 
@@ -342,6 +342,7 @@ def ag_residual_per_entry(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) ->
     for j in range(n_nodes - 1):
         m = (j + 2) * n
         state[0, :, m - n:m] = state[0, :, :n]
+        table_rate = _bind_tangent_rates(target, tab, (2, d, m))
         state[..., :m] = table_rk4(rate, state[..., :m], clock,
                                    range(j * spacing, (j + 1) * spacing))
     xs, ws = np.ascontiguousarray(state.swapaxes(-1, -2))
@@ -378,7 +379,7 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
     tab, target = _table(ctx, clock), ctx.target
 
     def rate(k, state):
-        out = _augmented_rates(target, tab, k, state)
+        out = table_rate(k, state)
         out[:d, :n] += delta[:, None]
         return out
 
@@ -388,6 +389,7 @@ def ag_residual_jacobian(ctx, x0: np.ndarray, delta: np.ndarray, steps: int) -> 
     for j in range(n_nodes - 1):
         m = (j + 2) * n
         state[:d, m - n:m] = state[:d, :n]
+        table_rate = _bind_augmented_rates(target, tab, (len(state), m))
         state[:, :m] = table_rk4(rate, state[:, :m], clock,
                                  range(j * spacing, (j + 1) * spacing))
     xs = np.ascontiguousarray(state[:d].T)
@@ -424,13 +426,13 @@ def velocity_perturbation_per_eps(cfg) -> np.ndarray:
     growth = quad(lambda s: math.exp(envelope.integral(s, t_end)), 0.0, t_end,
                   epsabs=0.0, epsrel=1e-12, limit=200)[0]
     clock = _stage_times(0.0, t_end, steps)
-    tab = _table(ctx, clock)
+    cloud_rate = _bind_rates(target, _table(ctx, clock), src.T.shape)  # particles-last (d, n)
     rows = []
     for eps in cfg.eps_grid:
         calls = itertools.count()
 
         def rate(k, x):
-            v = _rates(target, tab, k, x)  # particles-last (d, n)
+            v = cloud_rate(k, x)
             gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, next(calls))
             signs = np.where(gen.random(size=v.shape[::-1]) < 0.5, -1.0, 1.0)
             return v + eps * signs.T

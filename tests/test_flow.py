@@ -20,13 +20,13 @@ from gif_lab.experiments import moderate_gmm4
 from gif_lab.flow import (
     FlowContext,
     Trajectory,
-    _augmented_rates,
     _augmented_state,
-    _rates,
+    _bind_augmented_rates,
+    _bind_rates,
+    _bind_tangent_rates,
     _rk4,
     _stage_times,
     _table,
-    _tangent_rates,
     integrate,
     integrate_augmented,
     velocity,
@@ -43,6 +43,7 @@ from gif_lab.schedules import (
 )
 from gif_lab.targets import (
     _rows,
+    _Workspace,
     denoiser,
     gaussian_target,
     marginal_log_density,
@@ -178,14 +179,16 @@ class TestEngineTable:
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
         pack = _augmented_state(x, np.zeros(6))
+        # the engine's states are particles-last: a cloud is (d, n), the
+        # augmented pack (d + d^2 + 1, n) with J's rows after x
+        augmented_rate = _bind_augmented_rates(target, tab, pack.shape)
+        cloud_rate = _bind_rates(target, tab, x.T.shape)
         for k, t in enumerate(t_phys):
             want_v = sign * velocity(ctx, t, x)
             want_g = sign * velocity_jacobian(ctx, t, x)
-            # the engine's states are particles-last: a cloud is (d, n), the
-            # augmented pack (d + d^2 + 1, n) with J's rows after x
-            rates = _augmented_rates(target, tab, k, pack)
+            rates = augmented_rate(k, pack)
             v, dj, dl = rates[:d], _rows(rates[d:-1]).reshape(6, d, d), rates[-1]
-            assert _close(_rates(target, tab, k, x.T).T, want_v, 1e-12), t
+            assert _close(cloud_rate(k, x.T).T, want_v, 1e-12), t
             assert _close(v.T, want_v, 1e-12), t
             assert _close(dj, want_g, 1e-12), t
             assert _close(dl, -np.trace(want_g, axis1=1, axis2=2), 1e-12), t
@@ -208,10 +211,13 @@ class TestEngineTable:
         t_phys = 1.0 - clock if direction == "reverse" else clock
         assert {0.0, 1.0} <= set(t_phys.tolist())
         tab = _table(ctx, t_phys, sign)
+        state = np.stack([x.T, w.T])
+        tangent_rate = _bind_tangent_rates(target, tab, state.shape)
+        cloud_rate = _bind_rates(target, tab, x.T.shape)
         for k, t in enumerate(t_phys):
-            v, dw = _tangent_rates(target, tab, k, np.stack([x.T, w.T]))
+            v, dw = tangent_rate(k, state)
             want = sign * np.einsum("nij,nj->ni", velocity_jacobian(ctx, t, x), w)
-            assert np.array_equal(v, _rates(target, tab, k, x.T)), t
+            assert np.array_equal(v, cloud_rate(k, x.T)), t
             assert np.all(np.abs(dw.T - want) <= 1e-12 * np.max(np.abs(want))), t
 
     @pytest.mark.parametrize("kind", ["x", "xw"])
@@ -232,15 +238,20 @@ class TestEngineTable:
         x[:, :2] = target.means[:2] + 0.05
         x = np.ascontiguousarray(x.swapaxes(1, 2))  # particles-last (G, d, M)
         if kind == "xw":  # (G, 2, d, M): path, then tangent
-            state, rates = np.stack([x, rng.normal(size=x.shape)], axis=1), _tangent_rates
+            state, bind = np.stack([x, rng.normal(size=x.shape)], axis=1), _bind_tangent_rates
         else:
-            state, rates = x, _rates
+            state, bind = x, _bind_rates
+        grouped = bind(target, tab, state.shape)
+        ungrouped = [bind(target, _table(ctx, clocks[:, g]), state[g].shape) for g in range(3)]
+        # a state of the first group alone keeps its group axis, of length one
+        first = bind(target, tab, state[:1].shape)
         for k in range(clocks.shape[0]):
             assert tab.alpha[k].shape == (3, 1, 1)
-            got = rates(target, tab, k, state)
+            got = grouped(k, state)
             for g in range(3):
-                want = rates(target, _table(ctx, clocks[:, g]), k, state[g])
-                assert np.array_equal(got[g], want), (k, g)
+                assert np.array_equal(got[g], ungrouped[g](k, state[g])), (k, g)
+            alone = first(k, state[:1])
+            assert alone.shape == state[:1].shape and np.array_equal(alone[0], got[0]), k
 
     @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2], var=0.64),
                                         _gmm4()], ids=["gaussian", "gmm4"])
@@ -353,10 +364,67 @@ class TestEngineChecksEveryBlock:
         # the finite sum is only a shortcut: entries near the float maximum
         # sum to inf but are finite, and the step goes through
         state = np.full((7, 3), 1e308)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             path = _rk4(_poison(state.shape, -1, 0), state, _stage_times(0.0, 1.0, 2), range(2))
         assert np.array_equal(path[-1], state)
 
+
+
+def _kept_arrays(rate):
+    """Every array a bound rate keeps from call to call: the arrays in its
+    closure (table columns, scratch) and the buffers of its kernel
+    workspace, with the number of workspaces found."""
+    arrays, workspaces = [], 0
+    for cell in rate.__closure__ or ():
+        obj = cell.cell_contents
+        if isinstance(obj, _Workspace):
+            workspaces += 1
+            arrays += [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+    return arrays, workspaces
+
+
+class TestBoundRateBuffers:
+    """A bound rate reuses only its scratch: every call returns a new array
+    that shares memory with nothing else, and no call's scratch leaks into
+    the next call's numbers."""
+
+    @pytest.mark.parametrize("target", [gaussian_target(mean=[0.3, -0.2, 0.1], var=0.64),
+                                        _gmm_d3k5()], ids=["k1", "d3k5"])
+    @pytest.mark.parametrize("kind", ["cloud", "tangent", "augmented"])
+    def test_outputs_own_their_memory(self, kind, target):
+        ctx = FlowContext(sched=TrigSchedule(), target=target)
+        rng = np.random.default_rng(21)
+        d = target.dim
+        if kind == "cloud":  # (d, n)
+            bind, tab = _bind_rates, _table(ctx, _stage_times(0.0, 1.0, 8))
+            states = [rng.normal(size=(d, 5)) for _ in range(2)]
+        elif kind == "tangent":  # grouped (G, 2, d, m) on three stage clocks
+            clocks = np.stack([_stage_times(0.0, end, 8) for end in (0.5, 0.8, 1.0)], axis=1)
+            bind, tab = _bind_tangent_rates, _table(ctx, clocks)
+            states = [rng.normal(size=(3, 2, d, 4)) for _ in range(2)]
+        else:  # (d + d^2 + 1, n): x, the rows of J, the log-density
+            bind, tab = _bind_augmented_rates, _table(ctx, _stage_times(0.0, 1.0, 8))
+            states = [_augmented_state(rng.normal(size=(6, d)), rng.normal(size=6))
+                      for _ in range(2)]
+            states[1][d:-1] += rng.normal(size=(d * d, 6))
+        state, other = states
+        rate = bind(target, tab, state.shape)
+        kept = state.copy(), other.copy()
+        outs = [rate(3, state), rate(10, other), rate(3, state)]
+        kept_arrays, workspaces = _kept_arrays(rate)
+        assert workspaces == (target.n_components > 1)
+        for i, out in enumerate(outs):
+            assert out.shape == state.shape
+            assert not np.shares_memory(out, state) and not np.shares_memory(out, other)
+            assert not any(np.shares_memory(out, arr) for arr in kept_arrays), i
+            assert not any(np.shares_memory(out, outs[j]) for j in range(i))
+        # the inputs are untouched, and the third call repeats the first bit for bit
+        assert np.array_equal(state, kept[0]) and np.array_equal(other, kept[1])
+        assert outs[2].tobytes() == outs[0].tobytes()
+        assert outs[1].tobytes() != outs[0].tobytes()
 
 class TestVelocityJacobian:
     def test_matches_fd(self, gmm2_ctx):
