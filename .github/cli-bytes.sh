@@ -10,8 +10,10 @@
 # "$1/paper-gmm8"; its ag-check runs the steps grid as groups of one
 # engine pass; its two sweeps also run under "taskset -c 0".  That block and
 # the d = 3 gmm block each sample a cloud of several 4 096-particle chunks.
-# The digests are compared with the committed manifest:
+# The digests are compared with the committed manifest, with numpy's
+# warnings turned into errors as in the test suite:
 #
+#   export PYTHONWARNINGS=error::RuntimeWarning,error::DeprecationWarning
 #   bash .github/cli-bytes.sh cli-out > cli-bytes.actual
 #   diff .github/cli-bytes.sha256 cli-bytes.actual
 #
@@ -28,6 +30,8 @@ printf '%s\n' 'target = moderate-gmm4' 'schedule = linear' 'n = 128' 'steps = 16
 gif-lab sample --config cli-run.cfg --n 512 --seed 3 --no-timestamp --out "$out/sample"
 gif-lab flow --config cli-run.cfg --x 0.3,-0.2 --jacobian --logdensity --no-timestamp --out "$out/flow"
 gif-lab bounds --schedule linear --case mixture --sigma 0.5 --r 2.0 --grid 9 --no-timestamp --out "$out/bounds"
+# a D-only envelope, which diverges at t = 1 where a_t = 0: its last row is inf
+gif-lab bounds --schedule linear --case bounded-d --d 1.0 --grid 9 --no-timestamp --out "$out/bounds-d"
 gif-lab validate-schedule --schedule vp --alpha0 0.02 --p 2.0 > "$out/validate-schedule.txt"
 for cmd in stability-source stability-velocity autoencode cycle jacobian-envelope ag-check; do
   gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"

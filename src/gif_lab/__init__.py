@@ -5,170 +5,21 @@ analytic Gaussian-mixture targets: schedule families, closed-form posterior
 statistics, RK4 flow maps with Jacobian and log-density propagation,
 eigenvalue envelopes and Lipschitz bounds, Wasserstein-2 metrics, and
 scripted stability/round-trip experiments behind a CSV-first CLI.
+
+Each module's __all__ is its public list; the package exports their union.
 """
 
-from .bounds import (
-    RegularityProfile,
-    ThetaProfile,
-    critical_time,
-    endpoint_lipschitz,
-    functional_constant,
-    lipschitz_flow_map,
-    theta_profile,
-)
-from .config import (
-    experiment_from_config,
-    load_config,
-    parse_config_text,
-    schedule_from_config,
-    target_from_config,
-)
-from .errors import (
-    DegenerateInputError,
-    DegenerateTimeError,
-    GifLabError,
-    InvalidParamError,
-    MissingFieldError,
-    NoRootError,
-    NonFiniteError,
-    NonFiniteStateError,
-    OutOfRangeError,
-    SizeMismatchError,
-    TooLargeError,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    moderate_gmm4,
-    paper_gmm8,
-    run_ag_check,
-    run_autoencode,
-    run_cycle,
-    run_jacobian_envelope,
-    run_source_perturbation,
-    run_velocity_perturbation,
-)
-from .flow import (
-    FlowContext,
-    Trajectory,
-    integrate,
-    integrate_augmented,
-    velocity,
-    velocity_dt,
-    velocity_jacobian,
-)
-from .metrics import (
-    FitReport,
-    ParticleCloud,
-    keyed_generator,
-    linear_fit,
-    sample_gaussian,
-    sample_interpolant,
-    sample_source,
-    sample_target,
-    w2,
-)
-from .schedules import (
-    FollmerSchedule,
-    LinearSchedule,
-    Schedule,
-    SchedulePoint,
-    ShiftedLinearSchedule,
-    TrigSchedule,
-    VESchedule,
-    VPSchedule,
-    ValidationReport,
-    make_schedule,
-)
-from .targets import (
-    Posterior,
-    Target,
-    cond_cov,
-    denoiser,
-    gaussian_target,
-    marginal_log_density,
-    min_enclosing_ball,
-    mixture_target,
-    point_cloud_target,
-    posterior,
-    posterior_moments,
-    posterior_stats,
-    score,
-)
+from . import bounds, config, errors, experiments, flow, metrics, schedules, targets
+from .bounds import *
+from .config import *
+from .errors import *
+from .experiments import *
+from .flow import *
+from .metrics import *
+from .schedules import *
+from .targets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateInputError",
-    "DegenerateTimeError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FitReport",
-    "FlowContext",
-    "FollmerSchedule",
-    "GifLabError",
-    "InvalidParamError",
-    "LinearSchedule",
-    "MissingFieldError",
-    "NoRootError",
-    "NonFiniteError",
-    "NonFiniteStateError",
-    "OutOfRangeError",
-    "ParticleCloud",
-    "Posterior",
-    "RegularityProfile",
-    "Schedule",
-    "SchedulePoint",
-    "ShiftedLinearSchedule",
-    "SizeMismatchError",
-    "Target",
-    "ThetaProfile",
-    "TooLargeError",
-    "Trajectory",
-    "TrigSchedule",
-    "VESchedule",
-    "VPSchedule",
-    "ValidationReport",
-    "cond_cov",
-    "critical_time",
-    "denoiser",
-    "endpoint_lipschitz",
-    "experiment_from_config",
-    "functional_constant",
-    "gaussian_target",
-    "integrate",
-    "integrate_augmented",
-    "keyed_generator",
-    "linear_fit",
-    "lipschitz_flow_map",
-    "load_config",
-    "make_schedule",
-    "marginal_log_density",
-    "min_enclosing_ball",
-    "mixture_target",
-    "moderate_gmm4",
-    "paper_gmm8",
-    "parse_config_text",
-    "point_cloud_target",
-    "posterior",
-    "posterior_moments",
-    "posterior_stats",
-    "run_ag_check",
-    "run_autoencode",
-    "run_cycle",
-    "run_jacobian_envelope",
-    "run_source_perturbation",
-    "run_velocity_perturbation",
-    "sample_gaussian",
-    "sample_interpolant",
-    "sample_source",
-    "sample_target",
-    "schedule_from_config",
-    "score",
-    "target_from_config",
-    "theta_profile",
-    "velocity",
-    "velocity_dt",
-    "velocity_jacobian",
-    "w2",
-]
+__all__ = (bounds.__all__ + config.__all__ + errors.__all__ + experiments.__all__
+           + flow.__all__ + metrics.__all__ + schedules.__all__ + targets.__all__)

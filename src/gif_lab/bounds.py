@@ -16,7 +16,9 @@ constants of the target are available:
 Integrals of theta over [s, t] exponentiate to Lipschitz bounds on the
 flow map.  Every piece carries a closed-form antiderivative except the
 log-lip piece, which falls back to adaptive Simpson quadrature.
-Divergent integrals come back as +inf rather than raising.
+Divergent integrals come back as +inf rather than raising, and theta itself
+is +inf where an envelope diverges (the gaussian form at b_t = 0 with
+kappa = 0, the bounded-d form at a_t = 0), never NaN.
 """
 
 from __future__ import annotations
@@ -157,8 +159,9 @@ class _GaussianPiece(_Piece):
     def theta_raw(self, t):
         s = self.sched
         den = self.kappa * s._a(t) ** 2 + s._b(t) ** 2
-        with np.errstate(divide="ignore"):
-            return (self.kappa * s._da_a(t) + s._db_b(t)) / den
+        # den = 0 only where kappa = 0 and b_t = 0, where theta = db/b -> +inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0, np.inf, (self.kappa * s._da_a(t) + s._db_b(t)) / den)
 
     def _antideriv(self, t):
         s = self.sched
@@ -178,8 +181,10 @@ class _BoundedDPiece(_Piece):
         a2 = s._a(t) ** 2
         b2 = s._b(t) ** 2
         da_a = s._da_a(t)
-        with np.errstate(divide="ignore"):
-            return (s._db_b(t) * a2 - da_a * b2) / a2 ** 2 * self.dsq + da_a / a2
+        # at a_t = 0 the D^2 (b/a)^2 / 2 growth term's derivative diverges to +inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a2 == 0.0, np.inf,
+                            (s._db_b(t) * a2 - da_a * b2) / a2 ** 2 * self.dsq + da_a / a2)
 
     def _antideriv(self, t):
         s = self.sched
@@ -439,15 +444,12 @@ def endpoint_lipschitz(profile: RegularityProfile, sched: Schedule,
     return math.sqrt(a0 ** 2 / sigma ** 2 + b0 ** 2)
 
 
-def functional_constant(c_nu: float, sched: Schedule, t: float,
-                        kind: str = "log-sobolev") -> float:
+def functional_constant(c_nu: float, sched: Schedule, t: float) -> float:
     """Constant a_t^2 + b_t^2 * c_nu transported from the target's constant.
 
     The same arithmetic covers both the log-Sobolev and Poincare
-    inequalities; kind is validated to keep call sites honest.
+    inequalities.
     """
-    if kind not in ("log-sobolev", "poincare"):
-        raise InvalidParamError(f"kind must be log-sobolev or poincare, got {kind!r}")
     c_nu = _real_param("c_nu", c_nu, "(0, inf)")
     p = sched.eval(t)
     return p.a ** 2 + p.b ** 2 * c_nu

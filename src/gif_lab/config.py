@@ -16,7 +16,6 @@ from .schedules import Schedule, make_schedule
 from .targets import Target, gaussian_target, mixture_target
 
 __all__ = [
-    "config_value",
     "experiment_from_config",
     "load_config",
     "parse_config_text",

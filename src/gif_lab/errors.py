@@ -21,6 +21,20 @@ import reprlib
 
 import numpy as np
 
+__all__ = [
+    "GifLabError",
+    "InvalidParamError",
+    "OutOfRangeError",
+    "DegenerateTimeError",
+    "NonFiniteError",
+    "NonFiniteStateError",
+    "SizeMismatchError",
+    "TooLargeError",
+    "DegenerateInputError",
+    "MissingFieldError",
+    "NoRootError",
+]
+
 
 class GifLabError(Exception):
     """Base class for all gif_lab errors."""

@@ -413,7 +413,15 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
                                   theta_integral=theta_integral, bound_case=envelope.case))
 
 
-def _round_trip_rows(cfg: ExperimentConfig, trip) -> ExperimentResult:
+def _transfer(src: FlowContext, dst: FlowContext, x: np.ndarray, steps: int) -> np.ndarray:
+    """Map data under src's target to data under dst's: src's reverse flow
+    to the shared Gaussian source, then dst's forward flow."""
+    z = integrate(src, x, src.early_stop, 1.0, steps, direction="reverse",
+                  record="final").final_state
+    return integrate(dst, z, 0.0, dst.t_max, steps, record="final").final_state
+
+
+def _round_trip_rows(cfg: ExperimentConfig, name: str, trip) -> ExperimentResult:
     """Shared steps-grid refinement loop for auto-encode and cycle runs."""
     started = time.perf_counter()
     steps_list = cfg.steps_grid if cfg.steps_grid is not None else (cfg.steps,)
@@ -426,22 +434,14 @@ def _round_trip_rows(cfg: ExperimentConfig, trip) -> ExperimentResult:
                      float(np.quantile(errors, 0.9)), float(np.max(errors))))
     rows = np.array(rows)
     fit = _log_fit(rows[:, 0], rows[:, 1])
-    return ExperimentResult(trip.__name__.strip("_"),
-                            ("steps", "median_err", "p90_err", "max_err"),
+    return ExperimentResult(name, ("steps", "median_err", "p90_err", "max_err"),
                             rows, fit, _meta(cfg, started, len(steps_list), errors=errors))
 
 
 def run_autoencode(cfg: ExperimentConfig) -> ExperimentResult:
     """Reverse map then forward map; reports round-trip error quantiles."""
     ctx = FlowContext(sched=cfg.sched, target=cfg.target, early_stop=cfg.early_stop)
-    es = cfg.early_stop
-
-    def autoencode(x, s):
-        enc = integrate(ctx, x, es, 1.0, s, direction="reverse",
-                        record="final").final_state
-        return integrate(ctx, enc, 0.0, 1.0 - es, s, record="final").final_state
-
-    return _round_trip_rows(cfg, autoencode)
+    return _round_trip_rows(cfg, "autoencode", lambda x, s: _transfer(ctx, ctx, x, s))
 
 
 def run_cycle(cfg: ExperimentConfig) -> ExperimentResult:
@@ -450,17 +450,8 @@ def run_cycle(cfg: ExperimentConfig) -> ExperimentResult:
     target2 = _require(cfg, "target2")
     ctx1 = FlowContext(sched=cfg.sched, target=cfg.target, early_stop=cfg.early_stop)
     ctx2 = FlowContext(sched=cfg.sched, target=target2, early_stop=cfg.early_stop)
-    es = cfg.early_stop
-
-    def cycle(x, s):
-        y1 = integrate(ctx1, x, es, 1.0, s, direction="reverse",
-                       record="final").final_state
-        z = integrate(ctx2, y1, 0.0, 1.0 - es, s, record="final").final_state
-        y2 = integrate(ctx2, z, es, 1.0, s, direction="reverse",
-                       record="final").final_state
-        return integrate(ctx1, y2, 0.0, 1.0 - es, s, record="final").final_state
-
-    return _round_trip_rows(cfg, cycle)
+    return _round_trip_rows(
+        cfg, "cycle", lambda x, s: _transfer(ctx2, ctx1, _transfer(ctx1, ctx2, x, s), s))
 
 
 def run_jacobian_envelope(cfg: ExperimentConfig) -> ExperimentResult:

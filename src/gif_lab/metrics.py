@@ -58,7 +58,6 @@ from .targets import Target
 
 __all__ = [
     "FitReport",
-    "NOISE_DOMAIN",
     "ParticleCloud",
     "keyed_generator",
     "linear_fit",

@@ -201,7 +201,10 @@ class Schedule:
         return ValidationReport(family=self.family, grid_n=grid_n, violations=bad)
 
     def describe(self) -> str:
-        return self.family
+        """The family, then its init fields formatted with :g, e.g. vp(0.8,2)."""
+        fields = dataclasses.fields(self) if dataclasses.is_dataclass(self) else ()
+        params = [f"{getattr(self, f.name):g}" for f in fields if f.init]
+        return f"{self.family}({','.join(params)})" if params else self.family
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,9 +239,6 @@ class ShiftedLinearSchedule(Schedule):
     def _d2b(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def describe(self) -> str:
-        return f"shifted-linear({self.zeta:g})"
-
 
 @dataclasses.dataclass(frozen=True)
 class LinearSchedule(ShiftedLinearSchedule):
@@ -247,9 +247,6 @@ class LinearSchedule(ShiftedLinearSchedule):
 
     zeta: float = dataclasses.field(default=0.0, init=False, repr=False)
     family = "linear"
-
-    def describe(self) -> str:
-        return self.family
 
 
 @dataclasses.dataclass(frozen=True)
@@ -352,9 +349,6 @@ class VESchedule(Schedule):
     def _d2b(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def describe(self) -> str:
-        return f"ve({self.sigma_max:g})"
-
 
 @dataclasses.dataclass(frozen=True)
 class VPSchedule(Schedule):
@@ -410,9 +404,6 @@ class VPSchedule(Schedule):
     def _db_b(self, t):
         # b*db = -a*da exactly, no division by b
         return -self._a(t) * self._da(t)
-
-    def describe(self) -> str:
-        return f"vp({self.alpha0:g},{self.p:g})"
 
 
 _FAMILIES = {

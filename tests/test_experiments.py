@@ -670,6 +670,14 @@ class TestJacobianEnvelope:
         lam_max = res.rows[:, 2]
         assert np.all(lam_max <= upper + 1e-8)
 
+    def test_d_only_profile_upper_is_inf_at_one(self, gmm4):
+        # the bounded-d envelope diverges where a_t = 0: +inf, not NaN
+        cfg = ExperimentConfig(target=gmm4, sched=LinearSchedule(), n=20, seed=3,
+                               profile=RegularityProfile(D=3.0), bound_case="bounded-d")
+        upper = run_jacobian_envelope(cfg).column("upper")
+        assert upper[-1] == math.inf
+        assert np.all(np.isfinite(upper[:-1]))
+
 
 class TestAgCheck:
     def test_zero_delta_zero_residual(self, small_gauss):
