@@ -32,6 +32,13 @@ gif-lab flow --config cli-run.cfg --x 0.3,-0.2 --jacobian --logdensity --no-time
 gif-lab bounds --schedule linear --case mixture --sigma 0.5 --r 2.0 --grid 9 --no-timestamp --out "$out/bounds"
 # a D-only envelope, which diverges at t = 1 where a_t = 0: its last row is inf
 gif-lab bounds --schedule linear --case bounded-d --d 1.0 --grid 9 --no-timestamp --out "$out/bounds-d"
+# an unbounded support, D = +inf: its t = 0 row, where b_t = 0, reads -1.0 as
+# for any finite D, and every later row inf
+gif-lab bounds --schedule linear --case bounded-d --d inf --grid 9 --no-timestamp \
+  --out "$out/bounds-d-inf"
+# a log-lip envelope handed over to the gaussian form at t2 = 0.6
+gif-lab bounds --schedule linear --case log-lip --l 0.5 --kappa -0.5 --t2 0.6 --grid 9 \
+  --no-timestamp --out "$out/bounds-log-lip"
 gif-lab validate-schedule --schedule vp --alpha0 0.02 --p 2.0 > "$out/validate-schedule.txt"
 for cmd in stability-source stability-velocity autoencode cycle jacobian-envelope ag-check; do
   gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"

@@ -18,7 +18,9 @@ flow map.  Every piece carries a closed-form antiderivative except the
 log-lip piece, which falls back to adaptive Simpson quadrature.
 Divergent integrals come back as +inf rather than raising, and theta itself
 is +inf where an envelope diverges (the gaussian form at b_t = 0 with
-kappa = 0, the bounded-d form at a_t = 0), never NaN.
+kappa = 0, the bounded-d form at a_t = 0), never NaN.  With D = +inf the
+bounded-d growth term is +inf wherever its coefficient a b (a db - b da)
+is nonzero and 0 where it is exactly 0 (at b_t = 0), as for any finite D.
 """
 
 from __future__ import annotations
@@ -181,10 +183,13 @@ class _BoundedDPiece(_Piece):
         a2 = s._a(t) ** 2
         b2 = s._b(t) ** 2
         da_a = s._da_a(t)
-        # at a_t = 0 the D^2 (b/a)^2 / 2 growth term's derivative diverges to +inf
+        coef = s._db_b(t) * a2 - da_a * b2
+        # at a_t = 0 the D^2 (b/a)^2 / 2 growth term's derivative diverges to
+        # +inf; where its coefficient is exactly 0 (b_t = 0) the term is 0 for
+        # every D, +inf included, and not 0 * inf = NaN
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a2 == 0.0, np.inf,
-                            (s._db_b(t) * a2 - da_a * b2) / a2 ** 2 * self.dsq + da_a / a2)
+            growth = np.where(coef == 0.0, coef, coef / a2 ** 2 * self.dsq)
+            return np.where(a2 == 0.0, np.inf, growth + da_a / a2)
 
     def _antideriv(self, t):
         s = self.sched

@@ -128,9 +128,10 @@ def cmd_validate_schedule(family, sigma_max, alpha0, p, zeta, grid) -> int:
 @_output
 @_schedule_params
 @click.option("--case", required=True,
-              help="Regularity case: gaussian, bounded-d, mixture, log-lip.")
+              help="Regularity case and the flags it reads: gaussian (--kappa), "
+                   "bounded-d (--d, --kappa for the crossover), mixture (--sigma --r), "
+                   "log-lip (--l --kappa [--t2]).")
 @click.option("--kappa", type=float, default=None)
-@click.option("--beta", type=float, default=None)
 @click.option("--d", "d_bound", type=float, default=None)
 @click.option("--r", "radius", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
@@ -138,13 +139,12 @@ def cmd_validate_schedule(family, sigma_max, alpha0, p, zeta, grid) -> int:
 @click.option("--t2", type=float, default=None, help="Log-lip handover time.")
 @click.option("--grid", type=int, default=129, help="Number of output rows.")
 def cmd_bounds(out, no_timestamp, family, sigma_max,
-               alpha0, p, zeta, case, kappa, beta, d_bound, radius, sigma,
-               lip, t2, grid) -> int:
+               alpha0, p, zeta, case, kappa, d_bound, radius, sigma, lip, t2,
+               grid) -> int:
     """Tabulate the theta envelope and flow-map Lipschitz bound over time."""
     grid = _int_param("--grid", grid, "[2, inf)")
     sched = _build_schedule(family, sigma_max, alpha0, p, zeta)
-    profile = RegularityProfile(kappa=kappa, beta=beta, D=d_bound, R=radius,
-                                sigma=sigma, L=lip)
+    profile = RegularityProfile(kappa=kappa, D=d_bound, R=radius, sigma=sigma, L=lip)
     envelope = theta_profile(profile, sched, case, t2=t2)
     ts = np.linspace(envelope.lo, 1.0, grid).tolist()
     lines, cum = [], 0.0

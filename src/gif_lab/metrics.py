@@ -51,7 +51,6 @@ from .errors import (
     TooLargeError,
     _array_param,
     _int_param,
-    _real_param,
 )
 from .schedules import Schedule
 from .targets import Target
@@ -95,15 +94,11 @@ _U11 = np.uint64(11)
 _CHUNK = 4096
 
 
-def _check_seed(seed) -> int:
-    """seed as a Python int, or InvalidParamError if it would not fit its key
-    word and so alias another stream."""
-    return _int_param("seed", seed, f"[0, {1 << 64})")
-
-
 def _check_stream(seed, domain):
-    """(seed, domain) as Python ints, checked like _check_seed."""
-    return (_check_seed(seed), _int_param("domain", domain, f"[0, {1 << _DOMAIN_BITS})"))
+    """(seed, domain) as Python ints, or InvalidParamError if either would not
+    fit its key word and so alias another stream."""
+    return (_int_param("seed", seed, f"[0, {1 << 64})"),
+            _int_param("domain", domain, f"[0, {1 << _DOMAIN_BITS})"))
 
 
 def keyed_generator(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -224,11 +219,9 @@ def _philox_draw(seed: int, domain: int, n: int, d: int, lead: int):
 
 @dataclass(frozen=True)
 class ParticleCloud:
-    """A set of particles with the seed and label they were drawn under."""
+    """A set of particles, one read-only (n, d) row per particle."""
 
     points: np.ndarray
-    seed: Union[int, None] = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         pts = _array_param("points", self.points, "an (n, d) cloud").copy()
@@ -249,7 +242,7 @@ class ParticleCloud:
                     repr_lines(self.points), timestamp)
 
     @classmethod
-    def read_csv(cls, path_or_buf, label: str = "") -> "ParticleCloud":
+    def read_csv(cls, path_or_buf) -> "ParticleCloud":
         """Read a cloud written by ``write_csv``.
 
         Blank lines and lines starting with ``#`` are skipped and the first
@@ -258,41 +251,34 @@ class ParticleCloud:
         not a number ``InvalidParamError``; both name the line.
         """
         if hasattr(path_or_buf, "read"):
-            return cls(points=_read_rows(path_or_buf), label=label)
+            return cls(points=_read_rows(path_or_buf))
         with open(path_or_buf, encoding="utf-8") as fh:
-            return cls(points=_read_rows(fh), label=label)
+            return cls(points=_read_rows(fh))
 
 
-def sample_gaussian(
-    dim: int, n: int, seed: int, scale: float = 1.0, label: str = "gaussian"
-) -> ParticleCloud:
-    """n draws from scale * N(0, I_dim), one Philox stream per particle."""
+def sample_gaussian(dim: int, n: int, seed: int) -> ParticleCloud:
+    """n draws from N(0, I_dim), one Philox stream per particle."""
     n = _int_param("n", n, "[1, inf)")
     dim = _int_param("dim", dim, "[1, inf)")
-    seed = _check_seed(seed)
-    scale = _real_param("scale", scale, "(0, inf)")
     _, z = _philox_draw(seed, _SOURCE_DOMAIN, n, dim, 0)
-    z *= scale
-    return ParticleCloud(points=z, seed=seed, label=label)
+    return ParticleCloud(points=z)
 
 
-def sample_target(target: Target, n: int, seed: int, label: str = "target") -> ParticleCloud:
+def sample_target(target: Target, n: int, seed: int) -> ParticleCloud:
     """n draws from the mixture; particle i selects its component from the
     first uniform of stream (seed, i), then draws its noise."""
     n = _int_param("n", n, "[1, inf)")
-    seed = _check_seed(seed)
     u, z = _philox_draw(seed, _TARGET_DOMAIN, n, target.dim, 1)
     cumw = np.cumsum(target.weights)
     comp = np.minimum(np.searchsorted(cumw, u[:, 0], side="right"),
                       target.n_components - 1)
     z *= target.sigma
     z += target.means[comp]
-    return ParticleCloud(points=z, seed=seed, label=label)
+    return ParticleCloud(points=z)
 
 
-def sample_interpolant(
-    target: Target, sched: Schedule, t: float, n: int, seed: int, label: str = ""
-) -> ParticleCloud:
+def sample_interpolant(target: Target, sched: Schedule, t: float, n: int,
+                       seed: int) -> ParticleCloud:
     """Draw a_t * Z + b_t * X1 with Z and X1 from separate stream domains.
 
     The same seed couples Z and X1 across calls: the particle i here is the
@@ -302,13 +288,12 @@ def sample_interpolant(
     p = sched.eval(t)
     z = sample_gaussian(target.dim, n, seed)
     x1 = sample_target(target, n, seed)
-    pts = p.a * z.points + p.b * x1.points
-    return ParticleCloud(points=pts, seed=z.seed, label=label or f"interpolant@{p.t:g}")
+    return ParticleCloud(points=p.a * z.points + p.b * x1.points)
 
 
 def sample_source(target: Target, sched: Schedule, n: int, seed: int) -> ParticleCloud:
     """The time-0 marginal a_0 * Z + b_0 * X1 of the interpolation."""
-    return sample_interpolant(target, sched, 0.0, n, seed, label="source")
+    return sample_interpolant(target, sched, 0.0, n, seed)
 
 
 def _load_lsap():

@@ -63,7 +63,6 @@ from .errors import (
     InvalidParamError,
     TooLargeError,
     _array_param,
-    _int_param,
     _real_param,
 )
 from .schedules import Schedule
@@ -188,12 +187,11 @@ def mixture_target(weights, means, sigma: float) -> Target:
     return Target(weights=weights, means=means, sigma=sigma)
 
 
-def point_cloud_target(points, sigma: float, weights=None) -> Target:
-    """Mixture centered on a point cloud, uniform weights by default."""
+def point_cloud_target(points, sigma: float) -> Target:
+    """Uniform mixture centered on a point cloud; ``mixture_target`` is the
+    weighted form."""
     pts = _array_param("points", points, "a (k, d) array")
-    if weights is None:
-        weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    return Target(weights=weights, means=pts, sigma=sigma)
+    return Target(weights=np.full(pts.shape[0], 1.0 / pts.shape[0]), means=pts, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +242,13 @@ def _ball_of_support(pts: list[np.ndarray], d: int):
     return best
 
 
-def min_enclosing_ball(points: np.ndarray, seed: int = 0):
+def min_enclosing_ball(points: np.ndarray):
     """Center and radius of the smallest ball containing the points.
 
-    Exact (Welzl's randomized recursion) for dimensions 1 to 3; for higher
-    dimensions returns the centroid-based upper bound.  Caps the point
-    count at 10_000.
+    Exact (Welzl's randomized recursion, over one fixed shuffle) for
+    dimensions 1 to 3; for higher dimensions returns the centroid-based
+    upper bound.  Caps the point count at 10_000.
     """
-    seed = _int_param("seed", seed, "[0, inf)")
     pts = _array_param("points", points, "a (k, d) array")
     if pts.shape[0] > _BALL_POINT_CAP:
         raise TooLargeError(f"enclosing ball supports at most {_BALL_POINT_CAP} points")
@@ -266,7 +263,7 @@ def min_enclosing_ball(points: np.ndarray, seed: int = 0):
         c = pts.mean(axis=0)
         return c, float(np.max(np.linalg.norm(pts - c, axis=1)))
 
-    order = list(np.random.default_rng(seed).permutation(n))
+    order = list(np.random.default_rng(0).permutation(n))
     shuffled = [pts[i] for i in order]
 
     def welzl(m: int, boundary: list[np.ndarray]):

@@ -73,7 +73,7 @@ def test_criterion_02_gaussian_closed_form_all_families():
         fams = (make_schedule("linear"), make_schedule("follmer"),
                 make_schedule("trig"), make_schedule("ve", sigma_max=2.0),
                 make_schedule("vp", alpha0=0.02, p=2.0))
-        x0 = sample_gaussian(2, 100, seed=11, scale=1.5).points
+        x0 = 1.5 * sample_gaussian(2, 100, seed=11).points
         worst = 0.0
         for sched in fams:
             ctx = FlowContext(sched=sched, target=target)

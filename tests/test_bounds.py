@@ -356,6 +356,26 @@ class TestEndpoints:
         assert theta_profile(RegularityProfile(D=1.0), linear, "bounded-d").theta(1.0) \
             == math.inf
 
+    @pytest.mark.parametrize("sched", SIX_FAMILIES + [
+        ShiftedLinearSchedule(zeta=0.0), VPSchedule(alpha0=0.9, p=1.0)],
+        ids=lambda s: s.describe())
+    def test_unbounded_d_matches_finite_d_where_growth_vanishes(self, sched):
+        # the D^2 growth term's coefficient a b (a db - b da) vanishes at
+        # b_t = 0 and a_t = 0; there theta does not depend on D, so D = +inf
+        # gives the D = 1 value (0 * inf is not NaN), and +inf elsewhere
+        ts = np.linspace(0.0, 1.0, 101)
+        unbounded = theta_profile(RegularityProfile(D=math.inf), sched, "bounded-d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unbounded.theta(ts)
+            ref = theta_profile(RegularityProfile(D=1.0), sched, "bounded-d").theta(ts)
+        assert not np.isnan(got).any()
+        coef = sched.db_b(ts) * sched.a(ts) ** 2 - sched.da_a(ts) * sched.b(ts) ** 2
+        flat = coef == 0.0
+        assert np.array_equal(got[flat], ref[flat])
+        assert np.all(got[~flat] == math.inf)
+        assert unbounded.integral(0.0, 1.0) == math.inf
+
 
 class TestFunctionalConstant:
     def test_hand_values(self):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gif_lab.bounds import RegularityProfile, lipschitz_flow_map, theta_profile
 from gif_lab.cli import _EXPERIMENTS, dispatch
+from gif_lab.schedules import LinearSchedule, ShiftedLinearSchedule
 
 
 @pytest.fixture
@@ -64,6 +66,29 @@ class TestValidateSchedule:
         assert dispatch(["validate-schedule", "--schedule", "nope"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_sigma_max_is_read(self, capsys):
+        assert dispatch(["validate-schedule", "--schedule", "ve", "--sigma-max", "2.5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "family: ve" in out and "status: ok" in out
+        assert dispatch(["validate-schedule", "--schedule", "ve", "--sigma-max", "0"]) == 1
+        assert "sigma_max" in capsys.readouterr().err
+
+
+def _bounds_rows(args, capsys):
+    assert dispatch(["bounds", "--grid", "9", "--no-timestamp"] + args) == 0
+    lines = _csv_body(capsys.readouterr().out)
+    assert lines[0] == "t,theta_t,piece_id,cumulative_integral,lipschitz_bound"
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def _assert_library_rows(rows, envelope):
+    """Each row's theta, piece and Lipschitz bound are the library's, bit for bit."""
+    assert len(rows) == 9
+    for t, theta, piece, _, lip in rows:
+        assert float(theta) == envelope.theta(float(t))
+        assert piece == envelope.piece_at(float(t)).piece_id
+        assert float(lip) == lipschitz_flow_map(envelope, envelope.lo, float(t))
+
 
 class TestBounds:
     def test_follmer_gaussian_flat_theta(self, capsys):
@@ -92,6 +117,31 @@ class TestBounds:
         text = (out / "bounds.csv").read_text()
         assert text.startswith("# generated: ")
         assert capsys.readouterr().out == ""
+
+    def test_zeta_is_read(self, capsys):
+        rows = _bounds_rows(["--schedule", "shifted-linear", "--zeta", "0.2", "--case",
+                             "mixture", "--sigma", "0.5", "--r", "2"], capsys)
+        envelope = theta_profile(RegularityProfile(sigma=0.5, R=2.0),
+                                 ShiftedLinearSchedule(zeta=0.2), "mixture")
+        _assert_library_rows(rows, envelope)
+        linear = theta_profile(RegularityProfile(sigma=0.5, R=2.0), LinearSchedule(),
+                               "mixture")
+        assert float(rows[0][1]) != linear.theta(0.0)
+
+    def test_log_lip_reads_l_and_t2(self, capsys):
+        rows = _bounds_rows(["--schedule", "linear", "--case", "log-lip", "--l", "0.5",
+                             "--kappa", "-0.5", "--t2", "0.6"], capsys)
+        envelope = theta_profile(RegularityProfile(kappa=-0.5, L=0.5), LinearSchedule(),
+                                 "log-lip", t2=0.6)
+        _assert_library_rows(rows, envelope)
+        # the grid steps by 1/8: rows up to t = 0.5 are log-lip, from 0.625 gaussian
+        assert [piece for _, _, piece, _, _ in rows] == ["log-lip"] * 5 + ["gaussian"] * 4
+
+    def test_unbounded_d_is_never_nan(self, capsys):
+        rows = _bounds_rows(["--schedule", "linear", "--case", "bounded-d", "--d", "inf"],
+                            capsys)
+        assert rows[0] == ["0.0", "-1.0", "bounded-d", "0.0", "1.0"]
+        assert all(row[1:] == ["inf", "bounded-d", "inf", "inf"] for row in rows[1:])
 
     def test_no_timestamp_reruns_identical(self, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -336,6 +386,7 @@ class TestConfigValues:
 class TestOptions:
     @pytest.mark.parametrize("command, option", [
         ("bounds", "--seed"), ("bounds", "--steps"), ("bounds", "--threads"),
+        ("bounds", "--beta"),
         ("sample", "--steps"), ("sample", "--threads"),
         ("flow", "--seed"), ("flow", "--threads"),
     ] + [(command, "--threads") for command in sorted(_EXPERIMENTS)])

@@ -206,9 +206,9 @@ class TestDrawMatchesPerParticleOracle:
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sample_gaussian(self, seed, d):
-        ref = oracles.gaussian_cloud(d, 333, seed, scale=1.5)
+        ref = oracles.gaussian_cloud(d, 333, seed)
         for n in (1, 4, 333):
-            assert np.array_equal(sample_gaussian(d, n, seed, scale=1.5).points, ref[:n])
+            assert np.array_equal(sample_gaussian(d, n, seed).points, ref[:n])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_public_clouds_across_chunks(self, seed):
@@ -482,7 +482,7 @@ class TestLinearFit:
 
 class TestParticleCloudCsv:
     def test_round_trip(self, gmm2):
-        cloud = sample_target(gmm2, n=10, seed=3, label="demo")
+        cloud = sample_target(gmm2, n=10, seed=3)
         buf = io.StringIO()
         cloud.write_csv(buf)
         text = buf.getvalue()

@@ -45,8 +45,6 @@ from gif_lab.targets import (Target, cond_cov, denoiser, gaussian_target,
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
 _CLOUD = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-# scaling by a power of two is exact, so a draw over this gives back the scale
-_Z0 = sample_gaussian(1, 1, 0).points[0, 0]
 # three particles, so particle indices lie in [0, 2]
 _TRAJ = integrate(_CTX, np.zeros((3, 1)), 0.0, 1.0, 2)
 _LOG_LIP = RegularityProfile(kappa=0.0, L=1.0)
@@ -79,12 +77,11 @@ REAL_PARAMS = [
     ("L", lambda v: RegularityProfile(L=v).L, 0.5),
     # at t = 1 the transported constant a^2 + b^2 c_nu is c_nu itself
     ("c_nu", lambda v: functional_constant(v, LinearSchedule(), 1.0), 0.5),
-    ("scale", lambda v: float(sample_gaussian(1, 1, 0, scale=v).points[0, 0] / _Z0), 0.5),
     ("t2", lambda v: theta_profile(_LOG_LIP, LinearSchedule(), "log-lip", t2=v).t2, 0.5),
 ]
 REAL_IDS = ["Target.sigma", "var", "mixture.sigma", "point_cloud.sigma", "zeta",
             "sigma_max", "alpha0", "p", "early_stop", "kappa", "beta", "D", "R",
-            "profile.sigma", "L", "c_nu", "scale", "t2"]
+            "profile.sigma", "L", "c_nu", "t2"]
 
 INT_PARAMS = [
     ("grid_n", lambda v: LinearSchedule().validate(grid_n=v).grid_n, 16),
@@ -93,8 +90,8 @@ INT_PARAMS = [
     ("dim", lambda v: sample_gaussian(v, 4, 0).dim, 2),
     ("n", lambda v: sample_target(_GAUSS, v, 0).n, 4),
     ("seed", lambda v: _stores_nothing(keyed_generator(v, 1, 0)), 7),
-    ("seed", lambda v: sample_gaussian(1, 4, v).seed, 7),
-    ("seed", lambda v: sample_target(_GAUSS, 4, v).seed, 7),
+    ("seed", lambda v: _stores_nothing(sample_gaussian(1, 4, v)), 7),
+    ("seed", lambda v: _stores_nothing(sample_target(_GAUSS, 4, v)), 7),
     ("domain", lambda v: _stores_nothing(keyed_generator(0, v, 0)), 1),
     ("index", lambda v: _stores_nothing(keyed_generator(0, 1, v)), 3),
     ("n_projections", lambda v: _stores_nothing(
@@ -103,12 +100,10 @@ INT_PARAMS = [
     ("steps", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), steps=v).steps, 16),
     ("seed", lambda v: ExperimentConfig(_GAUSS, LinearSchedule(), seed=v).seed, 3),
     ("particle", lambda v: _stores_nothing(_TRAJ.write_csv(io.StringIO(), particle=v)), 2),
-    ("seed", lambda v: _stores_nothing(min_enclosing_ball(_CLOUD, seed=v)), 7),
 ]
 INT_IDS = ["grid_n", "integrate.steps", "sample_gaussian.n", "dim", "sample_target.n",
            "seed", "sample_gaussian.seed", "sample_target.seed", "domain", "index",
-           "n_projections", "config.n", "config.steps", "config.seed", "particle",
-           "min_enclosing_ball.seed"]
+           "n_projections", "config.n", "config.steps", "config.seed", "particle"]
 
 BAD = [True, False, "1.0", math.nan, math.inf]
 BAD_IDS = ["True", "False", "str", "nan", "inf"]
@@ -148,15 +143,10 @@ def test_numpy_integers_pass_where_reals_belong(call):
 
 
 @pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3)], ids=["uint64", "int64"])
-def test_cloud_stores_the_checked_seed(seed):
-    for cloud in (sample_gaussian(2, 2, seed), sample_target(_GAUSS, 2, seed),
-                  sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, seed)):
-        assert type(cloud.seed) is int and cloud.seed == 3
-
-
-def test_scale_zero_is_rejected():
-    with pytest.raises(InvalidParamError, match=r"^scale must be a real number in \(0, inf\)"):
-        sample_gaussian(2, 2, 0, scale=0.0)
+def test_numpy_integer_seed_draws_the_int_seeds_cloud(seed):
+    for draw in (lambda s: sample_gaussian(2, 2, s), lambda s: sample_target(_GAUSS, 2, s),
+                 lambda s: sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, s)):
+        assert np.array_equal(draw(seed).points, draw(3).points)
 
 
 def test_frozen_dataclass_keeps_the_checked_value():
@@ -168,11 +158,6 @@ def test_particle_outside_the_trajectory_is_rejected(particle):
     with pytest.raises(InvalidParamError,
                        match=rf"^particle must be an integer in \[0, 2\], got {particle}$"):
         _TRAJ.write_csv(io.StringIO(), particle=particle)
-
-
-def test_min_enclosing_ball_rejects_a_negative_seed():
-    with pytest.raises(InvalidParamError, match=r"^seed must be an integer in \[0, inf\)"):
-        min_enclosing_ball(_CLOUD, seed=-1)
 
 
 def test_out_of_interval_message_gives_the_interval():
