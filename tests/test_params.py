@@ -20,6 +20,7 @@ a SizeMismatchError and NaN a NonFiniteError, each naming the parameter.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -147,6 +148,31 @@ def test_numpy_integer_seed_draws_the_int_seeds_cloud(seed):
     for draw in (lambda s: sample_gaussian(2, 2, s), lambda s: sample_target(_GAUSS, 2, s),
                  lambda s: sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, s)):
         assert np.array_equal(draw(seed).points, draw(3).points)
+
+
+# settings that selected nothing and were removed: passing one is a TypeError,
+# never a silently ignored keyword
+@pytest.mark.parametrize("call", [
+    lambda: sample_gaussian(2, 2, 0, scale=1.5),
+    lambda: sample_gaussian(2, 2, 0, label="demo"),
+    lambda: sample_target(_GAUSS, 2, 0, label="demo"),
+    lambda: sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, 0, label="demo"),
+    lambda: ParticleCloud.read_csv(io.StringIO("x0\n1.0\n"), label="demo"),
+    lambda: ParticleCloud(_CLOUD, seed=0),
+    lambda: min_enclosing_ball(_CLOUD, seed=7),
+    lambda: point_cloud_target(_CLOUD, 0.5, weights=[1.0, 1.0, 1.0]),
+], ids=["sample_gaussian.scale", "sample_gaussian.label", "sample_target.label",
+        "sample_interpolant.label", "read_csv.label", "ParticleCloud.seed",
+        "min_enclosing_ball.seed", "point_cloud_target.weights"])
+def test_removed_setting_is_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_cloud_is_its_points():
+    cloud = sample_gaussian(2, 3, 0)
+    assert [f.name for f in dataclasses.fields(cloud)] == ["points"]
+    assert not hasattr(cloud, "seed") and not hasattr(cloud, "label")
 
 
 def test_frozen_dataclass_keeps_the_checked_value():
