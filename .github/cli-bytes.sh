@@ -106,5 +106,18 @@ gif-lab flow --config cli-run-early-stop.cfg --x 0.3,-0.2 --no-timestamp \
 gif-lab flow --config cli-run-early-stop.cfg --x 0.3,-0.2 --direction reverse --jacobian \
   --logdensity --no-timestamp --out "$out/early-stop/flow-reverse"
 
+# A Gaussian flow block, the one-component case of the mixture formula:
+# the flow-map Jacobian and the log-density forward and in reverse, and the
+# log-density alone, which writes no Jacobian columns, into
+# "$out/gaussian-flow".
+printf '%s\n' 'target = gaussian' 'mean = (0.8, -0.6)' 'var = 0.49' 'schedule = trig' \
+  'steps = 16' > cli-run-gaussian-flow.cfg
+gif-lab flow --config cli-run-gaussian-flow.cfg --x 0.3,-0.2 --jacobian --logdensity \
+  --no-timestamp --out "$out/gaussian-flow/flow-forward"
+gif-lab flow --config cli-run-gaussian-flow.cfg --x 0.3,-0.2 --direction reverse --jacobian \
+  --logdensity --no-timestamp --out "$out/gaussian-flow/flow-reverse"
+gif-lab flow --config cli-run-gaussian-flow.cfg --x 0.3,-0.2 --logdensity --no-timestamp \
+  --out "$out/gaussian-flow/flow-logdensity"
+
 cd "$out"
 find . -type f | LC_ALL=C sort | xargs sha256sum >&3

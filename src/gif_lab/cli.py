@@ -214,6 +214,8 @@ def cmd_flow(out, no_timestamp, steps, config_path, x_text,
     if jacobian or logdensity:
         traj = integrate_augmented(ctx, x0, t_from, t_to, n_steps,
                                    direction=direction, with_logdensity=logdensity)
+        if not jacobian:  # the log-density's run carries J; only --jacobian writes it
+            traj.jac = None
     else:
         traj = integrate(ctx, x0, t_from, t_to, n_steps, direction=direction)
     traj.write_csv(_destination(out, "flow.csv"), timestamp=_stamp(no_timestamp))

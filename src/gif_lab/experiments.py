@@ -570,18 +570,20 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
         row_stages += 4 * (hi - lo) * live * m
 
     resid = {}
-    for g, s in enumerate(steps):
-        size = nodes[g]
-        x, w = _rows(state[g, :, :, :size * n])
-        lhs = x[n:2 * n] - x[:n]
-        # the last node's tangent is u itself, so its integrand is -delta
-        integrand = (dnorm * w[n:]).reshape(size - 1, n * d)
-        weights = np.ones(size)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        weights *= t_end / (size - 1) / 3.0
-        rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
-        resid[s] = rhs, np.linalg.norm(lhs - rhs, axis=1)
+    # the sums may overflow for a huge delta; the check below names the entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, s in enumerate(steps):
+            size = nodes[g]
+            x, w = _rows(state[g, :, :, :size * n])
+            lhs = x[n:2 * n] - x[:n]
+            # the last node's tangent is u itself, so its integrand is -delta
+            integrand = (dnorm * w[n:]).reshape(size - 1, n * d)
+            weights = np.ones(size)
+            weights[1:-1:2] = 4.0
+            weights[2:-1:2] = 2.0
+            weights *= t_end / (size - 1) / 3.0
+            rhs = (weights[:-1] @ integrand).reshape(n, d) - weights[-1] * delta
+            resid[s] = rhs, np.linalg.norm(lhs - rhs, axis=1)
     for s in steps_grid:
         rhs, gap = resid[s]
         if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(gap))):

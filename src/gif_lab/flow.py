@@ -165,10 +165,11 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
     is beta and gamma side by side, (K, [G,] 2, 1, 1), so one product
     scales mu_bar and spread(mu) w stacked as the two blocks of a tangent
     state; beta and gamma are views of it.  A one-component target has
-    zero spread and mu_bar = mu, so post is the whole posterior term
-    beta mu, (K, [G,] d, 1); its logit terms are built too, though the
-    rates never read them.  Everything the rates need per entry is built
-    here, once per table, so binding a rate costs no work per entry.
+    zero spread and mu_bar = mu, so for the tangent rate post is the whole
+    posterior term beta mu, (K, [G,] d, 1); the cloud and augmented rates
+    read its logit terms and beta as for a mixture.  Everything the rates
+    need per entry is built here, once per table, so binding a rate costs
+    no work per entry.
     """
     sched, target, s2 = ctx.sched, ctx.target, ctx.target.sigma ** 2
     t = sched._check_time(t)
@@ -196,14 +197,9 @@ def _table(ctx: FlowContext, t: np.ndarray, sign: float = 1.0) -> _Table:
 
 def _live(tab: _Table, shape: tuple) -> _Table:
     """The columns of tab for a state of this shape: a grouped table keeps
-    the state's shape[0] groups, its first ones.  With one group left the
-    columns drop the group axis and read like an ungrouped table's, which
-    broadcast over a group axis of length one just the same; numpy
-    multiplies by a scalar entry faster than by a (1, 1, 1) block."""
+    the state's shape[0] groups, its first ones."""
     if tab.alpha.ndim == 1:
         return tab
-    if shape[0] == 1:
-        return _Table(*(col[:, 0, 0, 0] for col in tab[:5]), *(col[:, 0] for col in tab[5:]))
     return _Table(*(col[:, :shape[0]] for col in tab))
 
 
@@ -217,14 +213,8 @@ def _bind_rates(target: Target, tab: _Table, shape: tuple):
     state's shape, which _rk4 may overwrite; only the scratch is reused.
     """
     tab = _live(tab, shape)
-    alpha, post = tab.alpha, tab.post
-    if target.n_components == 1:
-        def rate(k, x):
-            out = x * alpha[k]
-            out += post[k]
-            return out
-        return rate
-    ws, beta, smc, bm0, const = _Workspace(target, shape), tab.beta, tab.smc, tab.bm0, tab.const
+    ws, alpha, beta = _Workspace(target, shape), tab.alpha, tab.beta
+    smc, bm0, const = tab.smc, tab.bm0, tab.const
 
     def rate(k, x):
         out = x * alpha[k]
@@ -238,7 +228,10 @@ def _bind_rates(target: Target, tab: _Table, shape: tuple):
 def _bind_tangent_rates(target: Target, tab: _Table, shape: tuple):
     """rate(k, state) of a path and its tangents, (2, d, n) or grouped
     (G, 2, d, n): block 0 gets v, block 1 dw = grad v . w = alpha w +
-    gamma spread(mu) w, without forming grad v.
+    gamma spread(mu) w, without forming grad v.  For a one-component
+    target, whose spread is 0, it skips the kernel and adds the table's
+    beta mu to block 0; the only one-component path left, kept because
+    ag-check's Gaussian runs spend most of their time in this rate.
 
     One product gives alpha times both blocks; with groups, alpha's column
     gains the block axis.  The kernel writes mu_bar and spread(mu) w as the
@@ -269,25 +262,15 @@ def _bind_augmented_rates(target: Target, tab: _Table, shape: tuple):
     """rate(k, state) of the (d + d^2 [+ 1], n) pack of x, the rows of J and
     the log-density: v, dJ = alpha J + gamma spread(mu) @ J and
     dl = -(d alpha + gamma tr spread(mu)).  The product runs point-major,
-    on a bound (n, d, d) copy of J's block.  A one-component target has
-    zero spread, so there grad v = alpha I and every particle has the
-    log-density rate -d alpha.
+    on a bound (n, d, d) copy of J's block.  A one-component target runs
+    the same kernel: its one responsibility is exactly 1 and its spread
+    exactly 0, so v = alpha x + beta mu and dl = -d alpha bit for bit, and
+    dJ = alpha J up to the sign of a zero entry.
     """
     d, n = target.dim, shape[-1]
-    alpha, post, jac = tab.alpha, tab.post, slice(d, d + d * d)
-    logdens = shape[0] > d + d * d
-    if target.n_components == 1:
-        dl = -(d * alpha)
-
-        def rate(k, state):
-            out = state * alpha[k]
-            out[:d] += post[k]
-            if logdens:
-                out[-1] = dl[k]
-            return out
-        return rate
-    ws, beta, gamma, d_alpha = _Workspace(target, (d, n)), tab.beta, tab.gamma, d * alpha
-    smc, bm0, const = tab.smc, tab.bm0, tab.const
+    jac, logdens = slice(d, d + d * d), shape[0] > d + d * d
+    ws, alpha, beta, gamma = _Workspace(target, (d, n)), tab.alpha, tab.beta, tab.gamma
+    smc, bm0, const, d_alpha = tab.smc, tab.bm0, tab.const, d * tab.alpha
     jac_pm, prod, trace = np.empty((n, d, d)), np.empty((n, d, d)), np.empty(n)
     jac_pm_t, prod_t = jac_pm.reshape(n, -1).T, prod.reshape(n, -1).T
 

@@ -12,6 +12,7 @@ import pytest
 from gif_lab import artifacts
 from gif_lab.artifacts import repr_lines, write_table
 from gif_lab.cli import dispatch
+from gif_lab.errors import DegenerateInputError
 from gif_lab.experiments import ExperimentResult
 from gif_lab.flow import Trajectory
 from gif_lab.metrics import ParticleCloud, linear_fit
@@ -114,3 +115,16 @@ def test_repr_lines_writes_each_rows_reprs(d, m):
     assert len(chunks) == -(-m // artifacts._CHUNK)
     assert "".join(chunks) == "".join(",".join(map(repr, row)) + "\n"
                                       for row in rows.tolist())
+
+
+@pytest.mark.parametrize("xs, ys, match", [
+    ([0.0, 1.0], [2.0], r"^plot needs equally sized, nonempty xs and ys$"),
+    ([], [], r"^plot needs equally sized, nonempty xs and ys$"),
+    ([0.0, np.nan], [1.0, 2.0], r"^plot data must be finite$"),
+    ([0.0, 1.0], [1.0, np.inf], r"^plot data must be finite$"),
+], ids=["unequal", "empty", "nan-x", "inf-y"])
+def test_xy_plot_rejects_data_it_cannot_draw(tmp_path, xs, ys, match):
+    path = tmp_path / "plot.svg"
+    with pytest.raises(DegenerateInputError, match=match):
+        artifacts.xy_plot(path, xs, ys, "title", "x", "y")
+    assert not path.exists()

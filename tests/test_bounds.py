@@ -440,6 +440,26 @@ class TestProfileSurface:
         with pytest.raises(InvalidParamError):
             theta_profile(RegularityProfile(kappa=1.0), LinearSchedule(), case="zap")
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: critical_time(RegularityProfile(kappa=-1.0, D=math.inf), LinearSchedule()),
+         r"^critical time needs finite D > 0, got inf$"),
+        (lambda: theta_profile(RegularityProfile(D=0.0), LinearSchedule(), "bounded-d"),
+         r"^bounded-d needs D > 0, got 0\.0$"),
+        (lambda: theta_profile(RegularityProfile(L=0.5, kappa=-0.5), LinearSchedule(),
+                               "log-lip", t2=1.0),
+         r"^t2 must lie in \(0\.41421\d*, 1\), got 1\.0$"),
+        (lambda: endpoint_lipschitz(RegularityProfile(kappa=1.0), LinearSchedule(),
+                                    direction="sideways"),
+         r"^direction must be forward or reverse, got 'sideways'$"),
+        (lambda: endpoint_lipschitz(RegularityProfile(kappa=1.0), LinearSchedule(),
+                                    case="bounded-d"),
+         r"^endpoint case must be gaussian or mixture, got 'bounded-d'$"),
+    ], ids=["critical-time-unbounded-d", "bounded-d-zero-d", "log-lip-t2-at-one",
+            "endpoint-direction", "endpoint-case"])
+    def test_rejected_input_names_the_reason(self, call, match):
+        with pytest.raises(InvalidParamError, match=match):
+            call()
+
     def test_integral_orientation(self):
         prof = RegularityProfile(kappa=2.0)
         theta = theta_profile(prof, LinearSchedule(), case="gaussian")

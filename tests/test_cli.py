@@ -195,13 +195,21 @@ class TestFlow:
         assert lines[0] == "t,x_1,x_2"
         assert len(lines) == 18
 
-    def test_jacobian_columns(self, gauss_cfg, capsys):
+    @pytest.mark.parametrize("flags, header", [
+        ([], "t,x_1,x_2"),
+        (["--logdensity"], "t,x_1,x_2,logdens"),
+        (["--jacobian"], "t,x_1,x_2,jac_11,jac_12,jac_21,jac_22"),
+        (["--jacobian", "--logdensity"], "t,x_1,x_2,logdens,jac_11,jac_12,jac_21,jac_22"),
+    ], ids=["plain", "logdensity", "jacobian", "both"])
+    def test_jacobian_columns(self, gauss_cfg, capsys, flags, header):
+        """Only --jacobian writes the jac_* columns, only --logdensity logdens."""
         code = dispatch(["flow", "--config", gauss_cfg, "--x", "0.3,0.0",
                          "--from", "0", "--to", "1", "--steps", "8",
-                         "--jacobian", "--logdensity", "--no-timestamp"])
+                         "--no-timestamp"] + flags)
         assert code == 0
-        header = _csv_body(capsys.readouterr().out)[0]
-        assert header == "t,x_1,x_2,logdens,jac_11,jac_12,jac_21,jac_22"
+        lines = _csv_body(capsys.readouterr().out)
+        assert lines[0] == header
+        assert len(lines) == 10 and all(ln.count(",") == header.count(",") for ln in lines)
 
     @pytest.mark.parametrize("x_text", ["1.0,abc", "nan,0", "inf,0", "1e400,0"],
                              ids=["not-a-number", "nan", "inf", "overflow"])
@@ -282,6 +290,20 @@ class TestExperimentCommands:
         assert dispatch(["ag-check", "--config", str(cfg), "--no-timestamp"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "steps,max_residual,rel_residual"
+
+    def test_ag_check_overflow_is_runtime_error(self, tmp_path, capsys):
+        """A delta whose quadrature overflows exits 2 with the residual's own
+        message, not numpy's overflow warning, under warnings-as-errors."""
+        cfg = tmp_path / "ag.cfg"
+        cfg.write_text(
+            "target = gaussian\nmean = (3.0, 1.0)\nvar = 0.25\nschedule = trig\n"
+            "n = 4\nsteps_grid = (8, 16)\ndelta = (1.4e159, 0.0)\n"
+        )
+        assert dispatch(["ag-check", "--config", str(cfg), "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: flow-difference residual is not finite at steps=16")
+        assert "RuntimeWarning" not in captured.err
 
     def test_svg_requires_out(self, tmp_path):
         cfg = tmp_path / "s.cfg"

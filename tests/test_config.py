@@ -47,9 +47,13 @@ class TestParse:
         cfg = parse_config_text("a = 1\na = 2\n")
         assert cfg["a"] == 2
 
-    def test_missing_equals_rejected(self):
-        with pytest.raises(InvalidParamError, match="line 2"):
-            parse_config_text("a = 1\nbroken line\n")
+    @pytest.mark.parametrize("text, match", [
+        ("a = 1\nbroken line\n", "line 2"),
+        (" = 3", r"^config line 1 has an empty key$"),
+    ], ids=["missing-equals", "empty-key"])
+    def test_missing_equals_rejected(self, text, match):
+        with pytest.raises(InvalidParamError, match=match):
+            parse_config_text(text)
 
     def test_equals_in_value_kept(self):
         cfg = parse_config_text("expr = a=b\n")

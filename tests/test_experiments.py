@@ -17,7 +17,7 @@ import pytest
 from gif_lab import experiments
 from gif_lab.bounds import RegularityProfile, endpoint_lipschitz, theta_profile
 from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
-                            NonFiniteStateError, OutOfRangeError)
+                            NonFiniteStateError, OutOfRangeError, SizeMismatchError)
 from gif_lab.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -118,6 +118,23 @@ class TestConfigValidation:
     def test_entry_outside_the_scalar_rule_names_the_key(self, small_gauss, key, values):
         with pytest.raises(InvalidParamError, match=f"^{key} must be"):
             ExperimentConfig(target=small_gauss, sched=LinearSchedule(), **{key: values})
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda cfg: ExperimentConfig(**cfg, delta=(0.1,)),
+         SizeMismatchError, r"^delta has length 1, target dimension is 2$"),
+        (lambda cfg: ExperimentConfig(**cfg, target2=gaussian_target(mean=[0.0], var=1.0)),
+         SizeMismatchError, r"^target2 dimension differs from target$"),
+        (lambda cfg: run_velocity_perturbation(ExperimentConfig(**cfg, eps_grid=(-0.5, 0.5))),
+         InvalidParamError, r"^eps grid must be nonnegative, got \(-0\.5, 0\.5\)$"),
+        (lambda cfg: run_ag_check(ExperimentConfig(**cfg, steps=12, delta=(0.1, 0.0))),
+         InvalidParamError, r"^steps=12 is not a multiple of the quadrature node spacing$"),
+        (lambda cfg: ExperimentResult("x", ("a", "b"), np.zeros((1, 2)), None).column("nope"),
+         InvalidParamError, r"^no column 'nope' in \('a', 'b'\)$"),
+    ], ids=["delta-length", "target2-dim", "negative-eps", "ag-check-steps", "column"])
+    def test_inconsistent_input_names_the_reason(self, small_gauss, call, error, match):
+        cfg = dict(target=small_gauss, sched=LinearSchedule(), n=128)
+        with pytest.raises(error, match=match):
+            call(cfg)
 
     def test_numpy_entries_are_stored_as_python_numbers(self, small_gauss):
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
@@ -746,11 +763,10 @@ class TestAgCheck:
         base = dict(target=target, sched=TrigSchedule(), n=4, seed=5)
         small = run_ag_check(ExperimentConfig(**base, delta=(1.0, 0.0), steps_grid=(8, 16)))
         assert 1.9 < small.rows[1, 1] / small.rows[0, 1] < 2.1
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError, match="at steps=16:"):
-                run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0),
-                                              steps_grid=(8, 16)))
-            alone = run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0), steps=8))
+        # numpy's warnings stay errors: the runner's own check names the entry
+        with pytest.raises(NonFiniteError, match="at steps=16:"):
+            run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0), steps_grid=(8, 16)))
+        alone = run_ag_check(ExperimentConfig(**base, delta=(1.4e159, 0.0), steps=8))
         assert np.isfinite(alone.rows[0, 1])
 
     def test_overflowing_residual_raises(self):
@@ -760,9 +776,8 @@ class TestAgCheck:
                                 sigma=0.6)
         cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=4,
                                steps=128, seed=901, delta=(1e305, 0.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError, match="steps=128"):
-                run_ag_check(cfg)
+        with pytest.raises(NonFiniteError, match="steps=128"):
+            run_ag_check(cfg)
 
     def test_relative_residual_of_large_delta(self, small_gauss):
         # |delta|^2 overflows a double here; its norm must not

@@ -415,7 +415,8 @@ class TestBoundRateBuffers:
         kept = state.copy(), other.copy()
         outs = [rate(3, state), rate(10, other), rate(3, state)]
         kept_arrays, workspaces = _kept_arrays(rate)
-        assert workspaces == (target.n_components > 1)
+        # only the one-component tangent rate skips the kernel and its scratch
+        assert workspaces == (kind != "tangent" or target.n_components > 1)
         for i, out in enumerate(outs):
             assert out.shape == state.shape
             assert not np.shares_memory(out, state) and not np.shares_memory(out, other)
@@ -539,6 +540,22 @@ class TestIntegrate:
             integrate(gmm2_ctx, np.zeros(2), 0.0, 1.0, steps=16, direction="sideways")
         with pytest.raises(SizeMismatchError):
             integrate(gmm2_ctx, np.zeros(3), 0.0, 1.0, steps=16)
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda ctx: integrate(ctx, np.zeros(1), 0.1, 0.5, 4, record="some"),
+         InvalidParamError, r"^record must be all or final, got 'some'$"),
+        (lambda ctx: integrate(ctx, np.zeros(1), 0.05, 0.5, 4, direction="reverse"),
+         OutOfRangeError, r"^reverse span must lie in \[0\.1, 1\], got \[0\.05, 0\.5\]$"),
+        (lambda ctx: integrate(ctx, np.zeros(1), 0.1, 0.5, 4).final_jacobian,
+         InvalidParamError, r"^trajectory was integrated without a Jacobian$"),
+        (lambda ctx: integrate_augmented(ctx, np.zeros(1), 0.1, 0.5, 4).final_logdens,
+         InvalidParamError, r"^trajectory was integrated without log-density$"),
+    ], ids=["record", "reverse-below-early-stop", "final-jacobian", "final-logdens"])
+    def test_rejected_call_names_the_reason(self, call, error, match):
+        ctx = FlowContext(sched=LinearSchedule(), target=gaussian_target(mean=[0.0], var=1.0),
+                          early_stop=0.1)
+        with pytest.raises(error, match=match):
+            call(ctx)
 
     def test_early_stop_caps_forward_interval(self):
         target = gaussian_target(mean=[0.0], var=1.0)

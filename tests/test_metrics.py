@@ -106,6 +106,15 @@ class TestSamplingDeterminism:
         with pytest.raises(InvalidParamError):
             sample_gaussian(dim, n=4, seed=0)
 
+    @pytest.mark.parametrize("draw", [lambda n: sample_gaussian(2, n, 0),
+                                      lambda n: sample_target(gaussian_target([0.0], 1.0), n, 0)],
+                             ids=["sample_gaussian", "sample_target"])
+    def test_n_beyond_the_stream_index_rejected(self, draw):
+        # particle i draws from stream index i, which has 48 bits; the check
+        # comes before any buffer of n rows is allocated
+        with pytest.raises(InvalidParamError, match=rf"^stream index out of range: {2 ** 48}$"):
+            draw(2 ** 48 + 1)
+
 
 SEEDS = [0, 1, 12345, 2 ** 63 - 1, 2 ** 64 - 1]
 DOMAINS = [oracles.TARGET_DOMAIN, oracles.SOURCE_DOMAIN, oracles.PROJ_DOMAIN]

@@ -122,6 +122,13 @@ def test_bad_value_names_the_parameter(name, call, valid, bad):
 
 
 @pytest.mark.parametrize("name, call, valid", REAL_PARAMS, ids=REAL_IDS)
+def test_int_beyond_the_float_range_names_the_parameter(name, call, valid):
+    # float(10**400) overflows; the value is rejected, never stored as inf
+    with pytest.raises(InvalidParamError, match=f"^{name} must be a real number in .*, got 1000"):
+        call(10 ** 400)
+
+
+@pytest.mark.parametrize("name, call, valid", REAL_PARAMS, ids=REAL_IDS)
 def test_numpy_real_is_stored_as_float(name, call, valid):
     for value in (np.float32(valid), np.float64(valid)):
         out = call(value)
@@ -234,7 +241,8 @@ def test_time_of_the_wrong_kind_names_the_argument(name, call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan], ids=["above", "below", "nan"])
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, 10 ** 400],
+                         ids=["above", "below", "nan", "int-beyond-float"])
 @pytest.mark.parametrize("name, call", TIME_ARGS, ids=TIME_IDS)
 def test_time_out_of_range_stays_out_of_range(name, call, bad):
     with pytest.raises(OutOfRangeError):

@@ -190,6 +190,12 @@ class TestEvalDomain:
         with pytest.raises(OutOfRangeError):
             FollmerSchedule().eval(1.01)
 
+    @pytest.mark.parametrize("t", [np.array([0.1, 0.2]), [0.5]], ids=["array", "list"])
+    def test_eval_takes_a_scalar_time(self, t):
+        with pytest.raises(OutOfRangeError,
+                           match=r"^eval takes a scalar time; use a\(\)/b\(\) for arrays$"):
+            LinearSchedule().eval(t)
+
     def test_rejects_bad_array_entry(self):
         with pytest.raises(OutOfRangeError):
             TrigSchedule().a(np.array([0.5, 1.5]))
