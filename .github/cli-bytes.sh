@@ -39,6 +39,9 @@ gif-lab bounds --schedule linear --case bounded-d --d inf --grid 9 --no-timestam
 # a log-lip envelope handed over to the gaussian form at t2 = 0.6
 gif-lab bounds --schedule linear --case log-lip --l 0.5 --kappa -0.5 --t2 0.6 --grid 9 \
   --no-timestamp --out "$out/bounds-log-lip"
+# the same closed form off the linear schedule, with its default handover time
+gif-lab bounds --schedule vp --alpha0 0.8 --p 2 --case log-lip --l 2.0 --kappa -0.4 --grid 9 \
+  --no-timestamp --out "$out/bounds-log-lip-vp"
 gif-lab validate-schedule --schedule vp --alpha0 0.02 --p 2.0 > "$out/validate-schedule.txt"
 for cmd in stability-source stability-velocity autoencode cycle jacobian-envelope ag-check; do
   gif-lab "$cmd" --config cli-run.cfg --no-timestamp --svg --out "$out/$cmd"

@@ -14,8 +14,9 @@ constants of the target are available:
              to the gaussian form at t2
 
 Integrals of theta over [s, t] exponentiate to Lipschitz bounds on the
-flow map.  Every piece carries a closed-form antiderivative except the
-log-lip piece, which falls back to adaptive Simpson quadrature.
+flow map.  Every piece carries a closed-form antiderivative, so an integral
+is a sum of antiderivative differences; the log-lip one is
+5 L (L phi + sqrt(pi) erfc(sqrt(-ln phi))) + ln|(a, b)| with phi = b/|(a, b)|.
 Divergent integrals come back as +inf rather than raising, and theta itself
 is +inf where an envelope diverges (the gaussian form at b_t = 0 with
 kappa = 0, the bounded-d form at a_t = 0), never NaN.  With D = +inf the
@@ -105,29 +106,6 @@ class RegularityProfile:
 # pieces
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
-    def one(lo, flo, mid, fmid, hi, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def rec(lo, flo, mid, fmid, hi, fhi, whole, tol, depth):
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = one(lo, flo, lm, flm, mid, fmid)
-        right = one(mid, fmid, rm, frm, hi, fhi)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        return (rec(lo, flo, lm, flm, mid, fmid, left, 0.5 * tol, depth - 1)
-                + rec(mid, fmid, rm, frm, hi, fhi, right, 0.5 * tol, depth - 1))
-
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return rec(a, fa, m, fm, b, fb, one(a, fa, m, fm, b, fb), tol, 48)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Piece:
     sched: Schedule
@@ -138,16 +116,13 @@ class _Piece:
     def theta_raw(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _antideriv(self, t: float) -> float | None:
-        return None
+    def _antideriv(self, t: float) -> float:
+        raise NotImplementedError
 
     def integral(self, s: float, t: float) -> float:
         if t <= s:
             return 0.0
         Fs = self._antideriv(s)
-        if Fs is None:
-            return _adaptive_simpson(
-                lambda u: float(self.theta_raw(np.float64(u))), s, t)
         Ft = self._antideriv(t)
         if Ft == math.inf or Fs == -math.inf:
             return math.inf
@@ -244,10 +219,25 @@ class _LogLipPiece(_Piece):
         bound = 5.0 * self.L * coef * n2 ** -1.5 * (self.L + ilog)
         return bound + (s._da_a(t) + s._db_b(t)) / n2
 
+    def _antideriv(self, t):
+        # with phi = b/sqrt(a^2+b^2), coef n2^-1.5 is phi' and ilog is
+        # (-ln phi)^(-1/2), whose phi-antiderivative is sqrt(pi) erfc(sqrt(-ln phi));
+        # that term is 0 at phi = 0 (b_t = 0)
+        s = self.sched
+        a = float(s._a(np.float64(t)))
+        b = float(s._b(np.float64(t)))
+        n2 = a * a + b * b
+        phi = b / math.sqrt(n2)
+        tail = 0.0
+        if phi > 0.0:
+            tail = math.sqrt(math.pi) * math.erfc(math.sqrt(max(-math.log(phi), 0.0)))
+        return 5.0 * self.L * (self.L * phi + tail) + 0.5 * math.log(n2)
+
 
 @dataclasses.dataclass
 class ThetaProfile:
-    """Piecewise envelope with its crossover times and quadrature helpers."""
+    """Piecewise envelope with its crossover times; each piece integrates in
+    closed form."""
 
     case: str
     pieces: list[_Piece]
@@ -259,20 +249,23 @@ class ThetaProfile:
     def lo(self) -> float:
         return self.pieces[0].lo
 
-    def piece_at(self, t: float) -> _Piece:
+    def _locate(self, t) -> tuple[float, _Piece]:
+        """t clamped into [lo, 1] and its piece; times up to 1e-12 outside
+        are accepted as rounding and read at the nearer end."""
         t = float(_time_param("t", t))
         if not self.lo - 1e-12 <= t <= 1.0 + 1e-12:  # NaN included
             raise OutOfRangeError(
                 f"profile covers [{self.lo}, 1], asked for t={t}")
-        for piece in reversed(self.pieces):
-            if t >= piece.lo:
-                return piece
-        return self.pieces[0]
+        t = min(max(t, self.lo), 1.0)
+        return t, next(p for p in reversed(self.pieces) if t >= p.lo)
+
+    def piece_at(self, t: float) -> _Piece:
+        return self._locate(t)[1]
 
     def theta(self, t):
         arr = _time_param("t", t)
-        out = np.array([float(self.piece_at(ti).theta_raw(np.float64(ti)))
-                        for ti in arr.reshape(-1)])
+        out = np.array([float(piece.theta_raw(np.float64(ti)))
+                        for ti, piece in map(self._locate, arr.reshape(-1))])
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def integral(self, s: float, t: float) -> float:

@@ -22,7 +22,8 @@ from gif_lab.errors import (
     NoRootError,
     OutOfRangeError,
 )
-from gif_lab.experiments import moderate_gmm4, paper_gmm8
+from gif_lab.experiments import (ExperimentConfig, moderate_gmm4, paper_gmm8,
+                                  run_jacobian_envelope)
 from gif_lab.flow import FlowContext, _table
 from gif_lab.schedules import (
     FollmerSchedule,
@@ -34,7 +35,7 @@ from gif_lab.schedules import (
 )
 from gif_lab.targets import gaussian_target, mixture_target
 
-from oracles import simpson
+from oracles import central_diff, simpson
 
 T1_LINEAR_KM1_D1 = 0.5857864376269049  # root of snr = 2 under the linear schedule
 
@@ -240,9 +241,35 @@ class TestLogLipCase:
         # interior interval: plain Simpson converges (integrand is smooth there)
         quad = simpson(lambda u: theta.theta(u), 0.05, 0.45, n_panels=4096)
         assert theta.integral(0.05, 0.45) == pytest.approx(quad, abs=1e-8)
-        # from t = 0 the integrand has unbounded slope; reference from
-        # 30-digit tanh-sinh quadrature
-        assert theta.integral(0.0, 0.5) == pytest.approx(6.779029844105297, abs=1e-9)
+        # from t = 0 the integrand has unbounded slope; references from
+        # 30-digit tanh-sinh quadrature (mpmath), met by the closed form
+        exact = {"rel": 1e-14, "abs": 0.0}
+        assert theta.integral(0.0, 0.5) == pytest.approx(6.779029844105297, **exact)
+        half = theta_profile(RegularityProfile(kappa=0.0, L=0.5), LinearSchedule(),
+                             case="log-lip")
+        assert half.integral(0.0, 0.125) == pytest.approx(0.26578346828752188071, **exact)
+        assert half.integral(0.25, 0.375) == pytest.approx(0.69742595164713660034, **exact)
+
+    @pytest.mark.parametrize("means", [
+        [(1.5, 0.0), (-1.5, 0.0)],
+        [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)],
+        [(3.0, 1.0), (1.0, 1.0)],
+    ], ids=["two-point", "four-point", "off-centre"])
+    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(), FollmerSchedule()],
+                             ids=lambda s: type(s).__name__)
+    def test_bounds_sigma_one_mixtures(self, means, sched):
+        # a sigma = 1 mixture is in the log-lip class: grad log(p / phi) is a
+        # posterior average of the means, so L = max |mu_j|; its
+        # semi-log-concavity is kappa = 1 - R^2, clipped to the case's kappa <= 0
+        target = mixture_target(np.full(len(means), 1.0 / len(means)), means, 1.0)
+        prof = RegularityProfile(kappa=min(1.0 - target.radius ** 2, 0.0),
+                                 L=float(np.max(np.linalg.norm(means, axis=1))))
+        cfg = ExperimentConfig(target=target, sched=sched, n=400, profile=prof,
+                               bound_case="log-lip",
+                               t_grid=tuple(np.linspace(0.0, 0.99, 34)))
+        res = run_jacobian_envelope(cfg)
+        lam_max, upper = res.column("lam_max"), res.column("upper")
+        assert np.all(lam_max <= upper + 1e-9 * np.abs(upper))
 
     def test_positive_kappa_rejected(self):
         prof = RegularityProfile(kappa=0.5, L=1.0)
@@ -334,11 +361,15 @@ ENDPOINT_PROFILES = [
     ("log-lip", RegularityProfile(kappa=-0.4, L=2.0)),
 ]
 
+EACH_FAMILY = pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
+EACH_PROFILE = pytest.mark.parametrize(
+    "case, prof", ENDPOINT_PROFILES,
+    ids=[f"{c}-{i % 2}" for i, (c, _) in enumerate(ENDPOINT_PROFILES)])
+
 
 class TestEndpoints:
-    @pytest.mark.parametrize("sched", SIX_FAMILIES, ids=lambda s: s.describe())
-    @pytest.mark.parametrize("case, prof", ENDPOINT_PROFILES,
-                             ids=[f"{c}-{i % 2}" for i, (c, _) in enumerate(ENDPOINT_PROFILES)])
+    @EACH_FAMILY
+    @EACH_PROFILE
     def test_theta_is_never_nan(self, sched, case, prof):
         theta = theta_profile(prof, sched, case)
         with warnings.catch_warnings():
@@ -348,6 +379,29 @@ class TestEndpoints:
         # +inf where the envelope diverges, and then so does its integral
         if math.inf in values:
             assert theta.integral(theta.lo, 1.0) == math.inf
+
+    @EACH_FAMILY
+    @EACH_PROFILE
+    def test_rounding_outside_the_interval_reads_the_end(self, sched, case, prof):
+        # times within 1e-12 outside [lo, 1] are accepted and read at the end,
+        # never by the formulas beyond it
+        theta = theta_profile(prof, sched, case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert theta.theta(theta.lo - 5e-13) == theta.theta(theta.lo)
+            assert theta.theta(1.0 + 5e-13) == theta.theta(1.0)
+
+    @EACH_FAMILY
+    @EACH_PROFILE
+    def test_every_antiderivative_differentiates_to_its_theta(self, sched, case, prof):
+        theta = theta_profile(prof, sched, case)
+        for piece in theta.pieces:
+            for t in np.linspace(0.05, 0.95, 19):
+                if piece.lo + 0.02 <= t <= piece.hi - 0.02:
+                    want = float(piece.theta_raw(np.float64(t)))
+                    got = central_diff(piece._antideriv, t)
+                    assert got == pytest.approx(want, rel=1e-6, abs=1e-6), \
+                        (piece.piece_id, t)
 
     def test_divergent_points_are_inf(self):
         linear = LinearSchedule()
