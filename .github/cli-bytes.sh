@@ -88,16 +88,20 @@ for d in d1 d3; do
   done
 done
 
-# A Gaussian stability-source block, whose sweep also writes the bound
-# column (the closed-form constants plus the Monte Carlo floor), into
-# "$out/gaussian", rerun under "taskset -c 0".
+# A Gaussian block of the two sweeps, into "$out/gaussian", each rerun under
+# "taskset -c 0": the source sweep also writes the bound column (the
+# closed-form constants plus the Monte Carlo floor), and in the velocity
+# sweep, where grad v is theta times the identity, every particle's gap
+# comes within a few percent of bound_rhs.
 printf '%s\n' 'target = gaussian' 'mean = (0.8, -0.6)' 'var = 0.49' 'schedule = linear' \
-  'n = 128' 'steps = 16' 'zeta_grid = (0.02, 0.1, 0.2)' > cli-run-gaussian.cfg
-gif-lab stability-source --config cli-run-gaussian.cfg --no-timestamp --svg \
-  --out "$out/gaussian/stability-source"
-taskset -c 0 gif-lab stability-source --config cli-run-gaussian.cfg --no-timestamp --svg \
-  --out "$out-cpu0/gaussian/stability-source"
-diff -r "$out/gaussian/stability-source" "$out-cpu0/gaussian/stability-source"
+  'n = 128' 'steps = 16' 'zeta_grid = (0.02, 0.1, 0.2)' 'eps_grid = (0.5, 2.0)' \
+  > cli-run-gaussian.cfg
+for cmd in stability-source stability-velocity; do
+  gif-lab "$cmd" --config cli-run-gaussian.cfg --no-timestamp --svg --out "$out/gaussian/$cmd"
+  taskset -c 0 gif-lab "$cmd" --config cli-run-gaussian.cfg --no-timestamp --svg \
+    --out "$out-cpu0/gaussian/$cmd"
+  diff -r "$out/gaussian/$cmd" "$out-cpu0/gaussian/$cmd"
+done
 
 # An early-stop block: flow with its default span, which is the direction's
 # horizon, [0, 1 - early_stop] forward and [early_stop, 1] reverse, into

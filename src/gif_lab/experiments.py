@@ -3,14 +3,13 @@
 Every runner maps an ExperimentConfig to an ExperimentResult with one row
 per grid point plus an optional least-squares fit.  Every particle is drawn
 from its own Philox stream keyed off (seed, grid index).  The one other
-draw, the velocity-noise sweep's signs, comes from one stream per RK4 rate
-evaluation, keyed by the evaluation counter, not per particle.  So rows are
-bit-identical across reruns and across CPU counts.
+draw, the velocity-noise sweep's sign field, comes from one stream per run
+and is held for the whole flow.  So rows are bit-identical across reruns
+and across CPU counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -352,21 +351,33 @@ def _noise_growth(envelope, clock: np.ndarray) -> tuple:
     return float(growth), float(tail[0])
 
 
+def _pushed(rate, where, push: np.ndarray):
+    """rate plus the fixed array push in out[where]: the one perturbed-field
+    rate, of the velocity-noise sweep and of _ag_residual's path."""
+
+    def pushed(k, x):
+        out = rate(k, x)
+        out[where] += push
+        return out
+
+    return pushed
+
+
 def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
-    """Sweep Bernoulli +-eps velocity noise against the clean generation.
+    """Sweep a fixed Bernoulli +-eps velocity error against the clean generation.
 
     One engine run on one coefficient table advances the clean cloud and
-    one copy per eps as blocks of particles.  The noise is redrawn per
-    coordinate at every RK4 rate evaluation from a stream keyed by the
-    evaluation counter, so a rerun replays it; block j adds eps_j times the signs to
-    the table rate, as _ag_residual adds delta.  Only the amplitude differs
-    between blocks, so the sweep measures the eps scaling rather than
-    pattern-to-pattern scatter.  The config's theta envelope bounds grad v
-    at every point, so each particle's gap u obeys u' <= theta u + sqrt(d)
-    eps from u(0) = 0 and stays within bound_rhs = delta_v G^2
-    (_noise_growth); meta["theta_integral"] = I_0 shows why G is inf.
-    The W2 solves against the clean block overlap on meta["threads"]
-    workers (_w2_pool).
+    one copy per eps as blocks of particles.  One +-1 sign per particle and
+    coordinate is drawn once, from the NOISE_DOMAIN stream of index 0, and
+    held: block j flows on the fixed field v + eps_j signs (_pushed, as
+    _ag_residual adds delta), so |v - v~| = sqrt(d) eps_j at any step count.
+    Only the amplitude differs between blocks, so the sweep measures the
+    eps scaling rather than pattern-to-pattern scatter.  The config's theta
+    envelope bounds grad v at every point, so each particle's gap u obeys
+    u' <= theta u + sqrt(d) eps from u(0) = 0 and stays within bound_rhs =
+    delta_v G^2 (_noise_growth); meta["theta_integral"] = I_0 shows why G
+    is inf.  The W2 solves against the clean block overlap on
+    meta["threads"] workers (_w2_pool).
     """
     started = time.perf_counter()
     grid = _require(cfg, "eps_grid")
@@ -381,23 +392,15 @@ def run_velocity_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     growth, theta_integral = _noise_growth(envelope, clock)
 
     src = sample_source(target, cfg.sched, n, _subseed(cfg.seed, 0))
-    noise_seed = _subseed(cfg.seed, 1000)
+    gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, 0)
+    signs = np.where(gen.random(size=(n, dim)) < 0.5, -1.0, 1.0)
     eps = np.array(grid)
-    amp, delta_v = eps[:, None], dim * eps * eps
-    stage = itertools.count()
+    delta_v = dim * eps * eps
     # the engine's cloud is particles-last, (dim, (len(grid) + 1) n):
     # block 0 (columns [0, n)) is the clean cloud, block j + 1 the one at grid[j]
     x = np.tile(src.points.T, (1, len(grid) + 1))
-    table_rate = _bind_rates(target, _table(ctx, clock), x.shape)
-
-    def rate(k, x):
-        v = table_rate(k, x)
-        gen = keyed_generator(noise_seed, NOISE_DOMAIN, next(stage))
-        signs = np.where(gen.random(size=(n, dim)) < 0.5, -1.0, 1.0)
-        noisy = v.reshape(dim, len(grid) + 1, n)[:, 1:]
-        noisy += amp * signs.T[:, None, :]
-        return v
-
+    push = (signs.T[:, None, :] * eps[:, None]).reshape(dim, -1)
+    rate = _pushed(_bind_rates(target, _table(ctx, clock), x.shape), np.s_[:, n:], push)
     x = np.ascontiguousarray(_rk4(rate, x, clock, range(steps))[-1].T)
 
     pool, workers = _w2_pool(len(grid))
@@ -539,13 +542,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
     names = [f"steps={s} entry" for s in steps]
     dnorm = math.hypot(*delta)
     u = -delta / dnorm if dnorm > 0.0 else np.zeros(d)
-    push = delta[:, None]
-
-    def rate(k, state):
-        out = table_rate(k, state)
-        out[:, 0, :, :n] += push
-        return out
-
+    path, push = np.s_[:, 0, :, :n], delta[:, None]  # Y's rows: velocity plus delta
     state = np.empty((len(steps), 2, d, nodes[0] * n))
     state[:, 0, :, :n], state[:, 1, :, :n] = x0.T, u[:, None]
     joins = {j * gap for s, gap in zip(steps, spacing) for j in range(s // gap)}
@@ -563,7 +560,7 @@ def _ag_residual(ctx: FlowContext, x0: np.ndarray, delta: np.ndarray,
             state[g, 1, :, first:m] = u[:, None]
         block = state[:live, ..., :m]
         # the interval's shape is new, so its rate is bound afresh
-        table_rate = _bind_tangent_rates(target, tab, block.shape)
+        rate = _pushed(_bind_tangent_rates(target, tab, block.shape), path, push)
         block[...] = _rk4(rate, block, clock[:, :live, None, None, None], range(lo, hi),
                           names=names)[-1]
         calls += 4 * (hi - lo)

@@ -345,7 +345,7 @@ def velocity_dt(ctx: FlowContext, t: float, x):
     dbeta = (p.a * p.da * p.db + p.a * p.a * p.d2b - d_ada * b) / c2 - 2.0 * alpha * beta
     xt = xb.T
     ws = _Workspace(target, xt.shape)
-    resp, mu_bar = _stats(target, _logit_terms(target, b, c2), xt, ws)
+    resp, mu_bar = _stats(target, (tab.smc[0], tab.bm0[0], tab.const[0]), xt, ws)
     pull = ((beta - b * alpha) / c2) * xt - (2.0 * gamma) * mu_bar
     dmu = (_spread_apply(target, resp, mu_bar, pull, ws)
            - gamma * _third_moment(target, resp, mu_bar))

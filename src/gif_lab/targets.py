@@ -54,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -245,7 +244,7 @@ def _ball_of_support(pts: list[np.ndarray], d: int):
 def min_enclosing_ball(points: np.ndarray):
     """Center and radius of the smallest ball containing the points.
 
-    Exact (Welzl's randomized recursion, over one fixed shuffle) for
+    Exact (Welzl's randomized algorithm, over one fixed shuffle) for
     dimensions 1 to 3; for higher dimensions returns the centroid-based
     upper bound.  Caps the point count at 10_000.
     """
@@ -267,20 +266,17 @@ def min_enclosing_ball(points: np.ndarray):
     shuffled = [pts[i] for i in order]
 
     def welzl(m: int, boundary: list[np.ndarray]):
-        if m == 0 or len(boundary) == d + 1:
-            return _ball_of_support(boundary, d)
-        c, r = welzl(m - 1, boundary)
-        p = shuffled[m - 1]
-        if np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
+        # ball of the first m shuffled points with boundary on its sphere; a
+        # point outside adds to the boundary, so it nests at most d + 1 deep
+        c, r = _ball_of_support(boundary, d)
+        if len(boundary) == d + 1:
             return c, r
-        return welzl(m - 1, boundary + [p])
+        for i, p in enumerate(shuffled[:m]):
+            if not np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
+                c, r = welzl(i, boundary + [p])
+        return c, r
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * n + 200))
-    try:
-        c, r = welzl(n, [])
-    finally:
-        sys.setrecursionlimit(limit)
+    c, r = welzl(n, [])
     # guard against an unlucky tolerance miss
     r = max(r, float(np.max(np.linalg.norm(pts - c, axis=1))))
     return c, r

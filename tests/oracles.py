@@ -179,18 +179,18 @@ def posterior_moments_einsum(target, sched, t: float, xb: np.ndarray):
 
 def noisy_rk4(field, x0, t_end: float, steps: int, eps: float, seed: int,
               domain: int) -> np.ndarray:
-    """Final state of RK4 on field(t, x) plus per-evaluation Bernoulli noise.
+    """Final state of RK4 on field(t, x) plus a held Bernoulli field error.
 
     field is evaluated at the physical stage times t, t + h/2, t + h/2,
-    t + h of each step; evaluation number m (counted from 0 across the
-    whole run) adds eps times the signs of keyed_generator(seed, domain, m).
+    t + h of each step; every evaluation adds the same eps times the signs
+    of keyed_generator(seed, domain, 0), one per particle and coordinate.
     """
     times = np.linspace(0.0, t_end, steps + 1)
-    calls = itertools.count()
+    gen = keyed_generator(seed, domain, 0)
+    push = eps * np.where(gen.random(size=np.shape(x0)) < 0.5, -1.0, 1.0)
 
     def rate(t, x):
-        gen = keyed_generator(seed, domain, next(calls))
-        return field(t, x) + eps * np.where(gen.random(size=x.shape) < 0.5, -1.0, 1.0)
+        return field(t, x) + push
 
     x = np.array(x0, dtype=float)
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -410,7 +410,8 @@ def velocity_perturbation_per_eps(cfg) -> np.ndarray:
     """Rows of experiments.run_velocity_perturbation, one pass per amplitude.
 
     The clean cloud comes from integrate, and each eps gets its own
-    table_rk4 pass with the same keyed noise stream restarted at evaluation 0.
+    table_rk4 pass that adds eps times the sign field, drawn afresh for the
+    pass from the keyed noise stream of index 0, at every evaluation.
     bound_rhs is delta_v G^2 with G the integral over [0, T] of
     exp(integral of theta over [s, T]), taken by scipy's adaptive quad
     rather than as an upper sum on the stage clock, so the sweep's
@@ -429,13 +430,11 @@ def velocity_perturbation_per_eps(cfg) -> np.ndarray:
     cloud_rate = _bind_rates(target, _table(ctx, clock), src.T.shape)  # particles-last (d, n)
     rows = []
     for eps in cfg.eps_grid:
-        calls = itertools.count()
+        gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, 0)
+        push = eps * np.where(gen.random(size=src.shape) < 0.5, -1.0, 1.0).T
 
         def rate(k, x):
-            v = cloud_rate(k, x)
-            gen = keyed_generator(_subseed(cfg.seed, 1000), NOISE_DOMAIN, next(calls))
-            signs = np.where(gen.random(size=v.shape[::-1]) < 0.5, -1.0, 1.0)
-            return v + eps * signs.T
+            return cloud_rate(k, x) + push
 
         pert = np.ascontiguousarray(table_rk4(rate, src.T, clock, range(steps)).T)
         delta_v = target.dim * eps * eps

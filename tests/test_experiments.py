@@ -480,7 +480,8 @@ class TestVelocityPerturbation:
                              ids=["moderate-gmm4", "gaussian"])
     def test_bound_holds_for_every_particle(self, target, sched, steps):
         # every coupled particle, not only the W2 average, stays within
-        # bound_rhs; the noisy paths are replayed on the public velocity
+        # bound_rhs, and on the Gaussian comes within 3 % of it; the noisy
+        # paths are replayed on the public velocity
         cfg = ExperimentConfig(target=target, sched=sched, n=256, steps=steps, seed=13,
                                eps_grid=(0.0, 0.5, 2.0))
         res = run_velocity_perturbation(cfg)
@@ -490,7 +491,22 @@ class TestVelocityPerturbation:
         for eps, rhs in zip(cfg.eps_grid, res.column("bound_rhs")):
             pert = noisy_rk4(lambda t, x: velocity(ctx, t, x), x0, 1.0, steps, eps,
                              _subseed(cfg.seed, 1000), NOISE_DOMAIN)
-            assert np.max(np.sum((pert - clean) ** 2, axis=1)) <= rhs
+            gap_sq = np.max(np.sum((pert - clean) ** 2, axis=1))
+            assert gap_sq <= rhs
+            if target.is_gaussian and eps > 0.0:
+                # grad v is theta times the identity here, so every gap solves
+                # u' = theta u + sqrt(d) eps with equality: only the stage-clock
+                # upper sum in G keeps it below bound_rhs
+                assert gap_sq >= 0.97 * rhs
+
+    def test_response_does_not_depend_on_the_step_count(self):
+        # the sign field is held for the whole flow, so the sweep measures a
+        # fixed field error: refining the clock moves w2_sq only by its
+        # integration error, where redrawn signs would average out
+        rows = [run_velocity_perturbation(ExperimentConfig(
+            target=moderate_gmm4(), sched=LinearSchedule(), n=256, steps=steps, seed=3,
+            eps_grid=(0.05, 0.5))).column("w2_sq") for steps in (16, 128)]
+        assert rows[0] == pytest.approx(rows[1], rel=1e-3)
 
     def test_bit_reproducible(self, gmm4, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -506,7 +522,7 @@ class TestVelocityPerturbation:
                              ids=lambda s: s.family)
     def test_matches_public_velocity_oracle(self, gmm4, monkeypatch, sched, k):
         # the sweep's noisy run, replayed by a plain RK4 loop on the public
-        # velocity with the same per-evaluation keyed noise
+        # velocity plus the same held sign field
         _cpus(monkeypatch, k)
         cfg = ExperimentConfig(target=gmm4, sched=sched, n=128, steps=16, seed=7,
                                eps_grid=(0.5, 2.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestEnclosingBallAndDiameter:
         pts = np.zeros((10_001, 2))
         with pytest.raises(TooLargeError):
             min_enclosing_ball(pts)
+
+    def test_cap_sized_cloud_leaves_the_recursion_limit_alone(self, monkeypatch):
+        # the search nests at most d + 1 calls deep, so even a cloud at the
+        # 10 000-point cap needs no deeper interpreter stack
+        def refuse(limit):
+            raise AssertionError("changed the process-wide recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        pts = np.random.default_rng(3).normal(size=(10_000, 2))
+        c, r = min_enclosing_ball(pts)
+        assert np.max(np.linalg.norm(pts - c, axis=1)) <= r
 
     def test_size_cap_comes_before_deduplication(self, monkeypatch):
         def unique(*args, **kwargs):
