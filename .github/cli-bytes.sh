@@ -90,7 +90,8 @@ done
 
 # A Gaussian block of the two sweeps, into "$out/gaussian", each rerun under
 # "taskset -c 0": the source sweep also writes the bound column (the
-# closed-form constants plus the Monte Carlo floor), and in the velocity
+# triangle bound L b0 rms(x) + W2(T(a0 z + b0 x), ref), from the flow of one
+# target cloud x stacked below the source cloud), and in the velocity
 # sweep, where grad v is theta times the identity, every particle's gap
 # comes within a few percent of bound_rhs.
 printf '%s\n' 'target = gaussian' 'mean = (0.8, -0.6)' 'var = 0.49' 'schedule = linear' \

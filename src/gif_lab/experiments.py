@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import repr_lines, write_table, xy_plot
-from .bounds import RegularityProfile, endpoint_lipschitz, theta_profile
+from .bounds import RegularityProfile, lipschitz_flow_map, theta_profile
 from .errors import (InvalidParamError, MissingFieldError, NonFiniteError, SizeMismatchError,
                      _int_param, _real_param)
 # velocity is unused here but stays importable as experiments.velocity, the
@@ -197,19 +197,19 @@ def _require_w2_n(cfg: ExperimentConfig) -> None:
         raise InvalidParamError(f"W2-based experiments need n >= 100, got {cfg.n}")
 
 
-def _w2_method(n: int) -> str:
-    """The estimator _cloud_w2 uses for n-particle clouds."""
-    return "exact" if n <= _W2_EXACT_CAP else "sliced"
+def _w2_method(n: int, dim: int) -> str:
+    """The estimator _cloud_w2 uses for n-particle clouds in dim dimensions."""
+    return "exact" if dim == 1 or n <= _W2_EXACT_CAP else "sliced"
 
 
 def _cloud_w2(a, b) -> float:
-    """Exact assignment W2 up to its size cap, sliced beyond it.
+    """Exact W2 up to the assignment's size cap and in d = 1, sliced beyond.
 
     The projection directions are fixed, so every sweep point of an
-    experiment sees the same estimator.  Sliced never exceeds exact, which
-    keeps one-sided bound checks sound.
+    experiment sees the same estimator.  Sliced never exceeds exact and
+    obeys the triangle inequality, which keeps the bound checks sound.
     """
-    if _w2_method(np.asarray(a).shape[0]) == "exact":
+    if _w2_method(*np.shape(a)) == "exact":
         return w2(a, b)
     return w2(a, b, method="sliced", n_projections=64, seed=0)
 
@@ -251,20 +251,22 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     point: with common draws the finite-sample floor is the same fixed
     offset everywhere and the sweep isolates the zeta effect, which would
     otherwise drown in cloud-to-cloud W2 noise.  On a single-Gaussian
-    target the transport constants are available in closed form and the
-    measured W2 is checked against them (plus the floor between two fresh
-    target clouds).
+    target one target cloud x makes a_0 z + b_0 x, a sample of the true
+    t = 0 marginal, integrated below a_0 z as one stacked cloud.  Pairing
+    row i with row i and the triangle inequality, which _cloud_w2 obeys,
+    give w2 <= bound_rhs = L b_0 rms(x) + W2(T(a_0 z + b_0 x), ref), with L
+    the Lipschitz constant of the map T from 0 to 1 - early_stop; at
+    zeta = 0 the two sides are equal.
 
     The W2 pool (meta["threads"] workers, _w2_pool) opens first.  The grid
     integrates from its last zeta to its first, so largest b0 first, whose
-    assignment takes longest, and each point's solve is queued as soon as
+    assignment takes longest, and each point's solves are queued as soon as
     its flow ends: a queued solve holds only its cloud, a running one its
-    n x n cost matrix.  On a Gaussian target the floor's solve queues last,
-    and the bound's constants are computed while the solves run.  Results
-    are read in grid order, so rows do not depend on the schedule.
+    n x n cost matrix.  Results are read in grid order, so rows do not
+    depend on the schedule.
     meta["integrate_s"] is the wall time of the integrate loop,
     meta["w2_s"] that from its end to the last W2 result, and
-    meta["w2_solve_s"] each grid point's solve time, in grid order.
+    meta["w2_solve_s"] each grid point's w2 solve time, in grid order.
     integrate_s includes CPU time shared with the solves running beside the
     loop, so it is not the cost of integration alone: on 2 CPUs and the
     benchmark's source-sweep inputs 0, 3 and 4 it was 0.086-0.091 s with
@@ -275,9 +277,10 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     _require_w2_n(cfg)
     if grid[0] < 0.0 or grid[-1] > 0.3:
         raise InvalidParamError(f"zeta grid must lie within [0, 0.3], got {grid}")
-    target = cfg.target
-    z = sample_gaussian(target.dim, cfg.n, _subseed(cfg.seed, 1)).points
-    ref = sample_target(target, cfg.n, _subseed(cfg.seed, 2)).points
+    target, n = cfg.target, cfg.n
+    z = sample_gaussian(target.dim, n, _subseed(cfg.seed, 1)).points
+    ref = sample_target(target, n, _subseed(cfg.seed, 2)).points
+    x = sample_target(target, n, _subseed(cfg.seed, 3)).points if target.is_gaussian else None
     scheds = [ShiftedLinearSchedule(zeta=zeta) for zeta in grid]
     solve_s = [0.0] * len(grid)
 
@@ -290,30 +293,24 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     pool, workers = _w2_pool(len(grid))
     try:
         t0 = time.perf_counter()
-        pending = [None] * len(grid)
+        pending, beside = [None] * len(grid), [None] * len(grid)
         for j in reversed(range(len(grid))):
             sched = scheds[j]
             ctx = FlowContext(sched=sched, target=target, early_stop=cfg.early_stop)
-            final = integrate(ctx, sched.a0 * z, 0.0, ctx.t_max, cfg.steps,
-                              record="final").final_state
-            pending[j] = pool.submit(solve, j, final)
+            x0 = sched.a0 * z
+            if x is not None:
+                x0 = np.concatenate((x0, x0 + sched.b0 * x))
+            final = integrate(ctx, x0, 0.0, ctx.t_max, cfg.steps, record="final").final_state
+            pending[j] = pool.submit(solve, j, final[:n])
+            if x is not None:
+                beside[j] = pool.submit(_cloud_w2, final[n:], ref)
         t1 = time.perf_counter()
-        if target.is_gaussian:
-            floor_solve = pool.submit(
-                _cloud_w2, sample_target(target, cfg.n, _subseed(cfg.seed, 10_001)).points,
-                sample_target(target, cfg.n, _subseed(cfg.seed, 10_002)).points)
+        if x is not None:
             prof = RegularityProfile.from_target(target)
-            dense = np.linspace(0.0, 1.0, 2001)
-            rhs = []  # bound_rhs less the floor: inf once the exponent overflows
-            for sched in scheds:
-                c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
-                c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
-                expo = c2 * target.dim
-                rhs.append(math.inf if expo > 700.0 else
-                           c1 * sched.b0 * math.sqrt(target.second_moment) * math.exp(expo))
+            spread = math.sqrt(float(np.mean(np.sum(x * x, axis=1))))
+            rhs = [lipschitz_flow_map(theta_profile(prof, s, "mixture"), 0.0, ctx.t_max)
+                   * s.b0 * spread + p.result() for s, p in zip(scheds, beside)]
         dist = [p.result() for p in pending]
-        if target.is_gaussian:
-            floor = floor_solve.result()
         t2 = time.perf_counter()
     finally:
         # on an error, drop the queued solves and wait only for running ones
@@ -321,17 +318,16 @@ def run_source_perturbation(cfg: ExperimentConfig) -> ExperimentResult:
     columns = ["zeta", "b0", "w2"]
     data = [np.array(grid), np.array([s.b0 for s in scheds]), np.array(dist)]
     timings = {"integrate_s": t1 - t0, "w2_s": t2 - t1, "w2_solve_s": solve_s,
-               "w2_method": _w2_method(cfg.n), "threads": workers}
-    extra = {"bound_checked": False}
-    if target.is_gaussian:
+               "w2_method": _w2_method(n, target.dim), "threads": workers}
+    if x is not None:
         columns.append("bound_rhs")
-        data.append(np.array(rhs) + floor)
-        extra = {"bound_checked": True, "mc_floor": floor}
+        data.append(np.array(rhs))
 
     rows = np.column_stack(data)
     fit = linear_fit(rows[:, 1], rows[:, 2]) if len(grid) >= 2 else None
     return ExperimentResult("stability-source", tuple(columns), rows, fit,
-                            _meta(cfg, started, len(grid), **timings, **extra))
+                            _meta(cfg, started, len(grid), **timings,
+                                  bound_checked=target.is_gaussian))
 
 
 def _envelope(cfg: ExperimentConfig):

@@ -356,6 +356,8 @@ def _w2_exact(pa: np.ndarray, pb: np.ndarray) -> float:
         raise SizeMismatchError(
             f"exact w2 needs equal cloud sizes, got {pa.shape[0]} and {pb.shape[0]}"
         )
+    if pa.shape[1] == 1:  # the monotone pairing is optimal: a sort, at any size
+        return math.sqrt(_w2_1d_sq(np.sort(pa[:, 0]), np.sort(pb[:, 0])))
     if pa.shape[0] > _W2_EXACT_CAP:
         raise TooLargeError(
             f"exact w2 capped at {_W2_EXACT_CAP} particles, got {pa.shape[0]}; "
@@ -411,8 +413,9 @@ def w2(
     """Wasserstein-2 distance between two empirical clouds.
 
     ``method="exact"`` solves the assignment problem (equal sizes, capped at
-    4096 particles). ``method="sliced"`` averages squared 1D distances over
-    random directions and never exceeds the exact value.
+    4096 particles in d >= 2; in d = 1 it sorts, at any size).
+    ``method="sliced"`` averages squared 1D distances over random directions
+    and never exceeds the exact value.
     """
     pa, pb = (c.points if isinstance(c, ParticleCloud)
               else _array_param(name, c, "an (n, d) cloud") for name, c in (("a", a), ("b", b)))

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from gif_lab import experiments
-from gif_lab.bounds import RegularityProfile, endpoint_lipschitz, theta_profile
+from gif_lab.bounds import (RegularityProfile, endpoint_lipschitz, lipschitz_flow_map,
+                            theta_profile)
 from gif_lab.errors import (InvalidParamError, MissingFieldError, NonFiniteError,
                             NonFiniteStateError, OutOfRangeError, SizeMismatchError)
 from gif_lab.experiments import (
@@ -248,15 +249,53 @@ class TestSourcePerturbation:
         w = res.rows[:, res.columns.index("w2")]
         assert np.all(w <= rhs)
 
-    def test_overflowing_exponent_gives_infinite_bound(self):
-        # var = 1e-6 puts the envelope's sup times d far above 700
+    @staticmethod
+    def _rows(target, seeds, zetas, **kw):
+        """(w2, bound_rhs) of one run per seed, stacked."""
+        runs = [run_source_perturbation(ExperimentConfig(
+            target=target, sched=LinearSchedule(), seed=seed, zeta_grid=zetas, **kw))
+            for seed in seeds]
+        assert all(res.meta["bound_checked"] for res in runs)
+        return (np.concatenate([res.column("w2") for res in runs]),
+                np.concatenate([res.column("bound_rhs") for res in runs]))
+
+    def test_bound_holds_over_seeds(self):
+        # zeta = 0 and 0.005 sit on the sampling floor, where a bound with an
+        # independent floor draw of its own fails
+        w, rhs = self._rows(gaussian_target(mean=(0.8, -0.6), var=0.49), range(1000, 1010),
+                            (0.0, 0.005, 0.01, 0.1), n=256, steps=32)
+        assert np.all(w <= rhs), np.max(w / rhs)
+
+    def test_bound_is_exact_at_zero_zeta(self, small_gauss):
+        # b0 = 0 makes the stacked halves identical
+        w, rhs = self._rows(small_gauss, (3, 4), (0.0, 0.2), n=128, steps=16)
+        assert w[0] == rhs[0] and w[2] == rhs[2]
+        assert w[1] < rhs[1] and w[3] < rhs[3]
+
+    def test_bound_holds_with_early_stop(self):
+        """L is the Lipschitz constant of the map from 0 to 1 - early_stop,
+        which the run integrates; the 0 -> 1 constant understates it."""
+        target = gaussian_target(mean=(0.8, -0.6), var=0.01)
+        zetas = (0.0, 0.1, 0.3)
+        w, rhs = self._rows(target, range(3), zetas, n=256, steps=32, early_stop=0.3)
+        assert np.all(w <= rhs), np.max(w / rhs)
+        # the same bound on the 0 -> 1 constant fails: rhs less what it drops
+        prof = RegularityProfile.from_target(target)
+        dropped = []
+        for seed in range(3):
+            x = sample_target(target, 256, _subseed(seed, 3)).points
+            x_rms = math.sqrt(np.mean(np.sum(x * x, axis=1)))
+            for sched in map(ShiftedLinearSchedule, zetas):
+                lip = lipschitz_flow_map(theta_profile(prof, sched, "mixture"), 0.0, 0.7)
+                c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
+                dropped.append((lip - c1) * sched.b0 * x_rms)
+        assert np.any(w > rhs - np.array(dropped))
+
+    def test_tiny_variance_gives_finite_bound(self):
+        # var = 1e-6: a steep envelope, yet L and so the bound stay finite
         target = gaussian_target(mean=[0.0, 0.0], var=1e-6)
-        cfg = ExperimentConfig(target=target, sched=LinearSchedule(), n=128, steps=64,
-                               zeta_grid=(0.0, 0.2))
-        res = run_source_perturbation(cfg)
-        assert res.meta["bound_checked"]
-        assert np.all(res.column("bound_rhs") == math.inf)
-        assert np.all(np.isfinite(res.column("w2")))
+        w, rhs = self._rows(target, (0,), (0.0, 0.2), n=128, steps=64)
+        assert np.all(np.isfinite(rhs)) and np.all(w <= rhs)
 
     def test_bit_reproducible(self, small_gauss):
         cfg = ExperimentConfig(target=small_gauss, sched=LinearSchedule(),
@@ -302,8 +341,10 @@ class TestSourcePerturbation:
     @pytest.mark.parametrize("case", ["gmm8-exact", "gaussian-exact", "gaussian-sliced"])
     def test_rows_do_not_depend_on_the_schedule(self, monkeypatch, case, k):
         """Whatever the worker count and solve order, every row, and on a
-        Gaussian target bound_rhs and mc_floor, equals a serial reference:
-        grid-order integrate, then _cloud_w2 per point."""
+        Gaussian target bound_rhs, equals a serial reference: grid-order
+        integrate, then _cloud_w2 per point; on a Gaussian target the
+        integrate carries a0 z + b0 x below a0 z, and bound_rhs is
+        L b0 rms(x) plus that half's _cloud_w2."""
         target = paper_gmm8() if case == "gmm8-exact" else gaussian_target([1.0, 0.0], 0.25)
         n = _W2_EXACT_CAP + 1 if case == "gaussian-sliced" else 128
         _cpus(monkeypatch, k)
@@ -314,24 +355,22 @@ class TestSourcePerturbation:
         assert res.meta["w2_method"] == ("sliced" if n > _W2_EXACT_CAP else "exact")
         z = sample_gaussian(2, n, _subseed(6, 1)).points
         ref = sample_target(target, n, _subseed(6, 2)).points
+        x = sample_target(target, n, _subseed(6, 3)).points
+        prof = RegularityProfile.from_target(target)
         expected = []
         for zeta in cfg.zeta_grid:
             sched = ShiftedLinearSchedule(zeta=zeta)
             ctx = FlowContext(sched=sched, target=target)
-            end = integrate(ctx, sched.a0 * z, 0.0, 1.0, 8, record="final").final_state
-            expected.append([zeta, sched.b0, _cloud_w2(end, ref)])
-        if target.is_gaussian:
-            floor = _cloud_w2(sample_target(target, n, _subseed(6, 10_001)).points,
-                              sample_target(target, n, _subseed(6, 10_002)).points)
-            assert res.meta["mc_floor"] == floor
-            prof = RegularityProfile.from_target(target)
-            dense = np.linspace(0.0, 1.0, 2001)
-            for row, zeta in zip(expected, cfg.zeta_grid):
-                sched = ShiftedLinearSchedule(zeta=zeta)
-                c1 = endpoint_lipschitz(prof, sched, "forward", case="mixture")
-                c2 = float(np.max(np.abs(theta_profile(prof, sched, "mixture").theta(dense))))
-                row.append(c1 * sched.b0 * math.sqrt(target.second_moment)
-                           * math.exp(2 * c2) + floor)
+            x0 = sched.a0 * z
+            if target.is_gaussian:
+                x0 = np.concatenate((x0, x0 + sched.b0 * x))
+            end = integrate(ctx, x0, 0.0, 1.0, 8, record="final").final_state
+            row = [zeta, sched.b0, _cloud_w2(end[:n], ref)]
+            if target.is_gaussian:
+                lip = lipschitz_flow_map(theta_profile(prof, sched, "mixture"), 0.0, 1.0)
+                row.append(lip * sched.b0 * math.sqrt(float(np.mean(np.sum(x * x, axis=1))))
+                           + _cloud_w2(end[n:], ref))
+            expected.append(row)
         assert np.array_equal(res.rows, np.array(expected))
 
     def test_meta_lists_each_points_solve_time(self, monkeypatch):
@@ -560,6 +599,15 @@ class TestCloudW2:
         n = _W2_EXACT_CAP + 1
         a, b = gaussian_cloud(2, n, 3), gaussian_cloud(2, n, 4, scale=1.5)
         assert _cloud_w2(a, b) == w2(a, b, method="sliced", n_projections=64, seed=0)
+
+    def test_exact_at_any_size_in_one_dimension(self):
+        n = _W2_EXACT_CAP + 1
+        a, b = gaussian_cloud(1, n, 3), gaussian_cloud(1, n, 4, scale=1.5)
+        assert _cloud_w2(a, b) == w2(a, b)
+        res = run_source_perturbation(ExperimentConfig(
+            target=gaussian_target([0.5], 0.25), sched=LinearSchedule(), n=n, steps=4,
+            zeta_grid=(0.0, 0.2)))
+        assert res.meta["w2_method"] == "exact"
 
 
 class TestAutoencode:

@@ -307,9 +307,22 @@ class TestExactW2:
             w2(np.zeros((4, 2)), np.zeros((4, 3)))
 
     def test_size_cap(self):
-        big = np.zeros((4097, 1))
+        big = np.zeros((4097, 2))
         with pytest.raises(TooLargeError):
             w2(big, big)
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1024])
+    def test_one_dimension_sorts(self, n):
+        # the monotone pairing of the sorted clouds is the optimal assignment
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(n, 1)), rng.normal(loc=0.5, scale=2.0, size=(n, 1))
+        assert w2(a, b) == pytest.approx(_public_w2(a, b), rel=1e-15, abs=0.0)
+
+    def test_one_dimension_has_no_size_cap(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(4097, 1)), rng.normal(size=(4097, 1)) + 3.0
+        expect = math.sqrt(np.mean((np.sort(a[:, 0]) - np.sort(b[:, 0])) ** 2))
+        assert w2(a, b) == pytest.approx(expect, rel=1e-15)
 
     @pytest.mark.parametrize("method", ["exact", "sliced"])
     def test_zero_width_clouds_rejected(self, method):
