@@ -69,7 +69,9 @@ gif-lab sample --config cli-run-gmm8.cfg --n 9000 --no-timestamp --out "$out/pap
 # Two gmm blocks whose dimension differs from the component count (and from
 # 2), so a cloud stored with its axes swapped inside the engine cannot
 # pass: d = 1 with k = 3 into "$out/gmm-d1", d = 3 with k = 5 into
-# "$out/gmm-d3".
+# "$out/gmm-d3".  The d = 3 means' enclosing ball is wider than half their
+# diameter, the R of the mixture envelope that jacobian-envelope's upper
+# column reads.
 printf '%s\n' 'target = gmm' 'means = [(-2.0,), (0.5,), (3.0,)]' 'weights = (0.5, 0.3, 0.2)' \
   'sigma = 0.4' 'schedule = linear' 'n = 128' 'steps = 16' 'zeta_grid = (0.0, 0.2)' \
   'eps_grid = (0.5, 1.5)' 'steps_grid = (16, 32)' 'delta = (0.1,)' > cli-run-gmm-d1.cfg
@@ -83,7 +85,7 @@ gif-lab flow --config cli-run-gmm-d3.cfg --x 0.3,-0.2,0.1 --jacobian --logdensit
   --out "$out/gmm-d3/flow"
 gif-lab sample --config cli-run-gmm-d3.cfg --n 10000 --no-timestamp --out "$out/gmm-d3/sample"
 for d in d1 d3; do
-  for cmd in stability-source stability-velocity autoencode ag-check; do
+  for cmd in stability-source stability-velocity autoencode ag-check jacobian-envelope; do
     gif-lab "$cmd" --config "cli-run-gmm-$d.cfg" --no-timestamp --svg --out "$out/gmm-$d/$cmd"
   done
 done

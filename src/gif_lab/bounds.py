@@ -7,9 +7,9 @@ constants of the target are available:
 * gaussian   (kappa a da + b db) / (kappa a^2 + b^2), exact for Gaussians
 * bounded-d  diameter-based growth bound, diverging at t = 1, usually
              handed over to the gaussian form at the crossover time t1
-* mixture    isotropic-mixture form driven by sigma and the mean radius R:
-             grad v = alpha I + gamma spread (flow.py) and spread <= R^2 I,
-             so alpha + gamma R^2 bounds grad v at every point
+* mixture    isotropic-mixture form driven by sigma and R: grad v = alpha I +
+             gamma spread (flow.py) and spread <= R^2 I, so alpha + gamma R^2
+             bounds grad v; half the means' diameter is such an R (Popoviciu)
 * log-lip    perturbation bound for log-Lipschitz densities, handed over
              to the gaussian form at t2
 
@@ -67,7 +67,7 @@ class RegularityProfile:
     kappa: semi-log-concavity curvature (any sign)
     beta:  semi-log-convexity curvature (> 0, >= kappa)
     D:     support diameter divided by sqrt(2), may be +inf
-    R:     radius of the minimal ball enclosing the support / means
+    R:     any R with spread(mu) <= R^2 I; from_target: half the means' diameter
     sigma: isotropic mixture component deviation
     L:     log-Lipschitz constant of the density ratio to the Gaussian
     """

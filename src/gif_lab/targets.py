@@ -57,13 +57,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateTimeError,
-    InvalidParamError,
-    TooLargeError,
-    _array_param,
-    _real_param,
-)
+from .errors import DegenerateTimeError, InvalidParamError, _array_param, _real_param
 from .schedules import Schedule
 
 __all__ = [
@@ -72,7 +66,6 @@ __all__ = [
     "gaussian_target",
     "mixture_target",
     "point_cloud_target",
-    "min_enclosing_ball",
     "posterior",
     "posterior_stats",
     "posterior_moments",
@@ -81,9 +74,6 @@ __all__ = [
     "score",
     "cond_cov",
 ]
-
-_BALL_POINT_CAP = 10_000
-
 
 @dataclasses.dataclass(frozen=True)
 class Target:
@@ -164,14 +154,25 @@ class Target:
         return mt
 
     @functools.cached_property
-    def radius(self) -> float:
-        """Radius of the minimal ball enclosing the component means."""
-        return min_enclosing_ball(self.means)[1]
+    def _diameter(self) -> float:
+        """Largest distance between two component means."""
+        return _pairwise_diameter(self.means)
 
-    @functools.cached_property
+    @property
+    def radius(self) -> float:
+        """Half the means' diameter, an R with spread(mu) <= R^2 I for every
+        responsibility vector: along any unit u the projections u . mu_j lie
+        in an interval no longer than the diameter, and a variable confined
+        to an interval of length l has variance at most l^2 / 4 (Popoviciu
+        1935).  Never above the minimal enclosing ball's radius; equal to it
+        in d = 1 and on centrally symmetric means."""
+        return self._diameter / 2.0
+
+    @property
     def diam_over_sqrt2(self) -> float:
-        """Pairwise diameter of the means divided by sqrt(2)."""
-        return _pairwise_diameter(self.means) / math.sqrt(2.0)
+        """The means' diameter divided by sqrt(2), the bounded-d case's D;
+        its square halved is radius^2."""
+        return self._diameter / math.sqrt(2.0)
 
 
 def gaussian_target(mean, var: float) -> Target:
@@ -198,88 +199,19 @@ def point_cloud_target(points, sigma: float) -> Target:
 
 
 def _pairwise_diameter(pts: np.ndarray) -> float:
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    best = 0.0
-    block = 512
-    sq = np.sum(pts ** 2, axis=1)
-    for i in range(0, n, block):
-        chunk = pts[i:i + block]
-        d2 = sq[i:i + block, None] + sq[None, :] - 2.0 * chunk @ pts.T
-        best = max(best, float(d2.max()))
-    return math.sqrt(max(best, 0.0))
+    """Largest distance between two rows of pts, (k, d).
 
-
-def _ball_of_support(pts: list[np.ndarray], d: int):
-    """Exact minimal ball of at most d+1 points (subset enumeration)."""
-    if not pts:
-        return np.zeros(d), -1.0
-    best = None
-    m = len(pts)
-    for mask in range(1, 1 << m):
-        sub = [pts[i] for i in range(m) if mask >> i & 1]
-        p0 = sub[0]
-        if len(sub) == 1:
-            c, r = p0.copy(), 0.0
-        else:
-            V = np.stack([q - p0 for q in sub[1:]])
-            g = np.sum(V ** 2, axis=1)
-            lam, *_ = np.linalg.lstsq(2.0 * V @ V.T, g, rcond=None)
-            c = p0 + lam @ V
-            r = float(np.linalg.norm(p0 - c))
-            radii = [np.linalg.norm(q - c) for q in sub]
-            if max(radii) > r * (1 + 1e-10) + 1e-12:
-                continue
-        if all(np.linalg.norm(q - c) <= r * (1 + 1e-10) + 1e-12 for q in pts):
-            if best is None or r < best[1]:
-                best = (c, r)
-    if best is None:
-        # numerically degenerate support; fall back to the centroid bound
-        c = np.mean(pts, axis=0)
-        best = (c, float(max(np.linalg.norm(q - c) for q in pts)))
-    return best
-
-
-def min_enclosing_ball(points: np.ndarray):
-    """Center and radius of the smallest ball containing the points.
-
-    Exact (Welzl's randomized algorithm, over one fixed shuffle) for
-    dimensions 1 to 3; for higher dimensions returns the centroid-based
-    upper bound.  Caps the point count at 10_000.
+    Squared distances are summed from coordinate differences, in cdist's
+    order, for one block of rows against all rows at a time: the expanded
+    |a|^2 + |b|^2 - 2 a.b cancels to nothing for close points far from the
+    origin.
     """
-    pts = _array_param("points", points, "a (k, d) array")
-    if pts.shape[0] > _BALL_POINT_CAP:
-        raise TooLargeError(f"enclosing ball supports at most {_BALL_POINT_CAP} points")
-    pts = np.unique(pts, axis=0)
-    n, d = pts.shape
-    if n == 1:
-        return pts[0].copy(), 0.0
-    if d == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        return np.array([(lo + hi) / 2.0]), (hi - lo) / 2.0
-    if d > 3:
-        c = pts.mean(axis=0)
-        return c, float(np.max(np.linalg.norm(pts - c, axis=1)))
-
-    order = list(np.random.default_rng(0).permutation(n))
-    shuffled = [pts[i] for i in order]
-
-    def welzl(m: int, boundary: list[np.ndarray]):
-        # ball of the first m shuffled points with boundary on its sphere; a
-        # point outside adds to the boundary, so it nests at most d + 1 deep
-        c, r = _ball_of_support(boundary, d)
-        if len(boundary) == d + 1:
-            return c, r
-        for i, p in enumerate(shuffled[:m]):
-            if not np.linalg.norm(p - c) <= r * (1 + 1e-10) + 1e-12:
-                c, r = welzl(i, boundary + [p])
-        return c, r
-
-    c, r = welzl(n, [])
-    # guard against an unlucky tolerance miss
-    r = max(r, float(np.max(np.linalg.norm(pts - c, axis=1))))
-    return c, r
+    best, block = 0.0, 512
+    for start in range(0, len(pts), block):
+        rows = pts[start:start + block]
+        d2 = sum(np.subtract.outer(rows[:, j], pts[:, j]) ** 2 for j in range(pts.shape[1]))
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from gif_lab.errors import (
 )
 from gif_lab.experiments import (ExperimentConfig, moderate_gmm4, paper_gmm8,
                                   run_jacobian_envelope)
-from gif_lab.flow import FlowContext, _table
+from gif_lab.flow import FlowContext, _table, velocity_jacobian
 from gif_lab.schedules import (
     FollmerSchedule,
     LinearSchedule,
@@ -33,11 +33,19 @@ from gif_lab.schedules import (
     VESchedule,
     VPSchedule,
 )
-from gif_lab.targets import gaussian_target, mixture_target
+from gif_lab.targets import gaussian_target, mixture_target, point_cloud_target
 
 from oracles import central_diff, simpson
 
 T1_LINEAR_KM1_D1 = 0.5857864376269049  # root of snr = 2 under the linear schedule
+
+THREE_SCHEDULES = pytest.mark.parametrize(
+    "sched", [LinearSchedule(), TrigSchedule(), FollmerSchedule()],
+    ids=lambda s: type(s).__name__)
+
+# mean sets whose minimal enclosing ball is wider than half their diameter
+TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
+GMM_D3 = [(1.0, 0.0, 0.0), (0.0, 1.5, 0.0), (0.0, 0.0, -1.0), (-1.0, -1.0, 1.0), (0.5, 0.5, 0.5)]
 
 
 class TestGaussianCase:
@@ -218,6 +226,47 @@ class TestMixtureCase:
         want = tab.alpha + tab.gamma * target.radius ** 2
         assert np.all(np.abs(theta.theta(ts) - want) <= 1e-15 * np.abs(want))
 
+    @pytest.mark.parametrize("means, sigma", [
+        ([(1.5, 0.0), (-1.5, 0.0)], 1.0),
+        ([(3.0, 1.0), (1.0, -2.0)], 0.3),
+        ([(0.0, 0.0, 1.0), (2.0, -1.0, 0.5)], 0.5),
+    ], ids=["symmetric", "off-centre", "d3"])
+    @THREE_SCHEDULES
+    def test_attained_between_two_equal_components(self, means, sigma, sched):
+        # at b_t times the midpoint both responsibilities are 1/2, so the
+        # spread is (mu_1 - mu_2)(mu_1 - mu_2)^T / 4 with top eigenvalue R^2
+        target = mixture_target([0.5, 0.5], means, sigma)
+        theta = theta_profile(RegularityProfile.from_target(target), sched, case="mixture")
+        ctx = FlowContext(sched=sched, target=target)
+        for t in (0.1, 0.5, 0.9, 0.99):
+            x = sched.b(t) * target.means.mean(axis=0)
+            lam_max = np.linalg.eigvalsh(velocity_jacobian(ctx, t, x))[-1]
+            assert lam_max == pytest.approx(theta.theta(t), rel=1e-12, abs=0.0)
+
+    @THREE_SCHEDULES
+    def test_equilateral_triangle_reads_a_quarter(self, sched):
+        # R^2 = (side / 2)^2 = 1/4, not the enclosing ball's 1/3
+        target = point_cloud_target(TRIANGLE, 0.5)
+        theta = theta_profile(RegularityProfile.from_target(target), sched, case="mixture")
+        ts = np.linspace(0.05, 0.95, 19)
+        tab = _table(FlowContext(sched=sched, target=target), ts)
+        assert theta.theta(ts) == pytest.approx(tab.alpha + tab.gamma / 4, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("means", [
+        TRIANGLE, GMM_D3, np.random.default_rng(5).normal(size=(7, 6)),
+    ], ids=["triangle", "gmm-d3", "d6"])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0])
+    @THREE_SCHEDULES
+    def test_holds_on_means_narrower_than_their_ball(self, means, sigma, sched):
+        cfg = ExperimentConfig(target=point_cloud_target(means, sigma), sched=sched, n=200,
+                               seed=3, bound_case="mixture")
+        res = run_jacobian_envelope(cfg)
+        assert np.all(res.column("lam_max") <= res.column("upper"))
+        # the lower envelope alpha is met up to eigvalsh's rounding where
+        # the spread vanishes
+        lower = res.column("lower")
+        assert np.all(lower - res.column("lam_min") <= 1e-13 * np.maximum(np.abs(lower), 1.0))
+
 
 class TestLogLipCase:
     def test_value_at_zero_linear(self):
@@ -255,8 +304,7 @@ class TestLogLipCase:
         [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)],
         [(3.0, 1.0), (1.0, 1.0)],
     ], ids=["two-point", "four-point", "off-centre"])
-    @pytest.mark.parametrize("sched", [LinearSchedule(), TrigSchedule(), FollmerSchedule()],
-                             ids=lambda s: type(s).__name__)
+    @THREE_SCHEDULES
     def test_bounds_sigma_one_mixtures(self, means, sched):
         # a sigma = 1 mixture is in the log-lip class: grad log(p / phi) is a
         # posterior average of the means, so L = max |mu_j|; its

@@ -16,7 +16,7 @@ from gif_lab.errors import (
     OutOfRangeError,
     SizeMismatchError,
 )
-from gif_lab.experiments import moderate_gmm4
+from gif_lab.experiments import moderate_gmm4, paper_gmm8
 from gif_lab.flow import (
     FlowContext,
     Trajectory,
@@ -33,6 +33,7 @@ from gif_lab.flow import (
     velocity_dt,
     velocity_jacobian,
 )
+from gif_lab.metrics import sample_source
 from gif_lab.schedules import (
     FollmerSchedule,
     LinearSchedule,
@@ -604,6 +605,22 @@ class TestIntegrateAugmented:
         assert np.all(sign > 0)
         assert traj.final_logdens == pytest.approx(ld0 - logdet, abs=1e-6)
         assert np.quantile(np.abs(traj.final_logdens - ld1), 0.9) <= 1e-3
+
+    def test_density_identity_on_paper_gmm8(self):
+        # the carried log-density meets log p_1 at every particle up to the
+        # RK4 error, which falls like steps^-4; no sampling floor enters
+        target, sched = paper_gmm8(), LinearSchedule()
+        ctx = FlowContext(sched=sched, target=target)
+        x0 = sample_source(target, sched, 256, 7).points
+        ld0 = marginal_log_density(target, sched, 0.0, x0)
+        errs = []
+        for steps in (256, 1024):
+            traj = integrate_augmented(ctx, x0, 0.0, 1.0, steps, record="final",
+                                       with_logdensity=True, init_logdens=ld0)
+            ld1 = marginal_log_density(target, sched, 1.0, traj.final_state)
+            errs.append(np.max(np.abs(traj.final_logdens - ld1)))
+        assert errs[1] <= 1e-7
+        assert math.log(errs[0] / errs[1], 4) == pytest.approx(4.0, abs=0.5)
 
     def test_reverse_jacobian_inverts_forward(self, gmm2_ctx):
         x0 = np.array([0.2, 0.6])

@@ -39,9 +39,8 @@ from gif_lab.metrics import (ParticleCloud, keyed_generator, linear_fit, sample_
 from gif_lab.schedules import (LinearSchedule, ShiftedLinearSchedule, VESchedule,
                                VPSchedule)
 from gif_lab.targets import (Target, cond_cov, denoiser, gaussian_target,
-                              marginal_log_density, min_enclosing_ball, mixture_target,
-                              point_cloud_target, posterior, posterior_moments,
-                              posterior_stats, score)
+                              marginal_log_density, mixture_target, point_cloud_target,
+                              posterior, posterior_moments, posterior_stats, score)
 
 _GAUSS = gaussian_target(mean=[0.0], var=1.0)
 _CTX = FlowContext(sched=LinearSchedule(), target=_GAUSS)
@@ -166,11 +165,10 @@ def test_numpy_integer_seed_draws_the_int_seeds_cloud(seed):
     lambda: sample_interpolant(_GAUSS, LinearSchedule(), 0.5, 2, 0, label="demo"),
     lambda: ParticleCloud.read_csv(io.StringIO("x0\n1.0\n"), label="demo"),
     lambda: ParticleCloud(_CLOUD, seed=0),
-    lambda: min_enclosing_ball(_CLOUD, seed=7),
     lambda: point_cloud_target(_CLOUD, 0.5, weights=[1.0, 1.0, 1.0]),
 ], ids=["sample_gaussian.scale", "sample_gaussian.label", "sample_target.label",
         "sample_interpolant.label", "read_csv.label", "ParticleCloud.seed",
-        "min_enclosing_ball.seed", "point_cloud_target.weights"])
+        "point_cloud_target.weights"])
 def test_removed_setting_is_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -280,7 +278,6 @@ ARRAY_PARAMS = [
     ("mean", 1, lambda v: gaussian_target(mean=v, var=1.0)),
     ("means", 2, lambda v: mixture_target([1.0], v, 0.5)),
     ("points", 2, lambda v: point_cloud_target(v, 0.5)),
-    ("points", 2, lambda v: min_enclosing_ball(v)),
     ("x", 2, lambda v: posterior(_GMM2, _LIN, 0.5, v)),
     ("x", 2, lambda v: posterior_stats(_GMM2, _LIN, 0.5, v)),
     ("x", 2, lambda v: posterior_moments(_GMM2, _LIN, 0.5, v)),
@@ -302,7 +299,7 @@ ARRAY_PARAMS = [
     ("ys", 1, lambda v: linear_fit([0.0, 1.0, 2.0], v)),
 ]
 ARRAY_IDS = ["Target.means", "Target.weights", "gaussian.mean", "mixture.means",
-             "point_cloud.points", "min_enclosing_ball", "posterior", "posterior_stats",
+             "point_cloud.points", "posterior", "posterior_stats",
              "posterior_moments", "marginal_log_density", "denoiser", "score", "cond_cov",
              "velocity", "velocity_jacobian", "velocity_dt", "integrate",
              "integrate_augmented", "init_logdens", "ParticleCloud", "w2.a", "w2.b",

@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import pdist
 from scipy.special import logsumexp
 
-from gif_lab.experiments import paper_gmm8
+from gif_lab.experiments import moderate_gmm4, paper_gmm8
 from gif_lab.errors import (
     InvalidParamError,
     NonFiniteError,
     OutOfRangeError,
     SizeMismatchError,
-    TooLargeError,
 )
 from gif_lab.flow import FlowContext, integrate
 from gif_lab.schedules import FollmerSchedule, LinearSchedule, TrigSchedule
@@ -30,7 +29,6 @@ from gif_lab.targets import (
     denoiser,
     gaussian_target,
     marginal_log_density,
-    min_enclosing_ball,
     mixture_target,
     point_cloud_target,
     posterior,
@@ -95,109 +93,50 @@ class TestConstruction:
         assert gmm2.second_moment == pytest.approx(expect)
 
 
-class TestEnclosingBallAndDiameter:
-    def test_two_points(self):
-        c, r = min_enclosing_ball(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert c == pytest.approx([1.0, 0.0])
-        assert r == pytest.approx(1.0)
-
-    def test_obtuse_triangle_uses_diametral_ball(self):
-        # farthest pair (0,0)-(4,0) covers the nearby third point
-        pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.1]])
-        c, r = min_enclosing_ball(pts)
-        assert r == pytest.approx(2.0, abs=1e-9)
-        assert c == pytest.approx([2.0, 0.0], abs=1e-9)
-
-    def test_equilateral_triangle_circumradius(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-        _, r = min_enclosing_ball(pts)
-        assert r == pytest.approx(1.0 / math.sqrt(3), abs=1e-9)
-
-    def test_collinear_points(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, 2.0]])
-        c, r = min_enclosing_ball(pts)
-        assert r == pytest.approx(1.5 * math.sqrt(2), abs=1e-9)
-        assert c == pytest.approx([1.5, 1.5], abs=1e-9)
-
-    def test_random_cloud_against_bruteforce(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(40, 2))
-        c, r = min_enclosing_ball(pts)
-        dists = np.linalg.norm(pts - c, axis=1)
-        assert np.max(dists) <= r + 1e-9
-        assert r <= _brute_ball_radius(pts) + 1e-9
-
-    def test_3d_tetrahedron(self):
-        pts = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        c, r = min_enclosing_ball(pts)
-        assert c == pytest.approx([0, 0, 0], abs=1e-9)
-        assert r == pytest.approx(math.sqrt(3), abs=1e-9)
-
-    def test_high_dim_upper_bound(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(30, 6))
-        c, r = min_enclosing_ball(pts)
-        assert np.max(np.linalg.norm(pts - c, axis=1)) <= r + 1e-9
-
-    def test_size_cap(self):
-        pts = np.zeros((10_001, 2))
-        with pytest.raises(TooLargeError):
-            min_enclosing_ball(pts)
-
-    def test_cap_sized_cloud_leaves_the_recursion_limit_alone(self, monkeypatch):
-        # the search nests at most d + 1 calls deep, so even a cloud at the
-        # 10 000-point cap needs no deeper interpreter stack
-        def refuse(limit):
-            raise AssertionError("changed the process-wide recursion limit")
-
-        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        pts = np.random.default_rng(3).normal(size=(10_000, 2))
-        c, r = min_enclosing_ball(pts)
-        assert np.max(np.linalg.norm(pts - c, axis=1)) <= r
-
-    def test_size_cap_comes_before_deduplication(self, monkeypatch):
-        def unique(*args, **kwargs):
-            raise AssertionError("deduplicated a cloud over the cap")
-
-        monkeypatch.setattr(np, "unique", unique)
-        with pytest.raises(TooLargeError):
-            min_enclosing_ball(np.zeros((20_000, 2)))
-
-    @pytest.mark.parametrize("shape", [(5,), (0, 2), (3, 0)], ids=["1d", "empty", "zero-dim"])
-    def test_shape_is_checked(self, shape):
-        with pytest.raises(SizeMismatchError):
-            min_enclosing_ball(np.zeros(shape))
-
-    def test_non_finite_point(self):
-        with pytest.raises(NonFiniteError):
-            min_enclosing_ball(np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
-
+class TestMeanDiameter:
     def test_target_radius_and_diameter(self, gmm2):
         assert gmm2.radius == pytest.approx(math.sqrt(17) / 2, abs=1e-9)
         assert gmm2.diam_over_sqrt2 == pytest.approx(math.sqrt(17.0 / 2.0), abs=1e-12)
 
+    def test_built_in_radii_are_exact(self):
+        assert paper_gmm8().radius == 12.0
+        assert moderate_gmm4().radius == 2.0
+        assert gaussian_target([0.3, -0.2], 0.64).radius == 0.0
+        assert mixture_target([0.5, 0.3, 0.2], [[-2.0], [0.5], [3.0]], 0.4).radius == 2.5
 
-def _brute_ball_radius(pts: np.ndarray) -> float:
-    """Min enclosing ball radius in 2d by trying all pairs and triples."""
-    best = math.inf
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = 0.5 * (pts[i] + pts[j])
-            r = np.linalg.norm(pts[i] - c)
-            if np.max(np.linalg.norm(pts - c, axis=1)) <= r + 1e-12:
-                best = min(best, r)
-            for k in range(j + 1, n):
-                A = 2.0 * (pts[[j, k]] - pts[i])
-                rhs = np.sum(pts[[j, k]] ** 2, axis=1) - np.sum(pts[i] ** 2)
-                try:
-                    c = np.linalg.solve(A, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                r = np.linalg.norm(pts[i] - c)
-                if np.max(np.linalg.norm(pts - c, axis=1)) <= r + 1e-12:
-                    best = min(best, r)
-    return best
+    def test_equilateral_triangle_is_half_its_side(self):
+        # below the circumradius 1/sqrt(3) of its enclosing ball
+        tri = point_cloud_target([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]], 0.5)
+        assert tri.radius == 0.5
+        assert tri.radius ** 2 == pytest.approx(tri.diam_over_sqrt2 ** 2 / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    def test_diameter_survives_a_far_offset(self, offset):
+        # |a|^2 + |b|^2 - 2 a.b cancels to 0 at 1e8; coordinate differences do not
+        t = point_cloud_target([[offset, 0.0], [offset + 1.0, 0.0], [offset + 0.5, 0.3]], 0.5)
+        assert t.radius == 0.5
+        assert t.diam_over_sqrt2 == 1.0 / math.sqrt(2.0)
+
+    def test_diameter_across_row_blocks(self):
+        # 1 100 means take three 512-row blocks; the farthest pair straddles them
+        pts = np.random.default_rng(9).normal(size=(1100, 3))
+        pts[1099] = (6.0, -5.0, 4.0)
+        target = point_cloud_target(pts, 0.5)
+        assert 2.0 * target.radius == pytest.approx(pdist(pts).max(), rel=1e-15)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_radius_bounds_every_spread(self, d):
+        # Popoviciu: along any direction the means span at most the diameter,
+        # so the responsibility-weighted covariance is at most (diam / 2)^2
+        rng = np.random.default_rng(100 + d)
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            target = point_cloud_target(rng.normal(size=(k, d)) * rng.uniform(0.1, 10.0), 0.5)
+            assert 2.0 * target.radius == pytest.approx(pdist(target.means).max(), rel=1e-15)
+            for resp in (rng.dirichlet(np.full(k, 0.3)), rng.dirichlet(np.ones(k))):
+                c = target.means - resp @ target.means
+                lam = np.linalg.eigvalsh((c.T * resp) @ c)[-1]
+                assert lam <= target.radius ** 2 * (1.0 + 1e-12)
 
 
 class TestPosterior:
